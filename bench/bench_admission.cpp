@@ -4,13 +4,16 @@
 // assesses only the new request's pipes against the maintained residuals, so
 // its per-request cost is O(window) rather than O(admitted set) — the gap
 // this bench quantifies (and the perf-smoke CI gates at >= 2x for 1000
-// admitted contracts).
+// admitted contracts). Two more sections compare the two-tier fast path
+// with exact-only, and the default exec config with serial on a
+// release-heavy stream (CI gates default >= 0.95x serial).
 //
 // Usage: ./bench_admission [--smoke] [--bench-json=PATH] [--metrics-json]
 #include "bench_util.h"
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -277,101 +280,105 @@ int main(int argc, char** argv) {
   json.add("fastpath_audit_clean", two_tier.stats.violations == 0);
   json.add("fastpath_decisions_identical", decisions_identical);
 
-  // --- Sharded admission plane: the identical request stream replayed at
-  // 1/2/4/8 shard workers (service/sharded_admission.h). Each window's
-  // realizations fan out across shard-owned routers and are merged in
-  // ascending realization order, so verdicts, approved rates and residual
-  // state must be bit-identical at every shard count; wall-clock should
-  // scale with available cores.
-  print_header("BENCH admission (sharded)",
-               "Per-realization shard fan-out at 1/2/4/8 shards: decisions must "
-               "be bit-identical to the 1-shard run; wall-clock scales with "
-               "cores.");
+  // --- Default exec config vs serial on a release-heavy stream: every
+  // release rebuilds the residuals from the commit history (~1.1 M
+  // placements at 2k contracts), the work the shared pool exists for, while
+  // each admit's commit stays under the serial cutoff. The default config
+  // must never lose to serial, and decisions must be bit-identical.
+  print_header("BENCH admission (default exec vs serial)",
+               "Release-heavy stream on the 28-region backbone: median per-release "
+               "and per-admit latency at 1 thread, the default thread count and 4 "
+               "threads; decisions must be identical.");
 
-  service::AdmissionConfig shard_base = tier_base;
-  shard_base.approval.realizations = smoke ? 4 : 8;  // enough sub-windows to fan out
-  const std::size_t shard_contracts = smoke ? 100 : 200;
-  const std::size_t shard_reps = smoke ? 2 : 3;
-
-  struct ShardRunResult {
-    double ms = 0.0;
-    std::vector<double> approved;  // per hose, stream order
+  const std::size_t exec_population = smoke ? 1000 : 2000;
+  const std::size_t exec_releases = smoke ? 10 : 24;
+  struct ExecRunResult {
+    double release_ms = 0.0;  ///< median per-release latency
+    double admit_ms = 0.0;    ///< median per-admit latency (same stream)
+    std::vector<double> approved;  // per admitted hose, stream order
     service::AdmissionController::ResidualState residuals;
   };
-  // Best-of-N identical streams per shard count (fresh controller, same seed
-  // and request stream each rep).
-  const auto run_sharded = [&](std::size_t shards) {
-    ShardRunResult result;
-    for (std::size_t rep = 0; rep < shard_reps; ++rep) {
-      service::AdmissionConfig cfg = shard_base;
-      cfg.exec.shards = shards;
-      service::AdmissionController ctl(net, cfg);
-      Rng stream_rng(kSeed + 11);
-      std::vector<double> approved;
+  const auto run_exec = [&](std::optional<std::size_t> threads) {
+    service::AdmissionConfig cfg = tier_base;
+    cfg.approval.fastpath.enabled = true;
+    cfg.exec.threads = threads;
+    service::AdmissionController ctl(net, cfg);
+    Rng stream_rng(kSeed + 11);
+    ExecRunResult result;
+    std::vector<service::ContractId> live;
+    std::uint32_t npg = 0;
+    std::vector<double> admit_ms;
+    const auto admit = [&](bool timed) {
+      ++npg;
+      const auto hoses = contract_hoses(npg, stream_rng, net.region_count());
       const auto start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < shard_contracts; ++i) {
-        const auto npg = static_cast<std::uint32_t>(i + 1);
-        const auto outcome = ctl.admit(NpgId(npg), "shard" + std::to_string(npg),
-                                       contract_hoses(npg, stream_rng, net.region_count()));
-        for (const auto& approval : outcome.approvals) {
-          approved.push_back(approval.approved.value());
-        }
+      const auto outcome = ctl.admit(NpgId(npg), "exec" + std::to_string(npg), hoses);
+      if (timed) admit_ms.push_back(ms_since(start));
+      for (const auto& approval : outcome.approvals) {
+        result.approved.push_back(approval.approved.value());
       }
-      const double ms = ms_since(start);
-      if (rep == 0 || ms < result.ms) result.ms = ms;
-      result.approved = std::move(approved);
-      result.residuals = ctl.residual_snapshot();
+      if (outcome.status == service::AdmissionStatus::admitted) live.push_back(outcome.contract);
+    };
+    for (std::size_t i = 0; i < exec_population; ++i) admit(false);
+    std::vector<double> release_ms;
+    for (std::size_t i = 0; i < exec_releases; ++i) {
+      const std::size_t victim = stream_rng.uniform_int(live.size());
+      const auto start = std::chrono::steady_clock::now();
+      (void)ctl.release(live[victim]);
+      release_ms.push_back(ms_since(start));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      admit(true);
     }
+    (void)ctl.audit_fastpath();
+    result.release_ms = percentile(release_ms, 0.50);
+    result.admit_ms = percentile(admit_ms, 0.50);
+    result.residuals = ctl.residual_snapshot();
     return result;
   };
 
-  const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
-  Table shard_table({"shards", "stream_ms", "req_per_s", "speedup_vs_1", "identical"}, 2);
-  ShardRunResult shard_reference;
-  bool shard_identical = true;
-  double shard_4_speedup = 0.0;
-  for (const std::size_t shards : shard_counts) {
-    const ShardRunResult run = run_sharded(shards);
-    const bool identical =
-        shards == 1 || (run.approved == shard_reference.approved &&
-                        run.residuals == shard_reference.residuals);
-    if (shards == 1) shard_reference = run;
-    shard_identical = shard_identical && identical;
-    const double speedup = run.ms > 0.0 ? shard_reference.ms / run.ms : 0.0;
-    if (shards == 4) shard_4_speedup = speedup;
-    const double req_per_s =
-        run.ms > 0.0 ? 1000.0 * static_cast<double>(shard_contracts) / run.ms : 0.0;
-    shard_table.add_row({static_cast<double>(shards), run.ms, req_per_s, speedup,
-                         identical ? 1.0 : 0.0});
-    const std::string prefix = "shard_" + std::to_string(shards) + "_";
-    json.add(prefix + "ms", run.ms);
-    json.add(prefix + "req_per_s", req_per_s);
-    json.add(prefix + "speedup", speedup);
-  }
-  shard_table.print(std::cout);
-
-  // The >= 2x-at-4-shards gate is a statement about parallel hardware: on
-  // boxes with fewer than 4 cores the fan-out cannot buy wall-clock, so the
-  // gate reports the core count and passes (decisions equality still gates
-  // unconditionally).
   const unsigned cores = std::thread::hardware_concurrency();
-  const bool shard_perf_ok = shard_4_speedup >= 2.0 || cores < 4;
-  std::cout << "\nsharded decisions identical to 1-shard run: "
-            << (shard_identical ? "yes" : "NO") << '\n';
-  std::cout << "shard_speedup_2x_at_4: " << (shard_4_speedup >= 2.0 ? "true" : "false") << " ("
-            << shard_4_speedup << "x on " << cores << " cores)\n";
+  const ExecRunResult exec_serial = run_exec(1);
+  const ExecRunResult exec_default = run_exec(std::nullopt);
+  const ExecRunResult exec_four = run_exec(4);
+  const bool exec_identical = exec_default.approved == exec_serial.approved &&
+                              exec_default.residuals == exec_serial.residuals &&
+                              exec_four.approved == exec_serial.approved &&
+                              exec_four.residuals == exec_serial.residuals;
+  const auto ratio = [](double serial_ms, double other_ms) {
+    return other_ms > 0.0 ? serial_ms / other_ms : 0.0;
+  };
+  const double default_vs_serial = ratio(exec_serial.release_ms, exec_default.release_ms);
+  const double four_thread_speedup = ratio(exec_serial.release_ms, exec_four.release_ms);
+  const bool default_vs_serial_ok = default_vs_serial >= 0.95;
 
-  json.add("shard_contracts", static_cast<std::uint64_t>(shard_contracts));
-  json.add("shard_4_speedup", shard_4_speedup);
-  json.add("shard_speedup_2x_at_4", shard_4_speedup >= 2.0);
-  json.add("shard_hardware_cores", static_cast<std::uint64_t>(cores));
-  json.add("shard_decisions_identical", shard_identical);
-  json.add("shard_perf_ok", shard_perf_ok);
+  Table exec_table({"exec", "release_p50_ms", "admit_p50_ms", "release_speedup"}, 3);
+  exec_table.add_row({std::string("serial"), exec_serial.release_ms, exec_serial.admit_ms, 1.0});
+  exec_table.add_row({std::string("default"), exec_default.release_ms, exec_default.admit_ms,
+                      default_vs_serial});
+  exec_table.add_row(
+      {std::string("4_threads"), exec_four.release_ms, exec_four.admit_ms, four_thread_speedup});
+  exec_table.print(std::cout);
+  std::cout << "\ncores " << cores << ", " << exec_population << " contracts, "
+            << exec_releases << " releases; decisions identical across exec configs: "
+            << (exec_identical ? "yes" : "NO") << "\ndefault exec >= 0.95x serial: "
+            << (default_vs_serial_ok ? "true" : "false") << '\n';
+
+  json.add("exec_cores", static_cast<std::uint64_t>(cores));
+  json.add("exec_contracts", static_cast<std::uint64_t>(exec_population));
+  json.add("exec_serial_release_ms", exec_serial.release_ms);
+  json.add("exec_default_release_ms", exec_default.release_ms);
+  json.add("exec_4_thread_release_ms", exec_four.release_ms);
+  json.add("exec_serial_admit_ms", exec_serial.admit_ms);
+  json.add("exec_default_admit_ms", exec_default.admit_ms);
+  json.add("exec_4_thread_speedup", four_thread_speedup);
+  json.add("default_vs_serial", default_vs_serial);
+  json.add("default_vs_serial_ok", default_vs_serial_ok);
+  json.add("exec_decisions_identical", exec_identical);
 
   maybe_write_bench_json(argc, argv, json);
   maybe_dump_metrics(argc, argv);
   const bool tier_ok = tier_speedup >= tier_speedup_floor && hit_rate >= 0.70 &&
                        two_tier.stats.violations == 0 && decisions_identical;
-  const bool shard_ok = shard_identical && shard_perf_ok;
-  return exact && speedup_at_1000 >= 2.0 && tier_ok && shard_ok ? 0 : 1;
+  const bool exec_ok = exec_identical && default_vs_serial_ok;
+  return exact && speedup_at_1000 >= 2.0 && tier_ok && exec_ok ? 0 : 1;
 }

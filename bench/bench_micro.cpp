@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "enforce/bpf.h"
 #include "enforce/meter.h"
 #include "enforce/ratestore.h"
@@ -322,6 +324,35 @@ void BM_ObsRegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsRegistryLookup);
 
+// Best-of-batches timing of one pass: reps per batch auto-calibrated off a
+// single pass so a batch runs long enough to dwarf clock granularity, then
+// the minimum over batches discards scheduler noise (noise only slows runs).
+template <typename Pass>
+double best_pass_ns(bool smoke, Pass&& pass) {
+  const auto calibrate_start = std::chrono::steady_clock::now();
+  pass();
+  const double single_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - calibrate_start)
+          .count());
+  const double target_batch_ns = smoke ? 2e7 : 1e8;
+  const std::size_t reps = std::max<std::size_t>(
+      1, static_cast<std::size_t>(target_batch_ns / std::max(single_ns, 1.0)));
+  const std::size_t batches = smoke ? 3 : 5;
+  double best = 0.0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < reps; ++r) pass();
+    const double batch_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    const double per_pass = batch_ns / static_cast<double>(reps);
+    if (b == 0 || per_pass < best) best = per_pass;
+  }
+  return best;
+}
+
 // The perf-smoke routing gate: the CSR placement loop against the
 // reconstructed legacy layout on the 28-region admission stream. Placed
 // vectors must be bit-identical; the speedup lands in BENCH_routing.json
@@ -349,37 +380,10 @@ void run_routing_placement_section(int argc, char** argv, bool smoke) {
                          expected.placed_total == csr_result.placed_total &&
                          expected.fully_placed == csr_result.fully_placed;
 
-  // Best-of-batches timing: reps per batch auto-calibrated off one legacy
-  // pass so a batch runs long enough to dwarf clock granularity, then the
-  // minimum over batches discards scheduler noise (noise only slows runs).
-  const auto pass_ns = [&](auto&& pass) {
-    const auto calibrate_start = std::chrono::steady_clock::now();
-    pass();
-    const double single_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - calibrate_start)
-            .count());
-    const double target_batch_ns = smoke ? 2e7 : 1e8;
-    const std::size_t reps = std::max<std::size_t>(
-        1, static_cast<std::size_t>(target_batch_ns / std::max(single_ns, 1.0)));
-    const std::size_t batches = smoke ? 3 : 5;
-    double best = 0.0;
-    for (std::size_t b = 0; b < batches; ++b) {
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < reps; ++r) pass();
-      const double batch_ns = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      const double per_pass = batch_ns / static_cast<double>(reps);
-      if (b == 0 || per_pass < best) best = per_pass;
-    }
-    return best;
-  };
-
-  const double legacy_ns =
-      pass_ns([&] { benchmark::DoNotOptimize(legacy.route(workload.demands, caps)); });
-  const double csr_ns = pass_ns([&] {
+  const double legacy_ns = best_pass_ns(smoke, [&] {
+    benchmark::DoNotOptimize(legacy.route(workload.demands, caps));
+  });
+  const double csr_ns = best_pass_ns(smoke, [&] {
     router.route_warmed_into(workload.demands, caps, csr_result);
     benchmark::DoNotOptimize(csr_result.placed_total);
   });
@@ -410,6 +414,58 @@ void run_routing_placement_section(int argc, char** argv, bool smoke) {
   maybe_write_bench_json(argc, argv, json);
 }
 
+// Where the shared pool starts to pay: the same fan-out of placement cells
+// (each cell places `per_cell` demands of the 28-region admission stream
+// against its own copy of the capacities, the shape of one scenario of the
+// admission sweeps) run inline and on the shared pool at the default thread
+// count, for growing total work. The first size at which the pool is faster
+// is the crossover fan_out's kFanOutCutoffPlacements is set from.
+void run_fan_out_crossover_section(bool smoke) {
+  using namespace netent::bench;
+  const std::size_t threads = ThreadPool::default_thread_count();
+  print_header("Fan-out crossover: inline loop vs shared pool",
+               "Placement cells fanned out at 1 thread and at the default thread count (" +
+                   std::to_string(threads) + "); the cutoff sits near the crossover.");
+
+  const PlacementWorkload workload = placement_workload();
+  topology::Router router(workload.topo, 3);
+  router.warm(workload.demands);
+  const topology::Router& warmed = router;
+  const std::span<const double> caps = router.full_capacities();
+  const std::span<const topology::Demand> demands = workload.demands;
+  constexpr std::size_t kCells = 256;
+  std::vector<CacheAligned<topology::RouteResult>> scratch(threads + 1);
+  const auto cells = [&](std::size_t per_cell) {
+    return [&, per_cell](std::size_t worker, std::size_t cell) {
+      const std::size_t first = (cell * per_cell) % (demands.size() - per_cell + 1);
+      warmed.route_warmed_into(demands.subspan(first, per_cell), caps, scratch[worker].value);
+    };
+  };
+
+  Table table({"placements", "per_cell", "inline_us", "pool_us", "pool_speedup"}, 2);
+  std::size_t crossover = 0;
+  for (std::size_t per_cell = 1; per_cell <= 512; per_cell *= 2) {
+    const std::function<void(std::size_t, std::size_t)> body = cells(per_cell);
+    const double inline_ns = best_pass_ns(smoke, [&] {
+      for (std::size_t c = 0; c < kCells; ++c) body(0, c);
+    });
+    const double pool_ns = best_pass_ns(smoke, [&] {
+      ThreadPool::shared().parallel_for_with_worker(0, kCells, body, threads);
+    });
+    const double speedup = inline_ns / pool_ns;
+    const std::size_t placements = kCells * per_cell;
+    if (speedup > 1.0 && crossover == 0) crossover = placements;
+    table.add_row({static_cast<double>(placements), static_cast<double>(per_cell),
+                   inline_ns / 1e3, pool_ns / 1e3, speedup});
+  }
+  table.print(std::cout);
+  std::cout << "\ncrossover: the pool first beats the inline loop at "
+            << (crossover == 0 ? std::string("no size measured")
+                               : std::to_string(crossover) + " placements")
+            << " on " << threads << " threads; kFanOutCutoffPlacements = "
+            << kFanOutCutoffPlacements << '\n';
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -437,6 +493,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_routing_placement_section(argc, argv, smoke);
+  run_fan_out_crossover_section(smoke);
   netent::bench::maybe_dump_metrics(argc, argv);
   return 0;
 }

@@ -5,14 +5,18 @@
 // properties CI gates on:
 //
 //   decisions_identical        the decision transcript (FNV-1a fingerprint)
-//                              is bit-identical across thread/shard configs
+//                              is bit-identical across exec configs
 //   all_strategies_exercised   every negotiation strategy resolved at least
 //                              one rejection (spec.policy.* counters > 0)
+//   default_vs_serial_ok       the default exec config (threads unset) runs
+//                              the fleet at >= 0.95x serial speed (median
+//                              of alternated repetitions)
 //
 // Usage: ./bench_tenant_fleet [--smoke] [--bench-json=PATH] [--metrics-json]
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,7 +32,7 @@ struct FleetRun {
 };
 
 FleetRun run_fleet(const topology::Topology& topo, const spec::FleetConfig& fleet_config,
-                   std::size_t threads, std::size_t shards) {
+                   std::optional<std::size_t> threads) {
   service::AdmissionConfig config;
   config.approval.realizations = 2;
   // max_simultaneous=1 enumerates < 99.9% scenario mass, so the attainable
@@ -36,7 +40,6 @@ FleetRun run_fleet(const topology::Topology& topo, const spec::FleetConfig& flee
   config.approval.slo_availability = 0.99;
   config.approval.scenarios.max_simultaneous = 1;
   config.exec.threads = threads;
-  config.exec.shards = shards;
   config.seed = 20220822;
   config.background = false;
   config.admit_min_fraction = 1.0;  // shortfalls become rejections + proposals
@@ -87,15 +90,31 @@ int main(int argc, char** argv) {
   fleet_config.slo_availability = 0.99;
   fleet_config.seed = 20220822;
 
-  // Serial reference vs the sharded/threaded service: the decisions (and so
-  // the transcript fingerprint) must be bit-identical.
-  const FleetRun serial = run_fleet(topo, fleet_config, 1, 1);
-  const FleetRun parallel = run_fleet(topo, fleet_config, 4, 2);
+  // Serial reference vs the default exec config, alternated so drift in
+  // the host's speed hits both alike: the decisions (and so the transcript
+  // fingerprint) must be bit-identical, and the default must not be slower.
+  constexpr std::size_t kReps = 5;
+  std::vector<double> serial_seconds;
+  std::vector<double> default_seconds;
+  FleetRun serial;
+  FleetRun standard;
+  bool decisions_identical = true;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    serial = run_fleet(topo, fleet_config, 1);
+    standard = run_fleet(topo, fleet_config, std::nullopt);
+    serial_seconds.push_back(serial.seconds);
+    default_seconds.push_back(standard.seconds);
+    decisions_identical =
+        decisions_identical &&
+        serial.report.transcript_fingerprint == standard.report.transcript_fingerprint &&
+        serial.report.decisions == standard.report.decisions;
+  }
+  const double serial_median = percentile(serial_seconds, 0.5);
+  const double default_median = percentile(default_seconds, 0.5);
+  const double default_vs_serial = default_median > 0.0 ? serial_median / default_median : 0.0;
+  const bool default_vs_serial_ok = default_vs_serial >= 0.95;
 
-  const spec::FleetReport& report = parallel.report;
-  const bool decisions_identical =
-      serial.report.transcript_fingerprint == parallel.report.transcript_fingerprint &&
-      serial.report.decisions == parallel.report.decisions;
+  const spec::FleetReport& report = standard.report;
 
   bool all_strategies_exercised = true;
   for (std::size_t s = 0; s < spec::kStrategyCount; ++s) {
@@ -124,9 +143,12 @@ int main(int argc, char** argv) {
               << report.strategy_resolutions[s] << " resolutions\n";
   }
   std::cout << "decision latency p50 " << p50 << " us, p99 " << p99 << " us\n"
-            << "serial " << serial.seconds << " s, parallel " << parallel.seconds << " s\n"
+            << "median of " << kReps << ": serial " << serial_median << " s, default exec "
+            << default_median << " s (" << default_vs_serial << "x serial speed)\n"
             << "decisions identical across exec configs: "
             << (decisions_identical ? "yes" : "NO") << "\n"
+            << "default exec >= 0.95x serial: " << (default_vs_serial_ok ? "true" : "false")
+            << "\n"
             << "all strategies exercised: " << (all_strategies_exercised ? "yes" : "NO") << "\n";
 
   bench::BenchJson json;
@@ -148,8 +170,10 @@ int main(int argc, char** argv) {
   json.add("all_strategies_exercised", all_strategies_exercised);
   json.add("decision_p50_us", p50);
   json.add("decision_p99_us", p99);
-  json.add("serial_seconds", serial.seconds);
-  json.add("parallel_seconds", parallel.seconds);
+  json.add("serial_seconds", serial_median);
+  json.add("default_seconds", default_median);
+  json.add("default_vs_serial", default_vs_serial);
+  json.add("default_vs_serial_ok", default_vs_serial_ok);
   bench::maybe_write_bench_json(argc, argv, json);
   bench::maybe_dump_metrics(argc, argv);
   return 0;

@@ -138,12 +138,6 @@ std::vector<std::size_t> ApprovalEngine::placement_order(
 std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_with(
     std::span<const PipeRequest> pipes, const CurveProvider& curves_for,
     const risk::FastEstimator* fast, FastPassResult* fast_out) const {
-  return pipe_approval_on(router_, pipes, curves_for, fast, fast_out);
-}
-
-std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_on(
-    topology::Router& router, std::span<const PipeRequest> pipes, const CurveProvider& curves_for,
-    const risk::FastEstimator* fast, FastPassResult* fast_out) const {
   std::vector<PipeApprovalResult> results(pipes.size());
   for (std::size_t i = 0; i < pipes.size(); ++i) results[i].request = pipes[i];
   if (fast_out != nullptr) *fast_out = {};
@@ -166,7 +160,7 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_on(
   // since each bound is a lower bound on the exact availability at that
   // rate — and skips the sweep entirely.
   if (fast != nullptr && config_.fastpath.enabled) {
-    router.warm(demands);  // fast hits still commit/audit via cached paths
+    router_.warm(demands);  // fast hits still commit/audit via cached paths
     const double need = config_.slo_availability + config_.fastpath.slo_margin;
     auto consumed_loan = common::PlacementArena::local().doubles();
     std::vector<double>& consumed = *consumed_loan;
@@ -175,7 +169,7 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_on(
     bounds.reserve(demands.size());
     bool cleared = true;
     for (const Demand& demand : demands) {
-      const topology::PathList paths = router.cached_paths(demand.src, demand.dst);
+      const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
       const double bound =
           paths.valid() ? fast->bound(demand.amount.value(), paths, consumed) : 0.0;
       if (bound < need) {

@@ -129,18 +129,6 @@ class ApprovalEngine {
       std::span<const hose::PipeRequest> pipes, const CurveProvider& curves_for,
       const risk::FastEstimator* fast = nullptr, FastPassResult* fast_out = nullptr) const;
 
-  /// As pipe_approval_with, but warming (fast tier) through a
-  /// caller-supplied router instead of the engine's own. The sharded
-  /// admission plane runs one of these per shard worker concurrently: every
-  /// shard owns a private Router whose deterministic k-shortest-path cache
-  /// is identical to the engine router's, so results are bit-identical to
-  /// the engine-router call while the engine's router stays untouched by
-  /// the workers. `curves_for` must route through the same `router`.
-  [[nodiscard]] std::vector<PipeApprovalResult> pipe_approval_on(
-      topology::Router& router, std::span<const hose::PipeRequest> pipes,
-      const CurveProvider& curves_for, const risk::FastEstimator* fast = nullptr,
-      FastPassResult* fast_out = nullptr) const;
-
   /// Per-realization assessor extension point for hose_approval_with:
   /// receives the realization index and that realization's pipes (all
   /// groups, input order) and returns their approvals in input order.
@@ -186,8 +174,8 @@ class ApprovalEngine {
   using RealizationPipes = std::vector<std::vector<hose::PipeRequest>>;
 
   /// The GEN_DEMAND half of HOSE_APPROVAL, split out so callers can assess
-  /// the realizations elsewhere (the sharded admission plane fans them out
-  /// across shard workers): draws `config().realizations` representative
+  /// the realizations elsewhere (the admission service assesses them against
+  /// its residual state): draws `config().realizations` representative
   /// pipe sets from the hoses' (NPG, QoS) spaces, consuming exactly the RNG
   /// stream hose_approval would — realization 0 samples, later ones take
   /// extreme points. The assessment MUST NOT consume engine RNG state, so
@@ -201,7 +189,7 @@ class ApprovalEngine {
   /// approvals (`per_realization[k]` in the order of `realization_pipes[k]`,
   /// empty-pipe realizations skipped) into per-hose approved rates as
   /// min-over-realizations of per-hose approved/requested fractions, in
-  /// ascending realization order — the deterministic cross-shard merge.
+  /// ascending realization order — the deterministic merge.
   /// draw + per-realization assess + aggregate is bit-identical to one
   /// hose_approval_with call, at any partition of the assessments.
   [[nodiscard]] std::vector<HoseApprovalResult> aggregate_realizations(

@@ -6,7 +6,9 @@
 // per-consumer default) so one setting drives them all.
 //
 // Thread counts never change results anywhere in netent — sweeps merge
-// deterministically — so this knob only trades wall-clock for cores.
+// deterministically — so this knob only trades wall-clock for cores. The
+// admission and risk sweeps run on the shared pool (common/thread_pool.h
+// fan_out), which caps a count above the core count at the core count.
 #pragma once
 
 #include <algorithm>
@@ -23,14 +25,6 @@ struct ExecConfig {
   /// the drill's per-host loops, hardware concurrency for risk sweeps).
   std::optional<std::size_t> threads;
 
-  /// Shard workers for consumers that partition work across independent
-  /// shard-owned state (the admission plane partitions realizations across
-  /// shard workers, each owning its own warmed router and estimator state).
-  /// Unset or <= 1 keeps the single-shard in-place path. Orthogonal to
-  /// `threads`, which sizes the fan-out pools *inside* one unit of work.
-  /// Results are bit-identical at any shard count.
-  std::optional<std::size_t> shards;
-
   /// Effective thread count given the consumer's default (clamped to >= 1).
   [[nodiscard]] std::size_t resolve(std::size_t consumer_default) const {
     return std::max<std::size_t>(1, threads.value_or(consumer_default));
@@ -40,11 +34,6 @@ struct ExecConfig {
   /// concurrency.
   [[nodiscard]] std::size_t resolve() const {
     return resolve(ThreadPool::default_thread_count());
-  }
-
-  /// Effective shard count (clamped to >= 1; unset means 1 — no sharding).
-  [[nodiscard]] std::size_t resolve_shards() const {
-    return std::max<std::size_t>(1, shards.value_or(1));
   }
 };
 

@@ -8,8 +8,8 @@
 //
 // Discipline:
 //  * One arena per thread (thread_local), so borrowed buffers are
-//    thread-confined by construction — the parallel scenario sweep and the
-//    shard workers each reuse their own pool with no synchronization.
+//    thread-confined by construction — every worker of a parallel sweep
+//    reuses its own pool with no synchronization.
 //  * Loans are RAII: a returned vector keeps its capacity, so after the
 //    first placement at a given topology size every subsequent borrow is
 //    allocation-free. Values are unspecified at loan time; borrowers always

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 
 #include "common/check.h"
@@ -132,62 +131,55 @@ std::vector<std::vector<double>> sweep_scenario_placements(
   const topology::Router& warmed = router;
   const topology::Router::SweepGuard guard(warmed);
 
-  const std::size_t threads_used =
-      (num_threads <= 1 || scenarios.size() < 2) ? 1 : std::min(num_threads, scenarios.size());
+  const std::size_t placements = scenarios.size() * demands.size();
+  const std::size_t width = fan_out_width(num_threads, scenarios.size(), placements);
 
   ReplayMetrics& m = replay_metrics();
   std::vector<std::vector<double>> placed(scenarios.size());
   std::function<void(std::size_t, std::size_t)> run_scenario;
 
   // Per-worker mutable state (workspaces / capacity scratch) is indexed by
-  // the pool's worker slot, so scenarios racing over *which* index they
+  // the fan-out's worker slot, so scenarios racing over *which* index they
   // claim never share placement state.
   std::optional<topology::ScenarioSweeper> sweeper;
-  std::vector<topology::ScenarioSweeper::Workspace> workspaces;
-  std::vector<std::unique_ptr<ScenarioCapacityScratch>> scratch;
-  std::vector<topology::RouteResult> route_scratch;
+  std::vector<CacheAligned<topology::ScenarioSweeper::Workspace>> workspaces;
+  std::vector<CacheAligned<std::optional<ScenarioCapacityScratch>>> scratch;
+  std::vector<CacheAligned<topology::RouteResult>> route_scratch;
 
   if (mode == SweepMode::kIncremental) {
     sweeper.emplace(warmed, demands, base_capacity);
-    workspaces.resize(threads_used + 1);
+    workspaces.resize(width);
     m.scenarios_incremental.add(scenarios.size());
     run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
       std::optional<obs::ScopedTimer> span;
       if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
       placed[s].resize(demands.size());
       topology::ScenarioSweeper::ReplayStats stats;
-      sweeper->replay(scenarios[s].down, workspaces[worker], placed[s], &stats);
+      sweeper->replay(scenarios[s].down, workspaces[worker].value, placed[s], &stats);
       m.demands_replayed.add(stats.demands_replayed);
       m.demands_skipped.add(stats.demands_skipped);
       if (stats.short_circuited) m.scenarios_short_circuited.add();
     };
   } else {
-    scratch.reserve(threads_used + 1);
-    for (std::size_t w = 0; w <= threads_used; ++w) {
-      scratch.push_back(std::make_unique<ScenarioCapacityScratch>(index, base_capacity));
-    }
-    route_scratch.resize(threads_used + 1);
+    scratch.resize(width);
+    for (auto& slot : scratch) slot.value.emplace(index, base_capacity);
+    route_scratch.resize(width);
     m.scenarios_full.add(scenarios.size());
     run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
       std::optional<obs::ScopedTimer> span;
       if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
-      const auto capacity = scratch[worker]->apply(scenarios[s]);
+      const auto capacity = scratch[worker].value->apply(scenarios[s]);
       // Reuse the worker's RouteResult (and arena residual scratch inside)
       // so steady-state scenarios never touch the heap beyond the per-
       // scenario output vector itself.
-      topology::RouteResult& result = route_scratch[worker];
+      topology::RouteResult& result = route_scratch[worker].value;
       warmed.route_warmed_into(demands, capacity, result);
       NETENT_ENSURES(result.placed_per_demand.size() == demands.size());
       placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
     };
   }
 
-  if (threads_used == 1) {
-    for (std::size_t s = 0; s < scenarios.size(); ++s) run_scenario(0, s);
-  } else {
-    ThreadPool pool(threads_used);
-    pool.parallel_for_with_worker(0, scenarios.size(), run_scenario);
-  }
+  fan_out(num_threads, scenarios.size(), placements, run_scenario);
   return placed;
 }
 
@@ -219,8 +211,8 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
   m.scenarios_swept.add(scenarios_.size());
   m.pipes_assessed.add(pipes.size());
 
-  const std::size_t threads_used =
-      (num_threads <= 1 || scenarios_.size() < 2) ? 1 : std::min(num_threads, scenarios_.size());
+  const std::size_t width =
+      fan_out_width(num_threads, scenarios_.size(), scenarios_.size() * pipes.size());
   const double busy_before = m.place_seconds.sum();
   const auto sweep_start = std::chrono::steady_clock::now();
   const auto placed = sweep_scenario_placements(router_, pipes, base_capacity_, index_,
@@ -229,13 +221,13 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
   if constexpr (obs::kEnabled) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
-    m.threads.set(static_cast<double>(threads_used));
+    m.threads.set(static_cast<double>(width));
     if (wall > 0.0) {
       // Spans are sampled 1-in-kPlaceSampleStride; scale the sampled busy
       // time back up for the estimate.
       const double busy = (m.place_seconds.sum() - busy_before) *
                           static_cast<double>(kPlaceSampleStride);
-      m.utilization_pct.set(100.0 * busy / (wall * static_cast<double>(threads_used)));
+      m.utilization_pct.set(100.0 * busy / (wall * static_cast<double>(width)));
     }
   }
 

@@ -4,10 +4,10 @@
 // curve at the contract's SLO target to decide how much of a request can be
 // guaranteed.
 //
-// Scenarios are independent placements, so the sweep fans out over a
-// work-stealing thread pool; per-scenario outcomes are merged back in
-// scenario order, which makes the curves bit-identical to the serial sweep
-// for every thread count. By default each scenario is replayed
+// Scenarios are independent placements, so the sweep fans out over the
+// shared thread pool (common/thread_pool.h fan_out; small sweeps stay
+// inline); per-scenario outcomes are merged back in scenario order, which
+// makes the curves bit-identical to the serial sweep for every thread count. By default each scenario is replayed
 // INCREMENTALLY (topology::ScenarioSweeper): the SRLG-indexed engine skips
 // the unaffected placement prefix via baseline checkpoints and
 // short-circuits scenarios that touch no cached path — still bit-identical
@@ -101,7 +101,9 @@ class ScenarioCapacityScratch {
 /// The shared scenario-sweep driver behind RiskSimulator::availability_curves
 /// and SloVerifier::verify: warms `router` for `demands`, guards the path
 /// cache, fans the scenarios out over `num_threads` threads (1 = serial, in
-/// the calling thread) and returns the placed Gbps per [scenario][demand].
+/// the calling thread; sweeps of fewer than kFanOutCutoffPlacements
+/// scenario x demand placements also stay inline) and returns the placed
+/// Gbps per [scenario][demand].
 /// Results are bit-identical for every thread count and both sweep modes.
 /// `scenario_timer` (optional) records a wall-clock span for one scenario in
 /// `timer_stride`, keyed on the scenario index so the sampled set is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -48,10 +49,6 @@ struct ServiceMetrics {
   obs::Counter& committed_demands = reg.counter("service.admission.committed_demands");
   obs::Counter& fastpath_audited = reg.counter("risk.fastpath.audited");
   obs::Counter& fastpath_audit_violations = reg.counter("risk.fastpath.audit_violations");
-  /// Sharded-mode fan-out accounting: sub-windows posted to shard workers
-  /// and deterministic cross-shard merges completed (one per window).
-  obs::Counter& shard_subwindows = reg.counter("service.admission.shard.subwindows");
-  obs::Counter& shard_merges = reg.counter("service.admission.shard.merges");
   obs::Histogram& window_size = reg.histogram("service.admission.window_size",
                                               std::array{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& latency_seconds = reg.timer_histogram("service.admission.latency_seconds");
@@ -82,10 +79,7 @@ AdmissionOutcome failed_outcome(ErrorCode code, std::string message) {
 AdmissionController::AdmissionController(const topology::Topology& topo, AdmissionConfig config)
     : config_(std::move(config)),
       threads_(config_.exec.resolve(config_.approval.sweep_threads())),
-      shards_(config_.exec.resolve_shards()),
       router_(topo, config_.router_paths),
-      pool_(shards_ > 1 ? std::make_unique<ShardPool>(topo, shards_, config_.router_paths)
-                        : nullptr),
       engine_(router_, with_threads(config_.approval, threads_)),
       negotiator_(router_, with_threads(config_.approval, threads_), config_.negotiation),
       base_capacity_(router_.full_capacities()),  // view into router_; outlived by it
@@ -93,7 +87,6 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
   config_.approval.exec.threads = threads_;  // config() reflects the resolution
-  config_.exec.shards = shards_;
   residual_ = residuals_of({});
   if (config_.approval.fastpath.enabled) {
     fast_.reserve(config_.approval.realizations);
@@ -439,10 +432,11 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
   for (const EvalEntry& entry : entries) {
     if (entry.is_resize) eval_removed.insert(entry.id);
   }
+  std::vector<Batch> eval_batches;
   ResidualState eval_scratch;
   const ResidualState* eval_residual = &residual_;
   if (!eval_removed.empty()) {
-    std::vector<Batch> eval_batches = batches_;
+    eval_batches = batches_;
     for (Batch& batch : eval_batches) {
       for (auto& per_realization : batch.demands) {
         std::erase_if(per_realization, [&](const TaggedDemand& tagged) {
@@ -452,6 +446,7 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     }
     eval_scratch = residuals_of(eval_batches);
     eval_residual = &eval_scratch;
+    m.rebuilds.add();
   }
 
   std::vector<HoseRequest> window_hoses;
@@ -476,119 +471,71 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     // against a rebuilt scratch state and always go exact.
     const bool fast_eligible = !fast_.empty() && eval_residual == &residual_;
 
-    // GEN_DEMAND on the coordinator: the single RNG consumer, so the stream
-    // is identical at every shard count.
+    // GEN_DEMAND first, then each realization's assessment in ascending
+    // order: the assessments consume no RNG, so the stream is the one
+    // hose_approval draws.
     const approval::ApprovalEngine::RealizationPipes drawn_pipes =
         engine_.draw_realizations(window_hoses, {}, rng_);
 
-    // Everything one realization's assessment produces, confined to its
-    // shard worker until the ascending-order merge below.
-    struct RealizationOutcome {
-      std::vector<PipeApprovalResult> approvals;
-      approval::ApprovalEngine::FastPassResult fast_pass;
-      std::vector<LinkId> audit_links;
-      std::vector<double> audit_residuals;
-    };
-    std::vector<RealizationOutcome> sub(realizations);
-
-    const auto assess_realization = [&](std::size_t k, topology::Router& router) {
+    // Fast-path accounting is applied only once every realization assessed,
+    // so a throwing window leaves the stats and the audit queue untouched.
+    std::vector<std::vector<PipeApprovalResult>> assessed(realizations);
+    FastPathStats window_fast;
+    std::vector<AuditRecord> window_audits;
+    for (std::size_t k = 0; k < realizations; ++k) {
       const std::span<const PipeRequest> pipes = drawn_pipes[k];
-      if (pipes.empty()) return;
+      if (pipes.empty()) continue;
       const std::vector<std::size_t> order = engine_.placement_order(pipes);
       std::vector<DrawnDemand>& record = drawn[k];
-      record.clear();
       record.reserve(order.size());
       for (const std::size_t p : order) {
         record.push_back({Demand{pipes[p].src, pipes[p].dst, pipes[p].rate}, pipes[p].npg.value()});
       }
       const risk::FastEstimator* fast = fast_eligible ? &fast_[k] : nullptr;
-      RealizationOutcome& out = sub[k];
-      out.approvals = engine_.pipe_approval_on(
-          router, pipes,
+      approval::ApprovalEngine::FastPassResult fast_pass;
+      assessed[k] = engine_.pipe_approval_with(
+          pipes,
           [&](std::span<const Demand> demands) {
-            return curves_against_residuals(router, *eval_residual, k, demands);
+            return curves_against_residuals(*eval_residual, k, demands);
           },
-          fast, &out.fast_pass);
-      if (out.fast_pass.hit && config_.approval.fastpath.audit) {
-        // Snapshot the state the bounds summarize — but only the links the
-        // audit replay's water-fill can read: the demands' candidate paths
-        // (the shard router's cache, warmed by the approval above, holds
-        // exactly the same deterministic paths as the main router's).
-        for (const DrawnDemand& d : record) {
-          const topology::PathList paths = router.cached_paths(d.demand.src, d.demand.dst);
-          NETENT_EXPECTS(paths.valid());
-          for (const topology::PathView path : paths) {
-            out.audit_links.insert(out.audit_links.end(), path.links.begin(), path.links.end());
-          }
-        }
-        std::sort(out.audit_links.begin(), out.audit_links.end());
-        out.audit_links.erase(std::unique(out.audit_links.begin(), out.audit_links.end()),
-                              out.audit_links.end());
-        out.audit_residuals.reserve(residual_[k].size() * out.audit_links.size());
-        for (const std::vector<double>& scenario_residual : residual_[k]) {
-          for (const LinkId link : out.audit_links) {
-            out.audit_residuals.push_back(scenario_residual[link.value()]);
-          }
+          fast, &fast_pass);
+      if (fast_pass.hit) {
+        ++window_fast.hits;
+      } else if (fast_pass.attempted) {
+        ++window_fast.fallbacks;
+      }
+      if (!fast_pass.hit || !config_.approval.fastpath.audit) continue;
+      // Queue the deferred exact audit with a snapshot of the state the
+      // bounds summarize — but only the links the audit replay's water-fill
+      // can read: the demands' candidate paths, warmed by the fast tier.
+      AuditRecord audit;
+      audit.demands.reserve(record.size());
+      for (const DrawnDemand& d : record) {
+        audit.demands.push_back(d.demand);
+        const topology::PathList paths = router_.cached_paths(d.demand.src, d.demand.dst);
+        NETENT_EXPECTS(paths.valid());
+        for (const topology::PathView path : paths) {
+          audit.links.insert(audit.links.end(), path.links.begin(), path.links.end());
         }
       }
-    };
-
-    if (pool_ == nullptr) {
-      for (std::size_t k = 0; k < realizations; ++k) assess_realization(k, router_);
-    } else {
-      // Fan the sub-windows out by realization (realization k on shard
-      // k % shards). Each realization's mutable state — drawn[k], sub[k],
-      // fast_[k], the shard's router — is touched by exactly one worker;
-      // residual_/eval_scratch are read-only during assessment; the futures
-      // join is the only synchronization needed.
-      std::vector<std::future<void>> futures;
-      futures.reserve(realizations);
-      for (std::size_t k = 0; k < realizations; ++k) {
-        const std::size_t shard = pool_->shard_of(k);
-        futures.push_back(pool_->post(
-            shard, [&assess_realization, this, k, shard] {
-              assess_realization(k, pool_->router(shard));
-            }));
-        m.shard_subwindows.add();
-      }
-      std::exception_ptr first_error;
-      for (std::future<void>& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          // Keep joining: no worker may still reference this frame when the
-          // rethrow unwinds it (process_window fails the whole window).
-          if (first_error == nullptr) first_error = std::current_exception();
+      std::sort(audit.links.begin(), audit.links.end());
+      audit.links.erase(std::unique(audit.links.begin(), audit.links.end()), audit.links.end());
+      audit.residuals.reserve(residual_[k].size() * audit.links.size());
+      for (const std::vector<double>& scenario_residual : residual_[k]) {
+        for (const LinkId link : audit.links) {
+          audit.residuals.push_back(scenario_residual[link.value()]);
         }
       }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
+      audit.bounds = std::move(fast_pass.bounds);
+      window_audits.push_back(std::move(audit));
     }
-
-    // Deterministic cross-shard merge, ascending realization order: the
-    // fast-path stats, the audit queue and the hose aggregation all fold
-    // exactly as the 1-shard serial loop would.
-    std::vector<std::vector<PipeApprovalResult>> assessed(realizations);
-    for (std::size_t k = 0; k < realizations; ++k) {
-      RealizationOutcome& out = sub[k];
-      assessed[k] = std::move(out.approvals);
-      if (out.fast_pass.hit) {
-        ++fast_stats_.hits;
-        if (config_.approval.fastpath.audit) {
-          AuditRecord audit;
-          audit.demands.reserve(drawn[k].size());
-          for (const DrawnDemand& d : drawn[k]) audit.demands.push_back(d.demand);
-          audit.bounds = std::move(out.fast_pass.bounds);
-          audit.links = std::move(out.audit_links);
-          audit.residuals = std::move(out.audit_residuals);
-          const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
-          audit_queue_.push_back(std::move(audit));
-        }
-      } else if (out.fast_pass.attempted) {
-        ++fast_stats_.fallbacks;
-      }
-    }
-    if (pool_ != nullptr) m.shard_merges.add();
     results = engine_.aggregate_realizations(window_hoses, drawn_pipes, assessed);
+    fast_stats_.hits += window_fast.hits;
+    fast_stats_.fallbacks += window_fast.fallbacks;
+    if (!window_audits.empty()) {
+      const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
+      std::move(window_audits.begin(), window_audits.end(), std::back_inserter(audit_queue_));
+    }
   }
 
   // --- Phase 3: accept/reject each entry. ---------------------------------
@@ -639,27 +586,27 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     }
   }
 
-  if (pool_ != nullptr && committed > 0) {
-    // Sharded mode warmed this window's paths on the shard routers only;
-    // the commit/rebuild replays below read the MAIN router's cache. Warm it
-    // for the committed demands — deterministic KSP, so the paths equal the
-    // shards' (a no-op for anything already cached).
-    std::vector<Demand> to_warm;
-    to_warm.reserve(committed);
-    for (const auto& per_realization : batch.demands) {
-      for (const TaggedDemand& tagged : per_realization) to_warm.push_back(tagged.demand);
-    }
-    router_.warm(to_warm);
-  }
-
   std::set<ContractId> final_removed = released_ids;
   for (const EvalEntry& entry : entries) {
     if (entry.is_resize && entry.accepted) final_removed.insert(entry.id);
   }
-  if (!final_removed.empty()) {
-    // Releases / accepted resizes remove demands from the middle of the
-    // placement history: no cheaper exact delta exists (water-filling is
-    // order-sensitive), so rebuild the residuals from the pruned history.
+  if (!final_removed.empty() && final_removed == eval_removed) {
+    // The evaluation already rebuilt the residuals of exactly this pruned
+    // history; appending the window's batch on top runs the same
+    // water_fill_demand sequence a full rebuild would.
+    batches_ = std::move(eval_batches);
+    residual_ = std::move(eval_scratch);
+    if (committed > 0) {
+      batches_.push_back(std::move(batch));
+      commit_batch(batches_.back());
+    }
+    refresh_fastpath(nullptr);  // full summary rebuild with the residuals
+  } else if (!final_removed.empty()) {
+    // A rejected resize keeps its old grant, which the evaluation dropped:
+    // releases / accepted resizes remove demands from the middle of the
+    // placement history, where no cheaper exact delta exists (water-filling
+    // is order-sensitive), so rebuild the residuals from the pruned history.
+    eval_batches.clear();  // the rebuild below must not hold two histories
     for (Batch& existing : batches_) {
       for (auto& per_realization : existing.demands) {
         std::erase_if(per_realization, [&](const TaggedDemand& tagged) {
@@ -845,10 +792,9 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   }
 
   // --- Apply, then resync every topology-derived cache in dependency
-  // order: main router (path store + effective capacities), shard routers
-  // (on their own workers, for the happens-before edge with later jobs),
-  // approval engine (scenarios + simulator + pristine fast summaries), and
-  // finally this controller's base-capacity view.
+  // order: router (path store + effective capacities), approval engine
+  // (scenarios + simulator + pristine fast summaries), and finally this
+  // controller's base-capacity view.
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
   m.mutations_applied.add(request.mutations.size());
@@ -856,15 +802,6 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   topology::TopologyResyncStats resync_stats;
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
   router_.resync_topology(&resync_stats, &changed_pairs);
-  if (pool_ != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(pool_->shard_count());
-    for (std::size_t shard = 0; shard < pool_->shard_count(); ++shard) {
-      futures.push_back(
-          pool_->post(shard, [this, shard] { pool_->router(shard).resync_topology(); }));
-    }
-    for (std::future<void>& future : futures) future.get();
-  }
   const bool scenarios_changed = engine_.resync_topology();
   base_capacity_ = router_.full_capacities();  // may have grown / moved
 
@@ -934,7 +871,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 
   // --- Re-verify each affected contract in ascending id order, applying
   // each verdict before judging the next (deterministic: no RNG, and every
-  // step below is bit-identical at any shard x thread count). A contract is
+  // step below is bit-identical at any thread count). A contract is
   // judged by re-placing its committed demands LAST: against residuals with
   // every other in-force grant placed, the fraction of each demand that
   // still clears the SLO target bounds what the evolved network supports.
@@ -960,7 +897,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
       }
       if (demands.empty()) continue;
       const std::vector<risk::AvailabilityCurve> curves =
-          curves_against_residuals(router_, minus_c, k, demands);
+          curves_against_residuals(minus_c, k, demands);
       for (std::size_t i = 0; i < demands.size(); ++i) {
         const double amount = demands[i].amount.value();
         if (amount <= kEps) continue;
@@ -1032,30 +969,24 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 }
 
 std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residuals(
-    topology::Router& router, const ResidualState& residuals, std::size_t k,
-    std::span<const Demand> demands) {
-  router.warm(demands);
+    const ResidualState& residuals, std::size_t k, std::span<const Demand> demands) {
+  router_.warm(demands);
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
   const std::size_t scenario_count = scenarios.size();
   std::vector<std::vector<double>> placed(scenario_count);
   {
-    const topology::Router::SweepGuard guard(router);
-    const std::size_t threads = fanout_threads(scenario_count);
+    const topology::Router::SweepGuard guard(router_);
+    const std::size_t placements = scenario_count * demands.size();
     // Per-worker RouteResult scratch (reused across scenarios) keeps the
     // fan-out's steady state allocation-free apart from the per-scenario
     // output vectors.
-    std::vector<topology::RouteResult> scratch(threads + 1);
-    const auto run = [&](std::size_t worker, std::size_t s) {
-      topology::RouteResult& result = scratch[worker];
-      router.route_warmed_into(demands, residuals[k][s], result);
+    std::vector<CacheAligned<topology::RouteResult>> scratch(
+        fan_out_width(threads_, scenario_count, placements));
+    fan_out(threads_, scenario_count, placements, [&](std::size_t worker, std::size_t s) {
+      topology::RouteResult& result = scratch[worker].value;
+      router_.route_warmed_into(demands, residuals[k][s], result);
       placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
-    };
-    if (threads <= 1) {
-      for (std::size_t s = 0; s < scenario_count; ++s) run(0, s);
-    } else {
-      ThreadPool pool(threads);
-      pool.parallel_for_with_worker(0, scenario_count, run);
-    }
+    });
   }
   // Scenario-order merge — the same construction availability_curves uses,
   // so curves over pristine residuals are bit-identical to the simulator's.
@@ -1089,45 +1020,34 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
   const topology::SrlgIndex& index = engine_.simulator().srlg_index();
   ResidualState state(realizations);
   for (auto& per_scenario : state) per_scenario.resize(scenario_count);
-  const auto cell = [&](std::size_t c) {
-    const std::size_t k = c / scenario_count;
-    const std::size_t s = c % scenario_count;
-    std::vector<double>& residual = state[k][s];
-    residual = risk::scenario_capacities(index, base_capacity_, scenarios[s]);
-    for (const Batch& batch : batches) place_tagged(batch.demands[k], residual);
-  };
-  const std::size_t cells = realizations * scenario_count;
-  const std::size_t threads = fanout_threads(cells);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < cells; ++c) cell(c);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, cells, cell);
-  }
+  fan_out(threads_, realizations * scenario_count, scenario_count * demand_count(batches),
+          [&](std::size_t /*worker*/, std::size_t c) {
+            const std::size_t k = c / scenario_count;
+            const std::size_t s = c % scenario_count;
+            std::vector<double>& residual = state[k][s];
+            residual = risk::scenario_capacities(index, base_capacity_, scenarios[s]);
+            for (const Batch& batch : batches) place_tagged(batch.demands[k], residual);
+          });
   return state;
+}
+
+std::size_t AdmissionController::demand_count(std::span<const Batch> batches) {
+  std::size_t count = 0;
+  for (const Batch& batch : batches) {
+    for (const auto& per_realization : batch.demands) count += per_realization.size();
+  }
+  return count;
 }
 
 void AdmissionController::commit_batch(const Batch& batch) {
   const std::size_t scenario_count = engine_.scenarios().size();
-  const std::size_t realizations = config_.approval.realizations;
-  const auto cell = [&](std::size_t c) {
-    const std::size_t k = c / scenario_count;
-    const std::size_t s = c % scenario_count;
-    place_tagged(batch.demands[k], residual_[k][s]);
-  };
-  const std::size_t cells = realizations * scenario_count;
-  const std::size_t threads = fanout_threads(cells);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < cells; ++c) cell(c);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, cells, cell);
-  }
-}
-
-std::size_t AdmissionController::fanout_threads(std::size_t items) const {
-  if (threads_ <= 1 || items < 2) return 1;
-  return std::min(threads_, items);
+  fan_out(threads_, config_.approval.realizations * scenario_count,
+          scenario_count * demand_count({&batch, 1}),
+          [&](std::size_t /*worker*/, std::size_t c) {
+            const std::size_t k = c / scenario_count;
+            const std::size_t s = c % scenario_count;
+            place_tagged(batch.demands[k], residual_[k][s]);
+          });
 }
 
 std::size_t AdmissionController::admitted_count() const {
@@ -1148,6 +1068,11 @@ AdmissionController::ResidualState AdmissionController::residual_snapshot() cons
 AdmissionController::ResidualState AdmissionController::rebuild_residuals_from_scratch() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
   return residuals_of(batches_);
+}
+
+std::size_t AdmissionController::rebuild_placements() const {
+  const std::lock_guard<std::mutex> lock(state_mutex_);
+  return engine_.scenarios().size() * demand_count(batches_);
 }
 
 void AdmissionController::refresh_fastpath(const Batch* dirty_batch) {
@@ -1194,9 +1119,8 @@ bool AdmissionController::audit_one() {
 void AdmissionController::audit_record_locked(const AuditRecord& record) {
   ServiceMetrics& m = metrics();
   const std::span<const risk::FailureScenario> scenario_set = engine_.scenarios();
-  // A fast-hit realization of a window that was ultimately REJECTED never
-  // committed, so in sharded mode only its shard router warmed these pairs
-  // — warm the main router before the replay (a no-op when already cached).
+  // The fast tier warmed these pairs when it decided; warming again is a
+  // no-op that keeps the replay's cache reads checked.
   router_.warm(record.demands);
   std::vector<double> exact(record.demands.size(), 0.0);
   {

@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -51,7 +50,6 @@
 #include "core/contract_db.h"
 #include "hose/requests.h"
 #include "risk/fast_estimator.h"
-#include "service/sharded_admission.h"
 #include "topology/routing.h"
 #include "topology/topology.h"
 
@@ -131,11 +129,10 @@ struct AdmissionConfig {
   approval::ApprovalConfig approval;
   approval::NegotiationConfig negotiation;
   /// Execution resources for the per-(realization, scenario) fan-outs.
-  /// `exec.threads` (unset falls back to `approval.sweep_threads()`) sizes
-  /// the scenario-sweep pool; `exec.shards` > 1 additionally partitions each
-  /// window's realizations across that many shard workers, each owning a
-  /// private warmed Router (service/sharded_admission.h). Results are
-  /// bit-identical for every thread count AND every shard count.
+  /// `exec.threads` (unset falls back to `approval.sweep_threads()`) caps how
+  /// many shared-pool workers a fan-out enlists; fan-outs smaller than
+  /// kFanOutCutoffPlacements run inline (common/thread_pool.h). Results are
+  /// bit-identical for every thread count.
   common::ExecConfig exec;
   std::size_t router_paths = 4;
   std::uint64_t seed = 1;  ///< drives realization drawing (deterministic)
@@ -182,13 +179,13 @@ class AdmissionController {
   /// mutable-topology constructor is required; otherwise the outcome is
   /// `failed`). The whole batch is validated first — one invalid mutation
   /// fails the request without applying anything. On success the router /
-  /// shard routers / approval engine / fast-path summaries are incrementally
+  /// approval engine / fast-path summaries are incrementally
   /// resynced (bit-identical to a from-scratch rebuild on the mutated
   /// topology) and every in-force contract whose placement the delta can
   /// affect is re-verified: still-supportable contracts are reaffirmed,
   /// partially supportable ones shrunk in place, unsupportable ones revoked.
   /// Verdicts land in AdmissionOutcome::reverified. Deterministic at every
-  /// shard x thread count: topology windows consume no admission RNG.
+  /// thread count: topology windows consume no admission RNG.
   AdmissionOutcome apply_topology_delta(std::vector<topology::Mutation> mutations);
 
   /// Processes every queued request as one window, synchronously. In
@@ -208,6 +205,12 @@ class AdmissionController {
   using ResidualState = std::vector<std::vector<std::vector<double>>>;
   [[nodiscard]] ResidualState residual_snapshot() const;
   [[nodiscard]] ResidualState rebuild_residuals_from_scratch() const;
+
+  /// Work of one from-scratch residual rebuild, in placements: the demands
+  /// in the commit history, summed over realizations, times the scenario
+  /// count. Rebuilds of at least kFanOutCutoffPlacements
+  /// (common/thread_pool.h) fan out on the shared pool.
+  [[nodiscard]] std::size_t rebuild_placements() const;
 
   /// Two-tier fast-path accounting (all zero when fastpath is disabled).
   /// `violations` counts audited fast admits whose bound exceeded the exact
@@ -283,9 +286,9 @@ class AdmissionController {
   void process_window(std::vector<Pending> window);
   [[nodiscard]] std::vector<AdmissionOutcome> evaluate_window(std::vector<Pending>& window);
   /// Processes one RequestKind::topology request: validate the whole batch,
-  /// apply it to *mutable_topo_, resync every topology-derived cache (main
-  /// router, shard routers, approval engine, base-capacity view, residuals,
-  /// fast-path summaries) and re-verify affected in-force contracts.
+  /// apply it to *mutable_topo_, resync every topology-derived cache
+  /// (router, approval engine, base-capacity view, residuals, fast-path
+  /// summaries) and re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
   /// Rebuilds / refreshes the per-realization headroom summaries after the
   /// residual state changed. `dirty_batch` non-null: only links on the
@@ -300,32 +303,26 @@ class AdmissionController {
   void audit_record_locked(const AuditRecord& record);
 
   /// Availability curves for placement-ordered demands of realization `k`
-  /// against `residuals` (the incremental ASSESS_RISK). Warms `router` for
-  /// the demand pairs, then sweeps the scenarios read-only. Shard workers
-  /// pass their shard's private router; the serial path passes router_.
+  /// against `residuals` (the incremental ASSESS_RISK). Warms router_ for
+  /// the demand pairs, then sweeps the scenarios read-only.
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
-      topology::Router& router, const ResidualState& residuals, std::size_t k,
-      std::span<const topology::Demand> demands);
+      const ResidualState& residuals, std::size_t k, std::span<const topology::Demand> demands);
   /// Replays `demands` into `residual` through water_fill_demand — the same
   /// call sequence for commit and rebuild, which is what keeps the two
   /// bit-identical.
   void place_tagged(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
   [[nodiscard]] ResidualState residuals_of(std::span<const Batch> batches) const;
+  /// Demands in `batches`, summed over realizations.
+  [[nodiscard]] static std::size_t demand_count(std::span<const Batch> batches);
   /// Commits `batch` into residual_ (incremental hot path).
   void commit_batch(const Batch& batch);
 
-  [[nodiscard]] std::size_t fanout_threads(std::size_t cells) const;
-
   AdmissionConfig config_;
   std::size_t threads_ = 1;
-  std::size_t shards_ = 1;
   /// Non-null iff constructed with the mutable-topology overload; the only
   /// handle through which topology windows mutate the network.
   topology::Topology* mutable_topo_ = nullptr;
   topology::Router router_;
-  /// Shard workers for the per-realization fan-out; null when shards_ == 1
-  /// (the serial path assesses every realization on router_ in place).
-  std::unique_ptr<ShardPool> pool_;
   approval::ApprovalEngine engine_;
   approval::NegotiationEngine negotiator_;
   /// View of router_'s intact capacity array (router_ outlives it).

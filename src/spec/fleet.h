@@ -15,7 +15,7 @@
 //      next round), a capped-backoff retry, or a give-up.
 //
 // All randomness comes from per-tenant forked Rng streams and every decision
-// the service returns is bit-identical at any threads x shards, so the
+// the service returns is bit-identical at any thread count, so the
 // fleet's decision transcript (FNV-1a fingerprint) is too — the determinism
 // property tests/test_tenant_fleet.cpp pins. Wall-clock decision latencies
 // are collected separately (timing data, excluded from the transcript).

@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "approval/approval.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/contract_db.h"
 #include "obs/metrics.h"
 #include "risk/fast_estimator.h"
 #include "topology/generator.h"
@@ -118,51 +126,88 @@ TEST(AdmissionService, SingleWindowMatchesBatchApproval) {
   }
 }
 
-/// Everything a churn run decided: per-request verdicts and approved rates
-/// plus the final risk state — the full surface that must be bit-identical
-/// between the exact-only and two-tier configurations.
+/// Field-wise fingerprint of the final contract database, full precision:
+/// two runs agree iff every contract (id, NPG, name, SLO) and every
+/// entitlement row (all fields, exact rates) agree in order.
+std::string fingerprint(const core::ContractDb& db) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const core::EntitlementContract& contract : db.contracts()) {
+    out << contract.id << '|' << contract.npg.value() << '|' << contract.npg_name << '|'
+        << contract.slo_availability << '\n';
+    for (const core::Entitlement& e : contract.entitlements) {
+      out << ' ' << e.npg.value() << ',' << static_cast<int>(e.qos) << ',' << e.region.value()
+          << ',' << static_cast<int>(e.direction) << ',' << e.entitled_rate.value() << ','
+          << e.period.start_seconds << ',' << e.period.end_seconds << '\n';
+    }
+  }
+  return out.str();
+}
+
+/// Everything a churn run decided: per-request verdicts and approved rates,
+/// the final risk state and contract database — the full surface that must
+/// be bit-identical between the exact-only and two-tier configurations and
+/// across thread counts. Fast-path accounting differs between the tiers by
+/// design, so equality leaves it out; callers compare it where it must match.
 struct ChurnResult {
   AdmissionController::ResidualState residuals;
   std::vector<AdmissionStatus> statuses;
   std::vector<double> approved;
+  std::string contracts;
   AdmissionController::FastPathStats fast;
+  std::size_t max_rebuild_placements = 0;  ///< largest rebuild seen along the way
 
   bool operator==(const ChurnResult& other) const {
     return residuals == other.residuals && statuses == other.statuses &&
-           approved == other.approved;
+           approved == other.approved && contracts == other.contracts;
   }
 };
 
-/// Randomized churn driver: admit / resize / release in multi-request windows,
-/// checking the incremental residual state against a from-scratch replay after
-/// every window. Returns the decisions and final residual state for
-/// cross-config equality.
-ChurnResult churn(const topology::Topology& topo, std::optional<std::size_t> threads,
-                  bool fastpath = false) {
+struct ChurnParams {
+  std::optional<std::size_t> threads;
+  bool fastpath = false;
+  std::size_t total_requests = 24;
+};
+
+/// Randomized churn driver: mixed admit / resize / release in multi-request
+/// windows, the same deterministic stream for every configuration (driver
+/// randomness depends on outcomes only through `live`, and outcomes are
+/// identical across the configurations under comparison). Checks the
+/// incremental residual state against a from-scratch replay after every
+/// window.
+ChurnResult churn(const topology::Topology& topo, const ChurnParams& params) {
   AdmissionConfig config = small_config(99);
-  config.exec.threads = threads;
-  config.approval.fastpath.enabled = fastpath;
+  config.exec.threads = params.threads;
+  config.approval.fastpath.enabled = params.fastpath;
   // figure6 fibers are ~1.2e-3 unavailable, so the first-path union bound
   // tops out near 0.9988: at the default 0.999 SLO the fast tier would
   // always fall back. 0.995 (same for every config — equivalence is judged
   // at one SLO) lets clean admits fast-path while saturated windows and all
   // release/resize windows still go exact.
   config.approval.slo_availability = 0.995;
+  // Double failures too: 37 scenarios, so the rebuilds of a long stream
+  // outgrow the fan-out cutoff.
+  config.approval.scenarios.max_simultaneous = 2;
   AdmissionController controller(topo, config);
+
+  const auto regions = static_cast<std::uint32_t>(topo.region_count());
   ChurnResult result;
   Rng driver(4242);
   std::vector<ContractId> live;
   std::uint32_t next_npg = 1;
-  for (int step = 0; step < 8; ++step) {
+  std::size_t submitted = 0;
+  std::size_t window_index = 0;
+  while (submitted < params.total_requests) {
     std::vector<AdmissionRequest> window;
     std::vector<ContractId> touched;  // one request per contract per window
-    const std::size_t requests = 1 + driver.uniform_int(3);
+    const std::size_t requests = 1 + driver.uniform_int(4);
     for (std::size_t r = 0; r < requests; ++r) {
       const double coin = driver.uniform(0.0, 1.0);
-      if (live.empty() || touched.size() >= live.size() || coin < 0.5) {
+      if (live.size() < 6 || touched.size() >= live.size() || coin < 0.45) {
         const std::uint32_t npg = next_npg++;
-        const auto src = static_cast<std::uint32_t>(driver.uniform_int(5));
-        const auto dst = (src + 1 + static_cast<std::uint32_t>(driver.uniform_int(4))) % 5;
+        const auto src = static_cast<std::uint32_t>(driver.uniform_int(regions));
+        const auto dst =
+            (src + 1 + static_cast<std::uint32_t>(driver.uniform_int(regions - 1))) % regions;
         window.push_back(admit_request(
             npg, hose_pair(npg, static_cast<QosClass>(driver.uniform_int(kQosClassCount)), src,
                            dst, driver.uniform(20.0, 120.0))));
@@ -175,7 +220,7 @@ ChurnResult churn(const topology::Topology& topo, std::optional<std::size_t> thr
       touched.push_back(target);
       AdmissionRequest request;
       request.contract = target;
-      if (coin < 0.75) {
+      if (coin < 0.8) {
         request.kind = RequestKind::release;
       } else {
         request.kind = RequestKind::resize;
@@ -183,12 +228,13 @@ ChurnResult churn(const topology::Topology& topo, std::optional<std::size_t> thr
         const auto* entry = db.find_by_id(target);
         EXPECT_NE(entry, nullptr);
         if (entry == nullptr) continue;
-        const auto src = static_cast<std::uint32_t>(driver.uniform_int(5));
-        request.hoses = hose_pair(entry->npg.value(), QosClass::c2_low, src, (src + 2) % 5,
-                                  driver.uniform(10.0, 80.0));
+        const auto src = static_cast<std::uint32_t>(driver.uniform_int(regions));
+        request.hoses = hose_pair(entry->npg.value(), QosClass::c2_low, src,
+                                  (src + 2) % regions, driver.uniform(10.0, 80.0));
       }
       window.push_back(std::move(request));
     }
+    submitted += window.size();
     for (const AdmissionOutcome& outcome : run_window(controller, std::move(window))) {
       if (outcome.status == AdmissionStatus::admitted) live.push_back(outcome.contract);
       if (outcome.status == AdmissionStatus::released) std::erase(live, outcome.contract);
@@ -197,21 +243,24 @@ ChurnResult churn(const topology::Topology& topo, std::optional<std::size_t> thr
         result.approved.push_back(approval.approved.value());
       }
     }
+    result.max_rebuild_placements =
+        std::max(result.max_rebuild_placements, controller.rebuild_placements());
     // The delta-replay equivalence the service is built on: the maintained
     // residuals match a from-scratch rebuild of the commit history exactly.
     EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch())
-        << "divergence after window " << step;
+        << "divergence after window " << window_index++;
   }
   (void)controller.audit_fastpath();  // drain the deferred exact audit queue
   result.fast = controller.fastpath_stats();
   result.residuals = controller.residual_snapshot();
+  result.contracts = fingerprint(controller.contracts_snapshot());
   return result;
 }
 
 TEST(AdmissionService, IncrementalMatchesFromScratchUnderChurn) {
   const topology::Topology topo = topology::figure6_topology();
-  const auto serial = churn(topo, 1);
-  const auto parallel = churn(topo, 4);
+  const auto serial = churn(topo, {.threads = 1});
+  const auto parallel = churn(topo, {.threads = 4});
   // Thread count must not change a single bit of the risk state.
   EXPECT_EQ(serial, parallel);
 }
@@ -222,9 +271,9 @@ TEST(AdmissionService, IncrementalMatchesFromScratchUnderChurn) {
 // and the deferred exact audit must find ZERO bound violations.
 TEST(AdmissionService, FastPathChurnMatchesExactOnlyDecisions) {
   const topology::Topology topo = topology::figure6_topology();
-  const auto exact_serial = churn(topo, 1, /*fastpath=*/false);
-  const auto fast_serial = churn(topo, 1, /*fastpath=*/true);
-  const auto fast_parallel = churn(topo, 4, /*fastpath=*/true);
+  const auto exact_serial = churn(topo, {.threads = 1, .fastpath = false});
+  const auto fast_serial = churn(topo, {.threads = 1, .fastpath = true});
+  const auto fast_parallel = churn(topo, {.threads = 4, .fastpath = true});
 
   EXPECT_EQ(fast_serial, exact_serial);
   EXPECT_EQ(fast_parallel, exact_serial);
@@ -309,6 +358,69 @@ TEST(AdmissionService, FastPathSummariesStayFreshAcrossChurnEdgeCases) {
   (void)controller.audit_fastpath();
   EXPECT_GT(controller.fastpath_stats().audited, 0u);
   EXPECT_EQ(controller.fastpath_stats().violations, 0u);
+}
+
+// A release and a rejected resize in one window: the evaluation dropped the
+// resize target's old grant, which the rejection keeps, so the commit cannot
+// reuse the evaluation's residuals and must rebuild from the history. An
+// accepted resize beside a release takes the reuse path; both must match a
+// from-scratch rebuild.
+TEST(AdmissionService, ReleaseBesideRejectedResizeRebuildsFromHistory) {
+  const topology::Topology topo = topology::figure6_topology();
+  AdmissionConfig config = small_config(29);
+  config.admit_min_fraction = 1.0;  // a shortfall rejects the resize
+  AdmissionController controller(topo, config);
+
+  const auto a = controller.admit(NpgId(1), "a", hose_pair(1, QosClass::c1_low, 0, 2, 5.0));
+  const auto b = controller.admit(NpgId(2), "b", hose_pair(2, QosClass::c2_low, 1, 3, 5.0));
+  const auto c = controller.admit(NpgId(3), "c", hose_pair(3, QosClass::c2_low, 2, 4, 5.0));
+  ASSERT_EQ(a.status, AdmissionStatus::admitted);
+  ASSERT_EQ(b.status, AdmissionStatus::admitted);
+  ASSERT_EQ(c.status, AdmissionStatus::admitted);
+  const auto granted = [&](ContractId id) {
+    std::vector<double> rates;
+    const core::ContractDb db = controller.contracts_snapshot();
+    for (const core::Entitlement& e : db.find_by_id(id)->entitlements) {
+      rates.push_back(e.entitled_rate.value());
+    }
+    return rates;
+  };
+  const std::vector<double> b_before = granted(b.contract);
+
+  AdmissionRequest release;
+  release.kind = RequestKind::release;
+  release.contract = a.contract;
+  AdmissionRequest greedy;
+  greedy.kind = RequestKind::resize;
+  greedy.contract = b.contract;
+  greedy.hoses = hose_pair(2, QosClass::c2_low, 1, 3, 1e6);
+  std::vector<AdmissionRequest> window;
+  window.push_back(std::move(release));
+  window.push_back(std::move(greedy));
+  const auto outcomes = run_window(controller, std::move(window));
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].status, AdmissionStatus::released);
+  EXPECT_EQ(outcomes[1].status, AdmissionStatus::rejected);
+  EXPECT_EQ(controller.admitted_count(), 2u);
+  EXPECT_EQ(granted(b.contract), b_before);  // the rejected resize keeps its grant
+  EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
+
+  // Release + accepted resize: the commit reuses the evaluation's state.
+  AdmissionRequest release_c;
+  release_c.kind = RequestKind::release;
+  release_c.contract = c.contract;
+  AdmissionRequest modest;
+  modest.kind = RequestKind::resize;
+  modest.contract = b.contract;
+  modest.hoses = hose_pair(2, QosClass::c2_low, 1, 3, 2.0);
+  window.clear();
+  window.push_back(std::move(release_c));
+  window.push_back(std::move(modest));
+  const auto reused = run_window(controller, std::move(window));
+  EXPECT_EQ(reused[0].status, AdmissionStatus::released);
+  EXPECT_EQ(reused[1].status, AdmissionStatus::resized);
+  EXPECT_EQ(controller.admitted_count(), 1u);
+  EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
 }
 
 TEST(AdmissionService, RejectionAttachesCounterProposals) {
@@ -494,6 +606,178 @@ TEST(AdmissionService, MetricsRecordedWhenObsEnabled) {
       std::any_of(snapshot.histograms.begin(), snapshot.histograms.end(),
                   [](const auto& h) { return h.name == "service.admission.latency_seconds"; });
   EXPECT_TRUE(has_latency);
+}
+
+// --- Thread-count torture ------------------------------------------------
+// The SAME request streams replayed at 1/2/4/8 threads must produce
+// bit-identical verdicts, approved rates, residual state, contract databases
+// and fast-path accounting. Every stream's residual rebuilds exceed the
+// fan-out cutoff, so the shared pool really runs them at > 1 thread.
+
+void expect_same_fast_stats(const AdmissionController::FastPathStats& a,
+                            const AdmissionController::FastPathStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.fallbacks, b.fallbacks);
+  EXPECT_EQ(a.audited, b.audited);
+  EXPECT_EQ(a.violations, b.violations);
+}
+
+// A long mixed churn stream decides bit-identically at every thread count,
+// down to residual state and the full contract database.
+TEST(AdmissionThreadCounts, ChurnTortureEquivalence) {
+  const topology::Topology topo = topology::figure6_topology();
+  const ChurnResult reference = churn(topo, {.threads = 1, .total_requests = 512});
+  ASSERT_FALSE(reference.statuses.empty());
+  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(churn(topo, {.threads = threads, .total_requests = 512}), reference)
+        << "divergence at " << threads << " threads";
+  }
+}
+
+// Same equivalence with the two-tier fast path engaged: fast-hit accounting
+// and the deferred exact audit must not depend on the thread count, and the
+// audit must find zero bound violations at every thread count.
+TEST(AdmissionThreadCounts, FastPathChurnEquivalence) {
+  const topology::Topology topo = topology::figure6_topology();
+  const ChurnResult reference =
+      churn(topo, {.threads = 1, .fastpath = true, .total_requests = 384});
+  EXPECT_GT(reference.fast.hits, 0u);  // the tier is actually exercised
+  EXPECT_EQ(reference.fast.violations, 0u);
+  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    const ChurnResult run =
+        churn(topo, {.threads = threads, .fastpath = true, .total_requests = 384});
+    EXPECT_EQ(run, reference) << "divergence at " << threads << " threads";
+    expect_same_fast_stats(run.fast, reference.fast);
+  }
+}
+
+// One 32-admit burst window: the joint approval's cross-request coupling
+// (later admits see earlier ones' placements within the window) and the
+// window's commit fan-out must decide identically at every thread count.
+TEST(AdmissionThreadCounts, BurstWindowEquivalence) {
+  const topology::Topology topo = topology::figure6_topology();
+  const auto regions = static_cast<std::uint32_t>(topo.region_count());
+  const auto burst_run = [&](std::size_t threads) {
+    AdmissionConfig config;
+    config.approval.realizations = 4;
+    config.approval.slo_availability = 0.995;
+    config.approval.scenarios.max_simultaneous = 2;
+    config.exec.threads = threads;
+    config.seed = 9;
+    config.background = false;
+    config.attach_counter_proposals = false;
+    AdmissionController controller(topo, config);
+    std::vector<AdmissionRequest> window;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      const std::uint32_t src = i % regions;
+      const std::uint32_t dst = (i + 2) % regions;
+      window.push_back(admit_request(
+          i + 1, hose_pair(i + 1, static_cast<QosClass>(i % kQosClassCount), src, dst,
+                           15.0 + static_cast<double>(i))));
+    }
+    ChurnResult result;
+    for (const AdmissionOutcome& outcome : run_window(controller, std::move(window))) {
+      result.statuses.push_back(outcome.status);
+      for (const auto& approval : outcome.approvals) {
+        result.approved.push_back(approval.approved.value());
+      }
+    }
+    result.max_rebuild_placements = controller.rebuild_placements();
+    result.residuals = controller.residual_snapshot();
+    result.contracts = fingerprint(controller.contracts_snapshot());
+    EXPECT_EQ(result.residuals, controller.rebuild_residuals_from_scratch());
+    return result;
+  };
+  const ChurnResult reference = burst_run(1);
+  ASSERT_EQ(reference.statuses.size(), 32u);
+  // The burst's commit places as many demands as a rebuild would.
+  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(burst_run(threads), reference) << "divergence at " << threads << " threads";
+  }
+}
+
+// Shutdown under load: concurrent submitters race flush() and then the
+// destructor while the worker's fan-outs run on the shared pool. Every
+// submitted request's future must resolve (processed or failed at
+// shutdown), no contract id may be handed out twice, and the committed
+// state must still equal its from-scratch rebuild.
+TEST(AdmissionThreadCounts, ShutdownUnderLoadDropsAndDuplicatesNothing) {
+  const topology::Topology topo = topology::figure6_topology();
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    AdmissionConfig config;
+    config.approval.realizations = 3;
+    config.approval.slo_availability = 0.995;
+    config.approval.scenarios.max_simultaneous = 2;
+    config.exec.threads = threads;
+    config.seed = 5;
+    config.background = true;  // the worker coalesces + processes concurrently
+    config.batch_window_seconds = 0.0005;
+    config.attach_counter_proposals = false;
+    auto controller = std::make_unique<AdmissionController>(topo, config);
+
+    constexpr std::size_t kSubmitters = 4;
+    constexpr std::size_t kPerSubmitter = 16;
+    std::mutex futures_mutex;
+    std::vector<std::future<AdmissionOutcome>> futures;
+    std::atomic<std::uint32_t> next_npg{1};
+    std::vector<std::thread> submitters;
+    submitters.reserve(kSubmitters);
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&] {
+        for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+          const std::uint32_t npg = next_npg.fetch_add(1);
+          auto future = controller->submit(admit_request(
+              npg, hose_pair(npg, QosClass::c2_low, npg % 4, (npg + 2) % 4, 30.0)));
+          const std::lock_guard<std::mutex> lock(futures_mutex);
+          futures.push_back(std::move(future));
+        }
+      });
+    }
+    // flush() races the background worker and the submitters — both drain
+    // the same queue; every request must land in exactly one window.
+    for (int i = 0; i < 8; ++i) controller->flush();
+    for (std::thread& submitter : submitters) submitter.join();
+    controller->flush();
+    // The worker may still be committing a window it took before the last
+    // flush: wait for every outcome, so the state checked below is settled.
+    for (const auto& future : futures) future.wait();
+
+    // Settled state before teardown: delta-replay invariant holds, ids
+    // unique, and the rebuild is big enough to run on the pool.
+    EXPECT_GT(controller->rebuild_placements(), kFanOutCutoffPlacements);
+    EXPECT_EQ(controller->residual_snapshot(), controller->rebuild_residuals_from_scratch());
+    const core::ContractDb db = controller->contracts_snapshot();
+    std::vector<std::uint64_t> db_ids;
+    for (const auto& contract : db.contracts()) db_ids.push_back(contract.id);
+    std::sort(db_ids.begin(), db_ids.end());
+    EXPECT_EQ(std::adjacent_find(db_ids.begin(), db_ids.end()), db_ids.end());
+
+    // A final burst races the destructor: these futures must ALSO resolve —
+    // either processed by the draining worker or failed at shutdown.
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      const std::uint32_t npg = next_npg.fetch_add(1);
+      futures.push_back(controller->submit(
+          admit_request(npg, hose_pair(npg, QosClass::c3_low, npg % 4, (npg + 1) % 4, 10.0))));
+    }
+    controller.reset();  // teardown with work possibly still queued
+
+    ASSERT_EQ(futures.size(), kSubmitters * kPerSubmitter + 8);
+    std::vector<std::uint64_t> admitted_ids;
+    for (auto& future : futures) {
+      const AdmissionOutcome outcome = future.get();  // throws if a promise was dropped
+      if (outcome.status == AdmissionStatus::admitted) admitted_ids.push_back(outcome.contract);
+    }
+    std::sort(admitted_ids.begin(), admitted_ids.end());
+    EXPECT_EQ(std::adjacent_find(admitted_ids.begin(), admitted_ids.end()), admitted_ids.end())
+        << "a contract id was handed out twice at " << threads << " threads";
+    // Everything in the final database was reported admitted to some caller.
+    for (const std::uint64_t id : db_ids) {
+      EXPECT_TRUE(std::binary_search(admitted_ids.begin(), admitted_ids.end(), id));
+    }
+  }
 }
 
 }  // namespace

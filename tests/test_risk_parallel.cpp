@@ -4,10 +4,12 @@
 // parallel fan-out is built around.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "risk/simulator.h"
 #include "risk/verification.h"
 #include "topology/generator.h"
@@ -64,7 +66,8 @@ void expect_curves_bit_identical(const std::vector<AvailabilityCurve>& a,
 
 TEST(RiskParallel, AvailabilityCurvesBitIdenticalAcrossThreadCounts) {
   Sweep sweep;
-  ASSERT_GT(sweep.scenarios.size(), 8u) << "sweep too small to exercise the pool";
+  ASSERT_GT(sweep.scenarios.size() * sweep.pipes.size(), kFanOutCutoffPlacements)
+      << "sweep too small to exercise the pool";
 
   Router router(sweep.topo, 3);
   const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
@@ -78,6 +81,7 @@ TEST(RiskParallel, AvailabilityCurvesBitIdenticalAcrossThreadCounts) {
 
 TEST(RiskParallel, ParallelSweepMatchesOnReducedBaseCapacity) {
   Sweep sweep;
+  ASSERT_GT(sweep.scenarios.size() * sweep.pipes.size(), kFanOutCutoffPlacements);
   Router router(sweep.topo, 3);
   std::vector<double> reduced(sweep.topo.link_count());
   for (const topology::Link& link : sweep.topo.links()) {
@@ -93,6 +97,7 @@ TEST(RiskParallel, RepeatedParallelSweepsAreStable) {
   // Replaying the same parallel sweep twice must give the same bits — no
   // dependence on scheduling order.
   Sweep sweep;
+  ASSERT_GT(sweep.scenarios.size() * sweep.pipes.size(), kFanOutCutoffPlacements);
   Router router(sweep.topo, 3);
   const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
   const auto first = sim.availability_curves(sweep.pipes, 4);
@@ -141,6 +146,11 @@ TEST(RiskParallel, SloVerifierAttainmentsBitIdenticalAcrossThreadCounts) {
                         RegionId(d), Gbps(30.0 + i)});
   }
   const auto approvals = engine.pipe_approval(requests);
+  // The verifier replays only pipes approved above zero.
+  const auto replayed = static_cast<std::size_t>(
+      std::count_if(approvals.begin(), approvals.end(),
+                    [](const approval::PipeApprovalResult& a) { return a.approved.value() > 0.0; }));
+  ASSERT_GT(replayed * sweep.scenarios.size(), kFanOutCutoffPlacements);
 
   const SloVerifier verifier(router, sweep.scenarios);
   const auto serial = verifier.verify(approvals, 1);

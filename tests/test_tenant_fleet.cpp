@@ -35,13 +35,12 @@ FleetConfig small_fleet(std::size_t regions) {
 }
 
 FleetReport run_fleet(const topology::Topology& topo, const FleetConfig& fleet_config,
-                      std::size_t threads, std::size_t shards) {
+                      std::size_t threads) {
   service::AdmissionConfig config;
   config.approval.realizations = 2;
   config.approval.slo_availability = 0.99;
   config.approval.scenarios.max_simultaneous = 1;
   config.exec.threads = threads;
-  config.exec.shards = shards;
   config.seed = 23;
   config.background = false;
   config.admit_min_fraction = 1.0;
@@ -51,33 +50,31 @@ FleetReport run_fleet(const topology::Topology& topo, const FleetConfig& fleet_c
   return fleet.run();
 }
 
-TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadsAndShards) {
+TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadCounts) {
   const topology::Topology topo = fleet_backbone();
   const FleetConfig config = small_fleet(topo.region_count());
-  const FleetReport reference = run_fleet(topo, config, 1, 1);
+  const FleetReport reference = run_fleet(topo, config, 1);
   ASSERT_GT(reference.decisions, 0u);
   ASSERT_GT(reference.rejected, 0u) << "fleet must contend for negotiation to be exercised";
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const FleetReport report = run_fleet(topo, config, threads, shards);
-      EXPECT_EQ(report.transcript_fingerprint, reference.transcript_fingerprint)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(report.decisions, reference.decisions);
-      EXPECT_EQ(report.admitted, reference.admitted);
-      EXPECT_EQ(report.rejected, reference.rejected);
-      EXPECT_EQ(report.resized, reference.resized);
-      EXPECT_EQ(report.released, reference.released);
-      EXPECT_EQ(report.resubmits, reference.resubmits);
-      EXPECT_EQ(report.waits, reference.waits);
-      EXPECT_EQ(report.give_ups, reference.give_ups);
-    }
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const FleetReport report = run_fleet(topo, config, threads);
+    EXPECT_EQ(report.transcript_fingerprint, reference.transcript_fingerprint)
+        << "threads=" << threads;
+    EXPECT_EQ(report.decisions, reference.decisions);
+    EXPECT_EQ(report.admitted, reference.admitted);
+    EXPECT_EQ(report.rejected, reference.rejected);
+    EXPECT_EQ(report.resized, reference.resized);
+    EXPECT_EQ(report.released, reference.released);
+    EXPECT_EQ(report.resubmits, reference.resubmits);
+    EXPECT_EQ(report.waits, reference.waits);
+    EXPECT_EQ(report.give_ups, reference.give_ups);
   }
 }
 
 TEST(TenantFleet, AllNegotiationStrategiesAreExercised) {
   const topology::Topology topo = fleet_backbone();
-  const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 2, 2);
+  const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 2);
   for (std::size_t s = 0; s < kStrategyCount; ++s) {
     EXPECT_GT(report.strategy_resolutions[s], 0u)
         << to_string(static_cast<Strategy>(s)) << " never resolved a rejection";
@@ -90,20 +87,20 @@ TEST(TenantFleet, AllNegotiationStrategiesAreExercised) {
 TEST(TenantFleet, SameSeedSameReportDifferentSeedDifferentTranscript) {
   const topology::Topology topo = fleet_backbone();
   const FleetConfig config = small_fleet(topo.region_count());
-  const FleetReport a = run_fleet(topo, config, 2, 2);
-  const FleetReport b = run_fleet(topo, config, 2, 2);
+  const FleetReport a = run_fleet(topo, config, 2);
+  const FleetReport b = run_fleet(topo, config, 2);
   EXPECT_EQ(a.transcript_fingerprint, b.transcript_fingerprint);
   EXPECT_EQ(a.decisions, b.decisions);
 
   FleetConfig reseeded = config;
   reseeded.seed = 2023;
-  const FleetReport c = run_fleet(topo, reseeded, 2, 2);
+  const FleetReport c = run_fleet(topo, reseeded, 2);
   EXPECT_NE(c.transcript_fingerprint, a.transcript_fingerprint);
 }
 
 TEST(TenantFleet, LatencySamplesCoverEveryDecision) {
   const topology::Topology topo = fleet_backbone();
-  const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 1, 1);
+  const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 1);
   EXPECT_EQ(report.decision_latency_us.size(), report.decisions);
   for (const double us : report.decision_latency_us) EXPECT_GE(us, 0.0);
 }

@@ -12,12 +12,12 @@
 //  * SrlgIndex::resync == fresh index after fiber adds.
 //  * The mutation-churn TORTURE: one interleaved stream of topology deltas
 //    (resize / drain / storm / add / retire) and admit / resize / release
-//    requests replayed at 1/4 shards x 1/4 threads, fastpath on and off.
+//    requests replayed at 1/4 threads, fastpath on and off.
 //    After every mutation window the maintained residuals, fast-path
 //    summaries and (mirror-router) PathStore contents must equal from-
 //    scratch rebuilds, and the full decision transcript (statuses, approved
 //    rates, verdicts, contract-db fingerprints) must be bit-identical
-//    across all eight configurations.
+//    across all four configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -375,7 +375,7 @@ std::string fingerprint(const core::ContractDb& db) {
   return out.str();
 }
 
-AdmissionConfig lifecycle_config(std::size_t shards, std::size_t threads, bool fastpath) {
+AdmissionConfig lifecycle_config(std::size_t threads, bool fastpath) {
   AdmissionConfig config;
   config.background = false;
   config.attach_counter_proposals = false;
@@ -385,7 +385,6 @@ AdmissionConfig lifecycle_config(std::size_t shards, std::size_t threads, bool f
   config.approval.slo_availability = 0.99;
   config.approval.scenarios.max_simultaneous = 1;
   config.exec.threads = threads;
-  config.exec.shards = shards;
   config.approval.fastpath.enabled = fastpath;
   config.approval.fastpath.audit = fastpath;
   return config;
@@ -394,7 +393,7 @@ AdmissionConfig lifecycle_config(std::size_t shards, std::size_t threads, bool f
 TEST(TopologyLifecycle, TopologyWindowRequiresMutableTopologyAndValidBatch) {
   const Topology immutable = seed_topology();
   {
-    AdmissionController controller(immutable, lifecycle_config(1, 1, false));
+    AdmissionController controller(immutable, lifecycle_config(1, false));
     Mutation resize;
     resize.kind = MutationKind::resize_fiber;
     resize.link = LinkId(0);
@@ -404,7 +403,7 @@ TEST(TopologyLifecycle, TopologyWindowRequiresMutableTopologyAndValidBatch) {
   }
 
   Topology topo = seed_topology();
-  AdmissionController controller(topo, lifecycle_config(1, 1, false));
+  AdmissionController controller(topo, lifecycle_config(1, false));
   const std::uint64_t before = topo.epoch();
 
   // One invalid mutation fails the whole batch without applying anything —
@@ -432,7 +431,6 @@ TEST(TopologyLifecycle, TopologyWindowRequiresMutableTopologyAndValidBatch) {
 // --- the torture ---------------------------------------------------------
 
 struct LifecycleParams {
-  std::size_t shards = 1;
   std::size_t threads = 1;
   bool fastpath = false;
   bool check_paths = false;  ///< mirror-router PathStore verification
@@ -536,8 +534,7 @@ Mutation next_mutation(Rng& rng, const Topology& topo, std::vector<LinkId>& adde
 LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
   constexpr std::size_t kTargetMutations = 204;
   Topology topo = seed_topology();
-  AdmissionController controller(topo, lifecycle_config(params.shards, params.threads,
-                                                        params.fastpath));
+  AdmissionController controller(topo, lifecycle_config(params.threads, params.fastpath));
   std::optional<Router> mirror;
   if (params.check_paths) {
     mirror.emplace(topo, kRouterPaths);
@@ -681,7 +678,7 @@ LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
 
 TEST(TopologyLifecycle, MutationChurnTortureBitIdenticalAcrossConfigs) {
   // Baseline: serial, exact-only, with per-mutation PathStore verification.
-  const LifecycleResult base = run_lifecycle_churn({1, 1, false, true});
+  const LifecycleResult base = run_lifecycle_churn({1, false, true});
   ASSERT_FALSE(base.log.empty());
   if (const char* dump = std::getenv("NETENT_LIFECYCLE_DUMP")) {
     std::ofstream(dump) << base.log;
@@ -699,15 +696,14 @@ TEST(TopologyLifecycle, MutationChurnTortureBitIdenticalAcrossConfigs) {
   EXPECT_FALSE(base.final_contracts.empty()) << "no contract survived the churn";
 
   const LifecycleParams configs[] = {
-      {1, 4, false, false}, {4, 1, false, false}, {4, 4, false, false},
-      {1, 1, true, true},   {1, 4, true, false},  {4, 1, true, false},
-      {4, 4, true, false},
+      {4, false, false},
+      {1, true, true},
+      {4, true, false},
   };
   for (const LifecycleParams& params : configs) {
     const LifecycleResult result = run_lifecycle_churn(params);
     if (testing::Test::HasFatalFailure()) return;
-    const std::string label = "shards=" + std::to_string(params.shards) +
-                              " threads=" + std::to_string(params.threads) +
+    const std::string label = "threads=" + std::to_string(params.threads) +
                               " fastpath=" + std::to_string(params.fastpath);
     EXPECT_EQ(result.log, base.log) << label;
     EXPECT_TRUE(result.final_residuals == base.final_residuals) << label;

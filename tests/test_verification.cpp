@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "topology/generator.h"
 
 namespace netent::risk {
@@ -88,9 +91,10 @@ TEST_P(GrantingInvariant, AchievedAtLeastPromised) {
   const Topology topo = topology::generate_backbone(gen, rng);
   Router router(topo, 3);
 
-  // A demanding request mix across classes.
+  // A demanding request mix across classes, large enough that the approval
+  // sweep and the replay both fan out on the shared pool.
   std::vector<PipeRequest> pipes;
-  for (std::uint32_t i = 0; i < 20; ++i) {
+  for (std::uint32_t i = 0; i < 64; ++i) {
     const auto s = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
     auto d = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
     if (d == s) d = (d + 1) % static_cast<std::uint32_t>(topo.region_count());
@@ -103,6 +107,12 @@ TEST_P(GrantingInvariant, AchievedAtLeastPromised) {
   config.scenarios.max_simultaneous = 2;
   const ApprovalEngine engine(router, config);
   const auto approvals = engine.pipe_approval(pipes);
+  const std::size_t scenario_count = engine.scenarios().size();
+  ASSERT_GT(pipes.size() * scenario_count, kFanOutCutoffPlacements);
+  const auto replayed = static_cast<std::size_t>(
+      std::count_if(approvals.begin(), approvals.end(),
+                    [](const approval::PipeApprovalResult& a) { return a.approved > Gbps(0); }));
+  ASSERT_GT(replayed * scenario_count, kFanOutCutoffPlacements);
 
   const SloVerifier verifier(router, enumerate_scenarios(topo, config.scenarios));
   const auto attainments = verifier.verify(approvals);
