@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     std::cerr << "bad drill flag: " << error.what() << '\n';
     return 2;
   }
-  sim::DrillSim drill(config, Rng(kSeed));
+  sim::DrillEngine drill(config, Rng(kSeed));
   const auto ticks = drill.run();
 
   Table table({"minute", "acl_pct", "entitled_g", "total_g", "conform_g", "loss_conf_pct",

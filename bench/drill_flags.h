@@ -40,7 +40,7 @@ inline bool fault_kind_is_host_scoped(sim::DrillFault::Kind kind) {
 }
 
 /// Parses the `--faults` DSL into DrillConfig faults. Throws
-/// std::invalid_argument on malformed specs (DrillSim itself still validates
+/// std::invalid_argument on malformed specs (DrillEngine itself still validates
 /// times and host bounds against the config).
 inline std::vector<sim::DrillFault> parse_fault_spec(const std::string& spec) {
   std::vector<sim::DrillFault> faults;

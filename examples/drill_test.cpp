@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
             << config.entitled_reduced.value() << " Gbps @30min; ACL drops 12.5% @65min, "
             << "50% @100min, 100% @135min; rollback @170min.\n\n";
 
-  sim::DrillSim drill(config, Rng(42));
+  sim::DrillEngine drill(config, Rng(42));
   const auto ticks = drill.run();
 
   struct Stage {

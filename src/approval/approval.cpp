@@ -247,22 +247,10 @@ std::vector<HoseApprovalResult> ApprovalEngine::hose_approval(std::span<const Ho
 
 std::vector<HoseApprovalResult> ApprovalEngine::hose_approval(
     std::span<const HoseRequest> hoses, std::span<const GroupSegments> segments, Rng& rng) const {
-  return hose_approval_with(hoses, segments, rng,
-                            [this](std::size_t, std::span<const PipeRequest> pipes) {
-                              return pipe_approval(pipes);
-                            });
-}
-
-std::vector<HoseApprovalResult> ApprovalEngine::hose_approval_with(
-    std::span<const HoseRequest> hoses, std::span<const GroupSegments> segments, Rng& rng,
-    const PipeAssessor& assess) const {
-  NETENT_EXPECTS(!hoses.empty());
   const RealizationPipes drawn = draw_realizations(hoses, segments, rng);
   std::vector<std::vector<PipeApprovalResult>> assessed(drawn.size());
   for (std::size_t k = 0; k < drawn.size(); ++k) {
-    if (drawn[k].empty()) continue;
-    assessed[k] = assess(k, drawn[k]);
-    NETENT_ENSURES(assessed[k].size() == drawn[k].size());
+    if (!drawn[k].empty()) assessed[k] = pipe_approval(drawn[k]);
   }
   return aggregate_realizations(hoses, drawn, assessed);
 }

@@ -129,12 +129,6 @@ class ApprovalEngine {
       std::span<const hose::PipeRequest> pipes, const CurveProvider& curves_for,
       const risk::FastEstimator* fast = nullptr, FastPassResult* fast_out = nullptr) const;
 
-  /// Per-realization assessor extension point for hose_approval_with:
-  /// receives the realization index and that realization's pipes (all
-  /// groups, input order) and returns their approvals in input order.
-  using PipeAssessor = std::function<std::vector<PipeApprovalResult>(
-      std::size_t realization, std::span<const hose::PipeRequest> pipes)>;
-
   /// Segment constraints (from the segmented-hose algorithm) to apply to one
   /// (NPG, QoS) group's realizations: tighter realizations mean fewer wild
   /// corner TMs and therefore higher approvals for the same SLO.
@@ -148,7 +142,10 @@ class ApprovalEngine {
   /// HoseSpace; `realizations` representative TMs are drawn per group (the
   /// GEN_DEMAND step), each realization's pipes are approved jointly, and
   /// per-hose approvals aggregate as min over realizations of the summed
-  /// pipe approvals. Result order matches the input order.
+  /// pipe approvals. Result order matches the input order. Implemented as
+  /// draw_realizations -> pipe_approval per realization in ascending order
+  /// -> aggregate_realizations; callers with their own risk backend (the
+  /// admission service) run the same three steps with pipe_approval_with.
   [[nodiscard]] std::vector<HoseApprovalResult> hose_approval(
       std::span<const hose::HoseRequest> hoses, Rng& rng) const;
 
@@ -156,17 +153,6 @@ class ApprovalEngine {
   [[nodiscard]] std::vector<HoseApprovalResult> hose_approval(
       std::span<const hose::HoseRequest> hoses, std::span<const GroupSegments> segments,
       Rng& rng) const;
-
-  /// HOSE_APPROVAL with a caller-supplied per-realization pipe assessor.
-  /// The GEN_DEMAND realization drawing (and therefore the RNG stream) and
-  /// the min-over-realizations aggregation are identical to hose_approval;
-  /// only the per-realization PIPE_APPROVAL call is delegated, so a window
-  /// assessed against untouched residual capacity approves bit-identically
-  /// to hose_approval on the same set. Implemented as draw_realizations →
-  /// assess each realization in ascending order → aggregate_realizations.
-  [[nodiscard]] std::vector<HoseApprovalResult> hose_approval_with(
-      std::span<const hose::HoseRequest> hoses, std::span<const GroupSegments> segments, Rng& rng,
-      const PipeAssessor& assess) const;
 
   /// One drawn traffic realization per index: the pipes of realization k,
   /// in group iteration order (the input order hose_approval assesses).
@@ -191,7 +177,7 @@ class ApprovalEngine {
   /// min-over-realizations of per-hose approved/requested fractions, in
   /// ascending realization order — the deterministic merge.
   /// draw + per-realization assess + aggregate is bit-identical to one
-  /// hose_approval_with call, at any partition of the assessments.
+  /// hose_approval call, at any partition of the assessments.
   [[nodiscard]] std::vector<HoseApprovalResult> aggregate_realizations(
       std::span<const hose::HoseRequest> hoses, const RealizationPipes& realization_pipes,
       std::span<const std::vector<PipeApprovalResult>> per_realization) const;

@@ -183,6 +183,25 @@ std::vector<std::vector<double>> sweep_scenario_placements(
   return placed;
 }
 
+std::vector<AvailabilityCurve> curves_from_placements(
+    std::span<const std::vector<double>> placed, std::span<const FailureScenario> scenarios,
+    std::size_t demand_count) {
+  NETENT_EXPECTS(placed.size() == scenarios.size());
+  // Merge back in scenario order: the outcome sequence each curve sees is
+  // exactly the serial sweep's, so curves are bit-identical per thread count.
+  std::vector<std::vector<std::pair<double, double>>> outcomes(demand_count);
+  for (auto& demand_outcomes : outcomes) demand_outcomes.reserve(scenarios.size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (std::size_t i = 0; i < demand_count; ++i) {
+      outcomes[i].emplace_back(placed[s][i], scenarios[s].probability);
+    }
+  }
+  std::vector<AvailabilityCurve> curves;
+  curves.reserve(demand_count);
+  for (auto& demand_outcomes : outcomes) curves.emplace_back(std::move(demand_outcomes));
+  return curves;
+}
+
 RiskSimulator::RiskSimulator(topology::Router& router, std::vector<FailureScenario> scenarios,
                              std::span<const double> base_capacity_gbps)
     : router_(router),
@@ -231,20 +250,7 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
     }
   }
 
-  // Merge back in scenario order: the outcome sequence each curve sees is
-  // exactly the serial sweep's, so curves are bit-identical per thread count.
-  std::vector<std::vector<std::pair<double, double>>> outcomes(pipes.size());
-  for (auto& pipe_outcomes : outcomes) pipe_outcomes.reserve(scenarios_.size());
-  for (std::size_t s = 0; s < scenarios_.size(); ++s) {
-    for (std::size_t i = 0; i < pipes.size(); ++i) {
-      outcomes[i].emplace_back(placed[s][i], scenarios_[s].probability);
-    }
-  }
-
-  std::vector<AvailabilityCurve> curves;
-  curves.reserve(pipes.size());
-  for (auto& pipe_outcomes : outcomes) curves.emplace_back(std::move(pipe_outcomes));
-  return curves;
+  return curves_from_placements(placed, scenarios_, pipes.size());
 }
 
 }  // namespace netent::risk

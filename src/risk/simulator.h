@@ -114,6 +114,14 @@ class ScenarioCapacityScratch {
     std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
     obs::Histogram* scenario_timer = nullptr, std::size_t timer_stride = 1);
 
+/// Availability curves from a sweep's placed Gbps per [scenario][demand]
+/// (the shape sweep_scenario_placements returns): each demand's (placed,
+/// probability) outcomes are merged in scenario order, so the curves are
+/// bit-identical however the sweep was split across threads.
+[[nodiscard]] std::vector<AvailabilityCurve> curves_from_placements(
+    std::span<const std::vector<double>> placed, std::span<const FailureScenario> scenarios,
+    std::size_t demand_count);
+
 class RiskSimulator {
  public:
   /// `base_capacity_gbps` is the per-link capacity available to the batch

@@ -4,14 +4,16 @@
 // stream of admit / resize / release contract requests.
 //
 // Architecture. The controller owns the admitted-contract set (a
-// core::ContractDb) plus one warmed topology::Router and one
-// approval::ApprovalEngine (scenario set + SRLG index + risk simulator)
-// kept alive across requests. Requests arriving within a batching window
-// are coalesced into ONE joint approval: the window's hoses are
-// concatenated in submission order and assessed through
-// ApprovalEngine::hose_approval_with, so a window evaluated against an
-// empty service is bit-identical to a single hose_approval call on the same
-// set (pinned in tests/test_admission.cpp).
+// core::ContractDb, the one registry of in-force contracts) plus one warmed
+// topology::Router and one approval::ApprovalEngine (scenario set + SRLG
+// index + risk simulator) kept alive across requests. Requests arriving
+// within a batching window are coalesced into ONE joint approval: the
+// window's hoses are concatenated in submission order, drawn with
+// ApprovalEngine::draw_realizations, assessed per realization with
+// pipe_approval_with against the residual state and folded with
+// aggregate_realizations — the three steps hose_approval runs — so a window
+// evaluated against an empty service is bit-identical to a single
+// hose_approval call on the same set (pinned in tests/test_admission.cpp).
 //
 // Incrementality. Instead of re-approving the whole admitted set per
 // request, the controller maintains RESIDUAL capacity state: for every
@@ -24,11 +26,12 @@
 // water_fill_demand call sequence a from-scratch replay of the commit
 // history would execute — so the maintained state matches a from-scratch
 // rebuild bit-for-bit after any admit/resize/release sequence, at any
-// thread count (also pinned in tests). Releases and accepted resizes remove
-// demands from the middle of the placement history, where no cheaper exact
-// delta exists (water-filling is order-sensitive), so those windows rebuild
-// the residuals from the recorded history; pure-admit windows — the
-// streaming hot path — never do.
+// thread count (also pinned in tests). The commit history is flat: per
+// realization, every committed demand tagged with its owning contract, in
+// commit order. Releases and accepted resizes remove demands from the middle
+// of it, where no cheaper exact delta exists (water-filling is
+// order-sensitive), so those windows rebuild the residuals from the pruned
+// history; pure-admit windows — the streaming hot path — only append.
 #pragma once
 
 #include <chrono>
@@ -37,6 +40,7 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -69,8 +73,9 @@ struct AdmissionRequest {
   std::string npg_name;     ///< admit: display name for the contract
   ContractId contract = 0;  ///< resize/release: which contract
   std::vector<hose::HoseRequest> hoses;  ///< admit/resize: requested hoses
-  /// topology: the mutation batch to apply (validated as a unit — any
-  /// invalid mutation fails the request without applying anything).
+  /// topology: the mutation batch to apply (validated as a unit by
+  /// Topology::validate_batch — any invalid mutation fails the request
+  /// without applying anything).
   std::vector<topology::Mutation> mutations;
 };
 
@@ -242,23 +247,16 @@ class AdmissionController {
   [[nodiscard]] std::vector<std::vector<double>> fastpath_headroom_snapshot() const;
 
  private:
-  /// One committed demand: what was placed and for whom (releases filter the
+  /// One committed demand: what was placed and for whom (releases prune the
   /// history by owner).
   struct TaggedDemand {
     topology::Demand demand;
     ContractId owner = 0;
   };
-  /// One committed window: per realization, the accepted demands in the
-  /// exact placement order the window's evaluation used.
-  struct Batch {
-    std::vector<std::vector<TaggedDemand>> demands;  ///< [realization]
-  };
-  struct AdmittedEntry {
-    ContractId id = 0;
-    NpgId npg;
-    std::string name;
-    std::vector<hose::HoseRequest> hoses;  ///< requested (for diagnostics)
-  };
+  /// Per realization, committed demands in commit order: the exact
+  /// water_fill_demand sequence a from-scratch rebuild replays.
+  using History = std::vector<std::vector<TaggedDemand>>;  ///< [realization]
+
   struct Pending {
     AdmissionRequest request;
     std::promise<AdmissionOutcome> promise;
@@ -290,11 +288,13 @@ class AdmissionController {
   /// (router, approval engine, base-capacity view, residuals, fast-path
   /// summaries) and re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
-  /// Rebuilds / refreshes the per-realization headroom summaries after the
-  /// residual state changed. `dirty_batch` non-null: only links on the
-  /// batch's demands' candidate paths are re-summarized (a pure-admit
-  /// commit); null: full rebuild (release / resize windows).
-  void refresh_fastpath(const Batch* dirty_batch);
+  /// Builds the per-realization headroom summaries from residual_ afresh
+  /// (no-op when fastpath is disabled): after construction, a history
+  /// rebuild, or a topology window.
+  void rebuild_fastpath();
+  /// Re-summarizes only the links on the candidate paths of `batch`'s
+  /// demands — all a pure-admit commit of `batch` can have moved.
+  void refresh_fastpath(const History& batch);
   /// Audits one queued fast-admit record; false when the queue is empty.
   bool audit_one();
   /// The audit replay itself; caller holds state_mutex_. Topology windows
@@ -310,12 +310,16 @@ class AdmissionController {
   /// Replays `demands` into `residual` through water_fill_demand — the same
   /// call sequence for commit and rebuild, which is what keeps the two
   /// bit-identical.
-  void place_tagged(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
-  [[nodiscard]] ResidualState residuals_of(std::span<const Batch> batches) const;
-  /// Demands in `batches`, summed over realizations.
-  [[nodiscard]] static std::size_t demand_count(std::span<const Batch> batches);
-  /// Commits `batch` into residual_ (incremental hot path).
-  void commit_batch(const Batch& batch);
+  void place(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
+  [[nodiscard]] ResidualState residuals_of(const History& history) const;
+  /// Places `batch` into residual_ and appends it to history_ (the
+  /// incremental hot path).
+  void commit(const History& batch);
+  /// Removes `owners`' demands from `history`, keeping the rest in order,
+  /// and returns the removed ones ([realization], commit order).
+  static History prune(History& history, const std::set<ContractId>& owners);
+  /// Demands in `history`, summed over realizations.
+  [[nodiscard]] static std::size_t demand_count(const History& history);
 
   AdmissionConfig config_;
   std::size_t threads_ = 1;
@@ -332,9 +336,8 @@ class AdmissionController {
   /// time; the parallel fan-outs inside a window are internal).
   mutable std::mutex state_mutex_;
   ResidualState residual_;
-  std::vector<Batch> batches_;  ///< commit history, window order
-  std::vector<AdmittedEntry> admitted_;
-  core::ContractDb db_;
+  History history_;
+  core::ContractDb db_;  ///< the in-force contracts, runtime ids populated
   Rng rng_;
   ContractId next_contract_id_ = 1;
   std::uint64_t window_seq_ = 0;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/exec_config.h"
-#include "common/rng.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "enforce/marker.h"
@@ -133,22 +132,6 @@ struct DrillTick {
   double read_latency_ms = 0.0;
   double write_latency_ms = 0.0;
   double block_error_rate = 0.0;  ///< failed write blocks / attempted
-};
-
-/// Facade over the event-driven DrillEngine (sim/drill_engine.h), kept for
-/// the historical lockstep-era call sites: construct, run(), collect ticks.
-class DrillSim {
- public:
-  DrillSim(DrillConfig config, Rng rng);
-
-  /// Runs the whole drill; one DrillTick per tick.
-  [[nodiscard]] std::vector<DrillTick> run();
-
-  [[nodiscard]] const DrillConfig& config() const { return config_; }
-
- private:
-  DrillConfig config_;
-  Rng rng_;
 };
 
 }  // namespace netent::sim

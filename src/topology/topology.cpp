@@ -1,10 +1,47 @@
 #include "topology/topology.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
 namespace netent::topology {
+
+namespace {
+
+const char* kind_name(MutationKind kind) {
+  switch (kind) {
+    case MutationKind::add_fiber: return "add_fiber";
+    case MutationKind::retire_fiber: return "retire_fiber";
+    case MutationKind::resize_fiber: return "resize_fiber";
+    case MutationKind::drain_region: return "drain_region";
+    case MutationKind::undrain_region: return "undrain_region";
+    case MutationKind::strike_srlgs: return "strike_srlgs";
+    case MutationKind::repair_srlgs: return "repair_srlgs";
+  }
+  return "unknown";
+}
+
+/// Whether every link and SRLG id `m` reads is below the given counts.
+bool ids_below(const Mutation& m, std::size_t links, std::size_t srlgs) {
+  switch (m.kind) {
+    case MutationKind::add_fiber:
+      return !m.conduit.has_value() || m.conduit->value() < links;
+    case MutationKind::retire_fiber:
+    case MutationKind::resize_fiber:
+      return m.link.value() < links;
+    case MutationKind::strike_srlgs:
+    case MutationKind::repair_srlgs:
+      return std::all_of(m.srlgs.begin(), m.srlgs.end(),
+                         [&](SrlgId srlg) { return srlg.value() < srlgs; });
+    case MutationKind::drain_region:
+    case MutationKind::undrain_region:
+      return true;
+  }
+  return true;
+}
+
+}  // namespace
 
 double link_unavailability(const Link& link) {
   // Degenerate-input convention (see the header): instant repair wins, then
@@ -172,6 +209,24 @@ LinkId Topology::apply(const Mutation& m) {
   }
   NETENT_EXPECTS(false);
   return LinkId(0);
+}
+
+Expected<void> Topology::validate_batch(std::span<const Mutation> batch) const {
+  Topology scratch = *this;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::string where =
+        "mutations[" + std::to_string(i) + "] (" + kind_name(batch[i].kind) + "): ";
+    if (!ids_below(batch[i], link_count(), srlg_count())) {
+      return Error{ErrorCode::invalid_argument,
+                   where + "names a link or SRLG the topology did not have before the batch"};
+    }
+    try {
+      (void)scratch.apply(batch[i]);
+    } catch (const ContractViolation& violation) {
+      return Error{ErrorCode::invalid_argument, where + violation.what()};
+    }
+  }
+  return {};
 }
 
 Gbps Topology::effective_capacity(LinkId id) const {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expected.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "topology/mutation.h"
@@ -98,6 +99,14 @@ class Topology {
   /// arrive as Mutation lists). Returns the created forward link id for
   /// add_fiber kinds, LinkId(0) otherwise.
   LinkId apply(const Mutation& mutation);
+
+  /// Whether applying `batch` in order would succeed, judged by the
+  /// mutators' own preconditions on a scratch copy (this topology is left
+  /// untouched). Every link and SRLG id a mutation names must predate the
+  /// batch: a batch may not target a fiber or SRLG it creates itself. The
+  /// error is invalid_argument and names the failing mutation's index and
+  /// kind.
+  [[nodiscard]] Expected<void> validate_batch(std::span<const Mutation> batch) const;
 
   // --- Versioning.
 

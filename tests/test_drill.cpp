@@ -1,4 +1,4 @@
-#include "sim/drill.h"
+#include "sim/drill_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ class DrillFixture : public ::testing::Test {
  protected:
   static const std::vector<DrillTick>& ticks() {
     static const std::vector<DrillTick> result = [] {
-      DrillSim sim(fast_config(), Rng(42));
+      DrillEngine sim(fast_config(), Rng(42));
       return sim.run();
     }();
     return result;
@@ -145,7 +145,7 @@ TEST(DrillSim, StatelessMeterOvershootsEntitlement) {
   // the entitlement.
   DrillConfig config = fast_config();
   config.stateful_meter = false;
-  DrillSim sim(config, Rng(42));
+  DrillEngine sim(config, Rng(42));
   const auto ticks = sim.run();
   double sum = 0.0;
   std::size_t n = 0;
@@ -162,8 +162,8 @@ TEST(DrillSim, StatelessMeterOvershootsEntitlement) {
 TEST(DrillSim, DeterministicForSeed) {
   DrillConfig config = fast_config();
   config.duration_seconds = 40.0 * 60.0;
-  DrillSim a(config, Rng(7));
-  DrillSim b(config, Rng(7));
+  DrillEngine a(config, Rng(7));
+  DrillEngine b(config, Rng(7));
   const auto ta = a.run();
   const auto tb = b.run();
   ASSERT_EQ(ta.size(), tb.size());
@@ -181,8 +181,8 @@ TEST(DrillSim, ParallelTicksBitIdenticalToSerial) {
   DrillConfig parallel_config = serial_config;
   parallel_config.exec.threads = 4;
 
-  DrillSim serial(serial_config, Rng(7));
-  DrillSim parallel(parallel_config, Rng(7));
+  DrillEngine serial(serial_config, Rng(7));
+  DrillEngine parallel(parallel_config, Rng(7));
   const auto ta = serial.run();
   const auto tb = parallel.run();
   ASSERT_EQ(ta.size(), tb.size());
@@ -201,10 +201,10 @@ TEST(DrillSim, ParallelTicksBitIdenticalToSerial) {
 TEST(DrillSim, InvalidConfigRejected) {
   DrillConfig config = fast_config();
   config.host_count = 1;
-  EXPECT_THROW(DrillSim(config, Rng(1)), ContractViolation);
+  EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
   config = fast_config();
   config.acl_stages = {{10.0, 1.5}};
-  EXPECT_THROW(DrillSim(config, Rng(1)), ContractViolation);
+  EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // read failover. The §6 invariant under test throughout: conforming traffic
 // is never harmed, because enforcement state lives in the kernel classifier
 // and survives the control plane being down.
-#include "sim/drill.h"
+#include "sim/drill_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -73,7 +73,7 @@ DrillConfig crash_config() {
 }
 
 TEST(DrillFaults, ConformingTrafficProtectedThroughAgentCrashRestart) {
-  DrillSim sim(crash_config(), Rng(20220822));
+  DrillEngine sim(crash_config(), Rng(20220822));
   const auto ticks = sim.run();
   // The §6 invariant: the kernel classifier persists across the agent
   // outage, so conforming traffic is never harmed — not while the agents
@@ -91,7 +91,7 @@ TEST(DrillFaults, ConformingTrafficProtectedThroughAgentCrashRestart) {
 }
 
 TEST(DrillFaults, ControlLoopReconvergesAfterRestart) {
-  DrillSim sim(crash_config(), Rng(20220822));
+  DrillEngine sim(crash_config(), Rng(20220822));
   const auto ticks = sim.run();
   // After the restarted meters re-learn the overage, the conforming rate
   // settles back at the entitlement under the 100% drop stage.
@@ -101,8 +101,8 @@ TEST(DrillFaults, ControlLoopReconvergesAfterRestart) {
 }
 
 TEST(DrillFaults, FaultRunsAreDeterministic) {
-  DrillSim a(crash_config(), Rng(20220822));
-  DrillSim b(crash_config(), Rng(20220822));
+  DrillEngine a(crash_config(), Rng(20220822));
+  DrillEngine b(crash_config(), Rng(20220822));
   EXPECT_EQ(hash_ticks(a.run()), hash_ticks(b.run()));
 }
 
@@ -110,7 +110,7 @@ TEST(DrillFaults, StorePartitionFreezesButNeverHarmsConforming) {
   DrillConfig c = drill_config();
   c.faults.push_back({12.0 * 60.0, DrillFault::Kind::store_partition, 0});
   c.faults.push_back({20.0 * 60.0, DrillFault::Kind::store_heal, 0});
-  DrillSim sim(c, Rng(20220822));
+  DrillEngine sim(c, Rng(20220822));
   const auto ticks = sim.run();
   for (const DrillTick& tick : ticks) {
     EXPECT_LT(tick.conform_loss_ratio, 0.01) << "t=" << tick.t_seconds;
@@ -132,7 +132,7 @@ TEST(DrillFaults, HostDeathFeedsReadFailover) {
   c.flows_per_host = 10;
   c.faults.push_back({4.0 * 60.0, DrillFault::Kind::host_down, 3});
   c.faults.push_back({10.0 * 60.0, DrillFault::Kind::host_up, 3});
-  DrillSim sim(c, Rng(20220822));
+  DrillEngine sim(c, Rng(20220822));
   const auto ticks = sim.run();
   const auto read = [](const DrillTick& t) { return t.read_latency_ms; };
   // Dead host in the read path until failover_delay (120 s) elapses:
@@ -150,10 +150,10 @@ TEST(DrillFaults, HostDeathFeedsReadFailover) {
 TEST(DrillFaults, InvalidFaultsRejected) {
   DrillConfig c = drill_config();
   c.faults.push_back({-1.0, DrillFault::Kind::agent_crash, 0});
-  EXPECT_THROW(DrillSim(c, Rng(1)), ContractViolation);
+  EXPECT_THROW(DrillEngine(c, Rng(1)), ContractViolation);
   c = drill_config();
   c.faults.push_back({10.0, DrillFault::Kind::agent_crash, c.host_count});
-  EXPECT_THROW(DrillSim(c, Rng(1)), ContractViolation);
+  EXPECT_THROW(DrillEngine(c, Rng(1)), ContractViolation);
 }
 
 }  // namespace

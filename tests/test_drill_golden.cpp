@@ -11,7 +11,6 @@
 // same seed must produce byte-identical series across repeated runs and
 // across num_threads in {1, 2, 8}. Labelled tsan: the per-host fan-out runs
 // inside event callbacks now, and a racy reduction would show up here.
-#include "sim/drill.h"
 
 #include <gtest/gtest.h>
 
@@ -92,17 +91,17 @@ constexpr std::uint64_t kGolden2 = 0x4ef44ce259333aa2ULL;
 constexpr std::uint64_t kGolden3 = 0x63c2db38657667d1ULL;
 
 TEST(DrillGolden, CompatStatefulHostEwmaMatchesLockstep) {
-  DrillSim sim(golden1_config(), Rng(20220822));
+  DrillEngine sim(golden1_config(), Rng(20220822));
   EXPECT_EQ(hash_ticks(sim.run()), kGolden1);
 }
 
 TEST(DrillGolden, CompatStatelessFlowAimdThreadedMatchesLockstep) {
-  DrillSim sim(golden2_config(), Rng(7));
+  DrillEngine sim(golden2_config(), Rng(7));
   EXPECT_EQ(hash_ticks(sim.run()), kGolden2);
 }
 
 TEST(DrillGolden, CompatCoarseTickFinePublishMatchesLockstep) {
-  DrillSim sim(golden3_config(), Rng(42));
+  DrillEngine sim(golden3_config(), Rng(42));
   EXPECT_EQ(hash_ticks(sim.run()), kGolden3);
 }
 
@@ -115,13 +114,13 @@ DrillConfig jittered_config() {
 TEST(DrillGolden, JitteredPhasesDivergeFromLockstep) {
   // Sanity: jitter actually changes the dynamics (otherwise the
   // determinism tests below would be vacuous).
-  DrillSim sim(jittered_config(), Rng(20220822));
+  DrillEngine sim(jittered_config(), Rng(20220822));
   EXPECT_NE(hash_ticks(sim.run()), kGolden1);
 }
 
 TEST(DrillGolden, JitteredPhasesAreRunToRunDeterministic) {
-  DrillSim a(jittered_config(), Rng(20220822));
-  DrillSim b(jittered_config(), Rng(20220822));
+  DrillEngine a(jittered_config(), Rng(20220822));
+  DrillEngine b(jittered_config(), Rng(20220822));
   EXPECT_EQ(hash_ticks(a.run()), hash_ticks(b.run()));
 }
 
@@ -130,7 +129,7 @@ TEST(DrillGolden, JitteredPhasesAreThreadCountInvariant) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     DrillConfig c = jittered_config();
     c.exec.threads = threads;
-    DrillSim sim(c, Rng(20220822));
+    DrillEngine sim(c, Rng(20220822));
     const std::uint64_t hash = hash_ticks(sim.run());
     if (threads == 1) {
       baseline = hash;

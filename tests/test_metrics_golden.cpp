@@ -1,5 +1,5 @@
 // Golden-metrics determinism: the deterministic subset of the obs registry
-// (integer counters, non-timing gauges/histograms) exported after a DrillSim
+// (integer counters, non-timing gauges/histograms) exported after a DrillEngine
 // run must be BYTE-identical for the same seed at every thread count. This
 // pins two things at once:
 //  * the drill's merge-in-order parallelism discipline (no thread count may
@@ -15,7 +15,7 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "sim/drill.h"
+#include "sim/drill_engine.h"
 
 namespace netent::sim {
 namespace {
@@ -42,7 +42,7 @@ struct GoldenRun {
 
 GoldenRun run_drill(std::size_t num_threads) {
   obs::Registry::global().reset();
-  DrillSim sim(small_drill(num_threads), Rng(20220822));
+  DrillEngine sim(small_drill(num_threads), Rng(20220822));
   GoldenRun run;
   run.ticks = sim.run();
   run.metrics_json = obs::to_json(obs::Registry::global().snapshot().deterministic_only());

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "sim/drill.h"
+#include "sim/drill_engine.h"
 
 namespace netent::sim {
 namespace {
@@ -78,7 +78,7 @@ TEST(DrillWithAimdTransport, StillEnforcesEntitlement) {
   config.host_count = 60;
   config.tick_seconds = 10.0;
   config.transport = DrillConfig::Transport::aimd;
-  DrillSim sim(config, Rng(42));
+  DrillEngine sim(config, Rng(42));
   const auto ticks = sim.run();
 
   double conform_sum = 0.0;
