@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
 
   // Scenario-sweep timing: the per-scenario placement engine underneath the
   // availability curves, full from-scratch placement vs the incremental
-  // checkpointed replay, both serial and fanned out over the work-stealing
-  // pool. The workload is a production-scale 20-region backbone with a
+  // checkpointed replay, both serial and fanned out over the shared pool.
+  // The workload is a production-scale 20-region backbone with a
   // uniform pipe mesh at moderate utilization — the single-digit-failure
   // regime (a scenario zeroes ~2-4% of the links) the incremental engine
   // targets. Placed matrices must be bit-identical across modes and thread

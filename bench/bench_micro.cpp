@@ -450,7 +450,7 @@ void run_fan_out_crossover_section(bool smoke) {
       for (std::size_t c = 0; c < kCells; ++c) body(0, c);
     });
     const double pool_ns = best_pass_ns(smoke, [&] {
-      ThreadPool::shared().parallel_for_with_worker(0, kCells, body, threads);
+      ThreadPool::shared().parallel_for_with_worker(kCells, body, threads);
     });
     const double speedup = inline_ns / pool_ns;
     const std::size_t placements = kCells * per_cell;

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   // Replay timing: the same failure-distribution replay, full from-scratch
   // placement vs the incremental checkpointed replay, serial and fanned out
-  // over the work-stealing pool (attainments are bit-identical throughout).
+  // over the shared pool (attainments are bit-identical throughout).
   print_header("SLO verification replay: full vs incremental",
                "Expect: identical attainments in every row, incremental speedup over the "
                "full serial replay.");

@@ -64,9 +64,10 @@ int main() {
   const core::CycleResult cycle = manager.run_cycle(histories, cycle_rng);
 
   topology::Router router(topo, 4);
+  const approval::ApprovalEngine approver(router, config.approval);
   approval::NegotiationConfig negotiation_config;
   negotiation_config.min_useful_fraction = 0.3;
-  const approval::NegotiationEngine negotiator(router, config.approval, negotiation_config);
+  const approval::NegotiationEngine negotiator(approver, negotiation_config);
   Rng probe_rng(2);
   const auto proposals = negotiator.negotiate(cycle.approvals, probe_rng);
 

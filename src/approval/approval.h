@@ -183,6 +183,7 @@ class ApprovalEngine {
       std::span<const std::vector<PipeApprovalResult>> per_realization) const;
 
   [[nodiscard]] const ApprovalConfig& config() const { return config_; }
+  [[nodiscard]] const topology::Topology& topo() const { return router_.topo(); }
 
   /// The engine's enumerated failure scenarios (shared with callers that run
   /// their own sweeps against the same risk model, e.g. the admission

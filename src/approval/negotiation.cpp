@@ -29,16 +29,15 @@ HoseRequest apply_proposal(const CounterProposal& proposal, const QosAlternative
   return request;
 }
 
-NegotiationEngine::NegotiationEngine(topology::Router& router, ApprovalConfig approval_config,
-                                     NegotiationConfig config)
-    : router_(router), approval_config_(std::move(approval_config)), config_(config) {
+NegotiationEngine::NegotiationEngine(const ApprovalEngine& approver, NegotiationConfig config)
+    : approver_(approver), config_(config) {
   NETENT_EXPECTS(config_.min_useful_fraction > 0.0 && config_.min_useful_fraction <= 1.0);
 }
 
 Gbps NegotiationEngine::probe(const HoseRequest& request, Rng& rng) const {
   // Build a well-formed hose set around the probe: the counterpart direction
   // is spread evenly over the other regions so realizations exist.
-  const std::size_t n = router_.topo().region_count();
+  const std::size_t n = approver_.topo().region_count();
   NETENT_EXPECTS(n >= 2);
   std::vector<HoseRequest> probe_set{request};
   const Direction counterpart =
@@ -48,9 +47,7 @@ Gbps NegotiationEngine::probe(const HoseRequest& request, Rng& rng) const {
     if (RegionId(r) == request.region) continue;
     probe_set.push_back({request.npg, request.qos, RegionId(r), counterpart, share});
   }
-  const ApprovalEngine engine(router_, approval_config_);
-  const auto results = engine.hose_approval(probe_set, rng);
-  return results.front().approved;
+  return approver_.hose_approval(probe_set, rng).front().approved;
 }
 
 std::vector<CounterProposal> NegotiationEngine::negotiate(
@@ -70,7 +67,7 @@ std::vector<CounterProposal> NegotiationEngine::negotiate(
     const Gbps useful = proposal.residual * config_.min_useful_fraction;
 
     // Option (b): alternative regions for the residual.
-    for (std::uint32_t r = 0; r < router_.topo().region_count(); ++r) {
+    for (std::uint32_t r = 0; r < approver_.topo().region_count(); ++r) {
       if (RegionId(r) == result.request.region) continue;
       HoseRequest moved = result.request;
       moved.region = RegionId(r);

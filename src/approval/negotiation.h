@@ -65,20 +65,19 @@ struct NegotiationConfig {
 
 class NegotiationEngine {
  public:
-  NegotiationEngine(topology::Router& router, ApprovalConfig approval_config,
-                    NegotiationConfig config);
+  /// Probes run through `approver`, which must outlive the engine.
+  NegotiationEngine(const ApprovalEngine& approver, NegotiationConfig config);
 
   /// Generates a counter-proposal for every input approval result (fully
   /// approved requests get a trivial proposal with no residual). The probes
-  /// run against the same topology and SLO as the original approval.
+  /// run against the approver's topology and SLO.
   [[nodiscard]] std::vector<CounterProposal> negotiate(
       std::span<const HoseApprovalResult> results, Rng& rng) const;
 
  private:
   [[nodiscard]] Gbps probe(const hose::HoseRequest& request, Rng& rng) const;
 
-  topology::Router& router_;
-  ApprovalConfig approval_config_;
+  const ApprovalEngine& approver_;
   NegotiationConfig config_;
 };
 

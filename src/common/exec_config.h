@@ -1,9 +1,7 @@
-// `common::ExecConfig`: the one execution-resources knob shared by every
-// parallel subsystem. Historically each subsystem grew its own thread count
-// (`ApprovalConfig::risk_threads`, `DrillConfig::num_threads`, ad-hoc
-// defaults in the lifecycle and the benches); those aliases are retired —
-// every consumer resolves its effective count through this struct (with a
-// per-consumer default) so one setting drives them all.
+// `common::ExecConfig`: the one execution-resources knob, carried by the two
+// configs whose work fans out (`ApprovalConfig::exec` for the risk sweeps,
+// `AdmissionConfig::exec` for the admission service, which pins its resolved
+// count into `approval.exec`). Unset means the hardware concurrency.
 //
 // Thread counts never change results anywhere in netent — sweeps merge
 // deterministically — so this knob only trades wall-clock for cores. The
@@ -21,19 +19,12 @@ namespace netent::common {
 
 struct ExecConfig {
   /// Worker threads for the consumer's parallel sections. Unset (the
-  /// default) falls back to the consumer's documented default (serial for
-  /// the drill's per-host loops, hardware concurrency for risk sweeps).
+  /// default) means the hardware concurrency.
   std::optional<std::size_t> threads;
 
-  /// Effective thread count given the consumer's default (clamped to >= 1).
-  [[nodiscard]] std::size_t resolve(std::size_t consumer_default) const {
-    return std::max<std::size_t>(1, threads.value_or(consumer_default));
-  }
-
-  /// Effective thread count for consumers whose default is the hardware
-  /// concurrency.
+  /// Effective thread count (clamped to >= 1).
   [[nodiscard]] std::size_t resolve() const {
-    return resolve(ThreadPool::default_thread_count());
+    return std::max<std::size_t>(1, threads.value_or(ThreadPool::default_thread_count()));
   }
 };
 

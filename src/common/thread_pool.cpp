@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -26,12 +27,8 @@ ThreadPool& ThreadPool::shared() {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t n = std::max<std::size_t>(1, num_threads);
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<Queue>());
   workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (std::size_t i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 #ifdef __linux__
   // Where every core is its own cache domain (common on VMs), the scheduler
   // wakes a sleeping worker on the core it last ran on, which drifts to the
@@ -57,103 +54,33 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  NETENT_EXPECTS(task != nullptr);
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  enqueue(std::move(packaged));
-  return future;
-}
-
-void ThreadPool::enqueue(std::packaged_task<void()> task) {
-  std::size_t target = 0;
-  {
-    const std::lock_guard<std::mutex> lock(submit_mutex_);
-    target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  {
-    // Bump the epoch under the wake mutex so a worker that found every queue
-    // empty and is about to sleep cannot miss this submission.
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
-    ++epoch_;
-  }
-  wake_.notify_one();
-}
-
-bool ThreadPool::try_pop(std::size_t self, std::packaged_task<void()>& out) {
-  {  // Own queue first: FIFO from the front.
-    Queue& own = *queues_[self];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal from the back of the other queues.
-  for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-    Queue& victim = *queues_[(self + offset) % queues_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
-    std::packaged_task<void()> task;
-    if (try_pop(self, task)) {
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    // Tasks are only ever added by enqueue(), which is forbidden once stop_
-    // is set, so a failed scan over all queues after stop_ is conclusive.
-    if (stop_) return;
-    const std::uint64_t seen = epoch_;
+    std::unique_lock<std::mutex> lock(mutex_);
+    wake_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopping, and nothing left to run
+    const std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
     lock.unlock();
-    if (try_pop(self, task)) {  // a submission raced the first scan
-      task();
-      continue;
-    }
-    lock.lock();
-    wake_.wait(lock, [&] { return stop_ || epoch_ != seen; });
+    job();
   }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  NETENT_EXPECTS(body != nullptr);
-  parallel_for_with_worker(begin, end,
-                           [&body](std::size_t /*worker*/, std::size_t i) { body(i); });
 }
 
 void ThreadPool::parallel_for_with_worker(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t worker, std::size_t index)>& body,
+    std::size_t count, const std::function<void(std::size_t worker, std::size_t index)>& body,
     std::size_t max_helpers) {
   NETENT_EXPECTS(body != nullptr);
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
+  if (count == 0) return;
 
   struct Shared {
-    std::atomic<std::size_t> next;
+    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
     std::condition_variable finished;
@@ -162,18 +89,16 @@ void ThreadPool::parallel_for_with_worker(
     std::exception_ptr first_error;  ///< guarded by mutex
   };
   auto shared = std::make_shared<Shared>();
-  shared->next.store(begin, std::memory_order_relaxed);
 
   // A helper that starts after every index was claimed returns without
   // touching `body`, so helpers may outlive this call: only `shared` (owned
   // jointly) is read after the caller returns.
-  const auto* body_ptr = &body;
-  const auto drain = [shared, end, count, body_ptr](std::size_t worker) {
+  const auto drain = [shared, count, &body](std::size_t worker) {
     for (;;) {
       const std::size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
+      if (i >= count) return;
       try {
-        (*body_ptr)(worker, i);
+        body(worker, i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(shared->mutex);
         if (i < shared->first_error_index) {
@@ -190,11 +115,13 @@ void ThreadPool::parallel_for_with_worker(
   };
 
   // The calling thread participates, so the loop completes even when every
-  // worker is busy with unrelated submissions.
+  // worker is busy with other loops.
   const std::size_t helpers = std::min({workers_.size(), count - 1, max_helpers});
-  for (std::size_t t = 0; t < helpers; ++t) {
-    enqueue(std::packaged_task<void()>([drain, t] { drain(t); }));
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t t = 0; t < helpers; ++t) jobs_.emplace_back([drain, t] { drain(t); });
   }
+  for (std::size_t t = 0; t < helpers; ++t) wake_.notify_one();
   drain(helpers);  // the calling thread's slot
 
   std::unique_lock<std::mutex> lock(shared->mutex);
@@ -219,7 +146,7 @@ void fan_out(std::size_t threads, std::size_t items, std::size_t placements,
     for (std::size_t i = 0; i < items; ++i) body(0, i);
     return;
   }
-  ThreadPool::shared().parallel_for_with_worker(0, items, body, width - 1);
+  ThreadPool::shared().parallel_for_with_worker(items, body, width - 1);
 }
 
 }  // namespace netent

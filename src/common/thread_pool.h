@@ -1,8 +1,7 @@
-// A small work-stealing thread pool for the embarrassingly-parallel sweeps
-// (risk scenarios, admission residual cells, per-host drill loops). Each
-// worker owns a deque; submit() distributes round-robin, idle workers steal
-// from the back of their peers' deques. parallel_for() is the intended entry
-// point for deterministic fan-out: invocations write to index-addressed
+// The pool behind fan_out(), the library's one parallel loop (risk
+// scenarios, admission residual cells). parallel_for_with_worker() is its
+// only entry point: the calling thread and the workers it enlists claim
+// indices from one atomic counter, and invocations write to index-addressed
 // slots, so results are bit-identical to a serial loop regardless of thread
 // count — only the schedule is nondeterministic.
 //
@@ -13,12 +12,9 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,7 +39,7 @@ class ThreadPool {
   /// thread that woke it.
   explicit ThreadPool(std::size_t num_threads = default_thread_count());
 
-  /// Drains every already-submitted task, then joins the workers.
+  /// Runs every already-queued helper job, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,54 +55,30 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues one task. The future completes when the task ran; a thrown
-  /// exception is captured and rethrown from future::get(). A single-thread
-  /// pool executes submissions in FIFO order.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Runs body(i) exactly once for every i in [begin, end), spread over the
-  /// workers plus the calling thread, and returns once all invocations
-  /// finished. Indices are claimed dynamically (work stealing by atomic
-  /// increment), so uneven per-index cost balances out. If any invocations
-  /// throw, the exception of the lowest throwing index is rethrown.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
-  /// As parallel_for(), but hands the body a worker slot alongside the
-  /// index, and enlists at most `max_helpers` workers (slots 0..helpers-1;
-  /// the calling thread takes slot `helpers`). Each slot is used by one
-  /// thread at a time, so callers can pre-allocate one scratch workspace per
-  /// slot and index it without locking. The caller drains indices itself
-  /// and only waits for invocations already running, so the loop finishes
-  /// even when every worker is busy elsewhere, and calling it from inside a
-  /// pool task cannot deadlock.
+  /// Runs body(worker, i) exactly once for every i in [0, count) and
+  /// returns once all invocations finished. The calling thread (slot
+  /// `helpers`) and at most `max_helpers` workers (slots 0..helpers-1) claim
+  /// indices one at a time from a shared counter, so uneven per-index cost
+  /// balances out; each slot is used by one thread at a time, so per-slot
+  /// scratch needs no locking. The caller drains indices itself and only
+  /// waits for invocations already running, so the loop finishes even when
+  /// every worker is busy, and calling it from inside a pool job cannot
+  /// deadlock. The lowest throwing index's exception is rethrown.
   void parallel_for_with_worker(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t worker, std::size_t index)>& body,
+      std::size_t count, const std::function<void(std::size_t worker, std::size_t index)>& body,
       std::size_t max_helpers = std::numeric_limits<std::size_t>::max());
 
  private:
-  /// One worker's deque. The owner pops from the front, thieves steal from
-  /// the back.
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::packaged_task<void()>> tasks;
-  };
+  void worker_loop();
 
-  void enqueue(std::packaged_task<void()> task);
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::packaged_task<void()>& out);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
 
-  std::mutex wake_mutex_;
+  /// Helper jobs not yet taken by a worker. Every job drains some loop's
+  /// index counter, so any idle worker may run any job: one FIFO serves all.
+  std::mutex mutex_;
   std::condition_variable wake_;
-  std::uint64_t epoch_ = 0;  ///< bumped per submit, guarded by wake_mutex_
-  bool stop_ = false;        ///< guarded by wake_mutex_
-
-  std::size_t next_queue_ = 0;  ///< round-robin cursor, guarded by submit_mutex_
-  std::mutex submit_mutex_;
+  std::deque<std::function<void()>> jobs_;  ///< guarded by mutex_
+  bool stop_ = false;                       ///< guarded by mutex_
 };
 
 /// One worker slot's scratch on cache lines of its own. Slots of one

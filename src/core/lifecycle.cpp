@@ -125,10 +125,7 @@ std::vector<QuarterRecord> LifecycleSimulator::run(Rng& rng) const {
       result.approved = pipe.rate * fraction;
       granted.push_back(result);
     }
-    // Thread count flows from the unified exec knob (falling back to the
-    // approval sweep setting) instead of an ad-hoc default.
-    const auto attainments =
-        verifier.verify(granted, config_.manager.exec.resolve(config_.manager.approval.sweep_threads()));
+    const auto attainments = verifier.verify(granted, config_.manager.approval.sweep_threads());
     double volume = 0.0;
     double weighted = 0.0;
     for (const auto& attainment : attainments) {

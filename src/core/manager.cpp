@@ -21,11 +21,6 @@ EntitlementManager::EntitlementManager(const topology::Topology& topo, ManagerCo
     : topo_(topo), config_(std::move(config)), name_lookup_([](NpgId) { return std::string(); }) {
   NETENT_EXPECTS(config_.period.end_seconds > config_.period.start_seconds);
   NETENT_EXPECTS(config_.segments >= 2);
-  // The manager-level exec knob drives the approval sweep unless the caller
-  // pinned approval.exec explicitly.
-  if (!config_.approval.exec.threads.has_value()) {
-    config_.approval.exec.threads = config_.exec.threads;
-  }
 }
 
 bool EntitlementManager::is_high_touch(NpgId npg) const {

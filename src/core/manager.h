@@ -41,10 +41,6 @@ struct PipeHistory {
 struct ManagerConfig {
   forecast::ForecasterConfig forecaster;
   approval::ApprovalConfig approval;
-  /// Execution resources for the whole cycle. When set, this flows into
-  /// `approval.exec` (unless the caller pinned that explicitly), so one knob
-  /// drives every parallel section the manager touches.
-  common::ExecConfig exec;
   /// Apply the segmented-hose algorithm to egress hoses before approval.
   bool use_segmented_hose = true;
   /// Balance fleet-wide ingress/egress hose totals before approval by

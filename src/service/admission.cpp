@@ -60,8 +60,8 @@ ServiceMetrics& metrics() {
   return instance;
 }
 
-/// The approval config the engine/negotiator are built with: the service's
-/// resolved thread count pinned into the unified exec knob.
+/// The approval config the engine is built with: the service's resolved
+/// thread count pinned into the unified exec knob.
 approval::ApprovalConfig with_threads(approval::ApprovalConfig config, std::size_t threads) {
   config.exec.threads = threads;
   return config;
@@ -96,10 +96,10 @@ std::vector<LinkId> candidate_links(const topology::Router& router, const Demand
 
 AdmissionController::AdmissionController(const topology::Topology& topo, AdmissionConfig config)
     : config_(std::move(config)),
-      threads_(config_.exec.resolve(config_.approval.sweep_threads())),
+      threads_(config_.exec.resolve()),
       router_(topo, config_.router_paths),
       engine_(router_, with_threads(config_.approval, threads_)),
-      negotiator_(router_, with_threads(config_.approval, threads_), config_.negotiation),
+      negotiator_(engine_, config_.negotiation),
       base_capacity_(router_.full_capacities()),  // view into router_; outlived by it
       rng_(config_.seed) {
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);

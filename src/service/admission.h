@@ -122,8 +122,8 @@ struct AdmissionOutcome {
 
 struct AdmissionConfig {
   /// Approval settings (SLO target, realizations, scenario enumeration).
-  /// The controller resolves its thread count into `approval.exec`, so one
-  /// knob drives the whole service. `approval.fastpath` also selects the
+  /// The controller overwrites `approval.exec` with its resolved `exec`, so
+  /// one knob drives the whole service. `approval.fastpath` also selects the
   /// two-tier risk verification: when enabled, each pure-admit window's
   /// realizations are first assessed by the analytical FastEstimator bound
   /// over per-realization residual-headroom summaries, falling back to the
@@ -134,8 +134,8 @@ struct AdmissionConfig {
   approval::ApprovalConfig approval;
   approval::NegotiationConfig negotiation;
   /// Execution resources for the per-(realization, scenario) fan-outs.
-  /// `exec.threads` (unset falls back to `approval.sweep_threads()`) caps how
-  /// many shared-pool workers a fan-out enlists; fan-outs smaller than
+  /// `exec.threads` (unset: the hardware concurrency) caps how many
+  /// shared-pool workers a fan-out enlists; fan-outs smaller than
   /// kFanOutCutoffPlacements run inline (common/thread_pool.h). Results are
   /// bit-identical for every thread count.
   common::ExecConfig exec;

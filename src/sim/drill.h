@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/exec_config.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "enforce/marker.h"
@@ -75,21 +74,13 @@ struct DrillConfig {
   std::uint32_t marking_groups = 100;
   std::size_t flows_per_host = 25;
 
-  /// Execution resources for the per-host loops (classification, connection
-  /// pools). Ticks are bit-identical for every thread count. Unset
-  /// `exec.threads` runs fully serial (the drill default).
-  common::ExecConfig exec;
-  /// Effective per-host-loop thread count (`exec.threads`, defaulting to 1
-  /// — fully serial).
-  [[nodiscard]] std::size_t drill_threads() const { return exec.resolve(1); }
-
   /// Per-agent timer phase jitter: each host's publish and metering timers
   /// start at an independent uniform offset in [0, phase_jitter_seconds)
   /// instead of all firing in lockstep with the world sweep. 0 is the compat
   /// mode that reproduces the historical lockstep tick series bit-for-bit;
   /// any positive value desynchronizes the control plane the way real agent
-  /// fleets are (runs stay deterministic for a fixed seed and any thread
-  /// count, but differ from the lockstep series).
+  /// fleets are (runs stay deterministic for a fixed seed, but differ from
+  /// the lockstep series).
   double phase_jitter_seconds = 0.0;
 
   /// Runtime faults, applied at their scheduled times (any order).
@@ -98,8 +89,10 @@ struct DrillConfig {
   double base_rtt_ms = 35.0;           ///< cross-region propagation
   double read_base_latency_ms = 120.0;  ///< Coldstorage restore service time
   double write_base_latency_ms = 180.0;
-  double failover_delay_seconds = 120.0;  ///< reads re-balance away from dead hosts
-  double write_session_tau_seconds = 900.0;  ///< stateful writes move away slowly
+  /// Reads re-balance away from a host once it has been dead this long
+  /// (>= 0; 0 fails a dead host over on the tick it dies).
+  double failover_delay_seconds = 120.0;
+  double write_session_tau_seconds = 900.0;  ///< stateful writes move away slowly (> 0)
 };
 
 /// One tick of collected metrics. Rates in Gbps, delays in ms.

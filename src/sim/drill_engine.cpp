@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "enforce/agent.h"
 #include "enforce/bpf.h"
 #include "enforce/dscp.h"
@@ -28,10 +26,9 @@ using namespace netent::enforce;
 constexpr NpgId kColdstorage{0};
 constexpr double kEps = 1e-9;
 
-/// Drill-wide tallies. flows_classified / flows_marked are bumped inside the
-/// per-host fan-out (integer adds on sharded counters merge to the same
-/// totals for every thread count); the volume counters are accumulated in
-/// the serial reduction as milli-gbit of traffic (rate x tick, rounded).
+/// Drill-wide tallies. flows_classified / flows_marked are bumped per host;
+/// the volume counters are accumulated once per tick as milli-gbit of
+/// traffic (rate x tick, rounded).
 struct DrillMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& runs = reg.counter("sim.drill.runs");
@@ -111,6 +108,8 @@ void validate(const DrillConfig& config) {
   NETENT_EXPECTS(config.duration_seconds > config.tick_seconds);
   NETENT_EXPECTS(config.flows_per_host >= 1);
   NETENT_EXPECTS(config.phase_jitter_seconds >= 0.0);
+  NETENT_EXPECTS(config.failover_delay_seconds >= 0.0);
+  NETENT_EXPECTS(config.write_session_tau_seconds > 0.0);
   for (const AclStage& stage : config.acl_stages) {
     NETENT_EXPECTS(stage.drop_fraction >= 0.0 && stage.drop_fraction <= 1.0);
   }
@@ -252,19 +251,6 @@ std::vector<DrillTick> DrillEngine::run() {
     }
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  const std::size_t drill_threads = config_.drill_threads();
-  if (drill_threads > 1 && n > 1) {
-    pool = std::make_unique<ThreadPool>(std::min(drill_threads, n));
-  }
-  const auto for_each_host = [&](const std::function<void(std::size_t)>& body) {
-    if (pool) {
-      pool->parallel_for(0, n, body);
-    } else {
-      for (std::size_t h = 0; h < n; ++h) body(h);
-    }
-  };
-
   // --- world sweep ------------------------------------------------------
   std::vector<DrillTick> ticks;
   const auto total_ticks =
@@ -274,7 +260,6 @@ std::vector<DrillTick> DrillEngine::run() {
   std::vector<double> host_conf(n, 0.0);
   std::vector<double> host_nonconf(n, 0.0);
   std::vector<double> host_marked_share(n, 0.0);
-  std::vector<ConnectionStats> host_stats(n);
 
   const auto sweep = [&] {
     const double t = queue.now();
@@ -285,13 +270,13 @@ std::vector<DrillTick> DrillEngine::run() {
     double conf_sent = 0.0;
     double nonconf_sent = 0.0;
     const double flow_rate_divisor = static_cast<double>(config_.flows_per_host);
-    for_each_host([&](std::size_t h) {
+    for (std::size_t h = 0; h < n; ++h) {
       if (!host_alive[h]) {
         // Machine death fault: no egress at all.
         host_marked_share[h] = 0.0;
         host_conf[h] = 0.0;
         host_nonconf[h] = 0.0;
-        return;
+        continue;
       }
       const double host_demand = demand * weight[h];
       std::uint64_t marked_flows = 0;
@@ -300,8 +285,6 @@ std::vector<DrillTick> DrillEngine::run() {
                               static_cast<std::uint64_t>(h) * 1000 + f};
         if (classifiers[h].classify(meta) == kNonConformingDscp) ++marked_flows;
       }
-      // Sharded-counter writes from the pool threads; integer increments, so
-      // the merged totals match the serial run bit for bit.
       dm.flows_classified.add(config_.flows_per_host);
       if (marked_flows != 0) dm.flows_marked.add(marked_flows);
       const double marked = static_cast<double>(marked_flows) / flow_rate_divisor;
@@ -311,7 +294,7 @@ std::vector<DrillTick> DrillEngine::run() {
       // metrics flat throughout).
       host_conf[h] = host_demand * (1.0 - marked);
       host_nonconf[h] = host_demand * marked * nonconf_send_factor[h];
-    });
+    }
     for (std::size_t h = 0; h < n; ++h) {
       conf_sent += host_conf[h];
       nonconf_sent += host_nonconf[h];
@@ -337,8 +320,6 @@ std::vector<DrillTick> DrillEngine::run() {
         nonconf_sent > kEps ? nonconf_network_dropped / nonconf_sent : acl;
 
     if constexpr (obs::kEnabled) {
-      // Serial reduction values, converted to integer volumes: identical for
-      // every thread count.
       const double dt = config_.tick_seconds;
       dm.ticks.add();
       dm.conform_sent_mgbit.add(mgbit(conf_sent, dt));
@@ -387,7 +368,7 @@ std::vector<DrillTick> DrillEngine::run() {
 
       // Reads: requests spread over hosts; after failover_delay the
       // application stops sending reads to dead hosts entirely.
-      const bool failed_over = dead_for[h] >= config_.failover_delay_seconds;
+      const bool failed_over = dead_for[h] > 0.0 && dead_for[h] >= config_.failover_delay_seconds;
       if (failed_over) continue;  // host serves no reads; healthy hosts absorb them
       const double host_loss =
           host_alive[h] ? host_marked_share[h] * nonconf_loss : 1.0;
@@ -421,15 +402,11 @@ std::vector<DrillTick> DrillEngine::run() {
     double nonconf_syn = 0.0;
     double nonconf_rst = 0.0;
     double conf_fin = 0.0;
-    for_each_host([&](std::size_t h) {
+    for (std::size_t h = 0; h < n; ++h) {
       const bool marked = host_marked_share[h] > 0.5;
       const double host_loss =
           !host_alive[h] ? 1.0 : (marked ? nonconf_loss : prev_conf_loss);
-      host_stats[h] = connections[h].tick(host_loss);
-    });
-    for (std::size_t h = 0; h < n; ++h) {
-      const bool marked = host_marked_share[h] > 0.5;
-      const ConnectionStats& stats = host_stats[h];
+      const ConnectionStats stats = connections[h].tick(host_loss);
       const double syn_per_s = static_cast<double>(stats.syn_sent) / config_.tick_seconds;
       (marked ? nonconf_syn : conf_syn) += syn_per_s;
       if (marked) {

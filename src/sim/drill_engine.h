@@ -5,9 +5,9 @@
 //  * the world sweep (kWorldStratum, every tick_seconds) — traffic
 //    classification, the ACL stage, the bottleneck port, transport
 //    adaptation, the application model, connection pools, and the recorded
-//    DrillTick. Per-host work stays batched inside this one event (and
-//    fanned out over the thread pool), so the event layer adds O(1) queue
-//    operations per host per period, not per flow;
+//    DrillTick. Per-host work stays batched inside this one event, so the
+//    event layer adds O(1) queue operations per host per period, not per
+//    flow;
 //  * per-agent publish and metering timers (kAgentStratum) — each HostAgent
 //    owns two independent PeriodicTimers. With phase_jitter_seconds == 0
 //    they all fire in phase with the sweep and the engine reproduces the

@@ -146,31 +146,14 @@ ScenarioSweeper::ScenarioSweeper(const Router& router, std::span<const Demand> d
 
 void ScenarioSweeper::replay(std::span<const SrlgId> down_srlgs, Workspace& workspace,
                              std::span<double> placed_out, ReplayStats* stats) const {
-  replay_with_overrides(down_srlgs, {}, workspace, placed_out, stats);
-}
-
-void ScenarioSweeper::replay_with_overrides(std::span<const SrlgId> down_srlgs,
-                                            std::span<const LinkOverride> overrides,
-                                            Workspace& workspace, std::span<double> placed_out,
-                                            ReplayStats* stats) const {
   const std::size_t n = demands_.size();
   NETENT_EXPECTS(placed_out.size() == n);
 
-  // O(|down| + |overrides|): first demand whose scanned paths touch a failed
-  // or overridden link.
+  // O(|down|): first demand whose scanned paths touch a failed link.
   std::size_t first = n;
   for (const SrlgId srlg : down_srlgs) {
     NETENT_EXPECTS(srlg.value() < first_affected_demand_.size());
     first = std::min(first, first_affected_demand_[srlg.value()]);
-  }
-  for (const LinkOverride& override : overrides) {
-    const std::uint32_t l = override.link.value();
-    NETENT_EXPECTS(l + 1 < dependents_off_.size() &&
-                   "override for a link the sweeper was not built with");
-    if (dependents_off_[l] != dependents_off_[l + 1]) {
-      // Dependent lists are in placement order; the head is the first.
-      first = std::min(first, static_cast<std::size_t>(dependents_[dependents_off_[l]]));
-    }
   }
 
   if (first == n) {  // no scanned path is affected: baseline holds exactly
@@ -193,18 +176,6 @@ void ScenarioSweeper::replay_with_overrides(std::span<const SrlgId> down_srlgs,
       workspace.affected_words_.set_bit(dependents_[k]);
     }
   };
-  // Overridden links first: seeded diverged at their override value (their
-  // true scenario residual — nothing before `first` touches them). Failed
-  // links second, so a link both overridden and failed ends at zero.
-  for (const LinkOverride& override : overrides) {
-    const std::uint32_t l = override.link.value();
-    workspace.residual_[l] = override.capacity_gbps;
-    if (workspace.diverged_[l] == 0) {
-      workspace.diverged_[l] = 1;
-      workspace.touched_.push_back(override.link);
-      mark_dependents(l);
-    }
-  }
   for (const SrlgId srlg : down_srlgs) {
     for (const LinkId lid : index_.links_of(srlg)) {
       const std::uint32_t l = lid.value();
@@ -293,15 +264,11 @@ void ScenarioSweeper::replay_with_overrides(std::span<const SrlgId> down_srlgs,
 
       if (replayed >= kDenseFallbackMinReplayed && replayed * 2 >= i - first + 1) {
         // Divergence exploded: finish densely from the nearest checkpoint.
-        // The checkpoint precedes `first`, so failed/overridden links are
-        // provably untouched in it: overriding then zeroing reproduces the
-        // exact scenario state.
+        // The checkpoint precedes `first`, so failed links are provably
+        // untouched in it: zeroing them reproduces the exact scenario state.
         const Checkpoint& checkpoint = checkpoints_[first / checkpoint_interval_];
         const std::size_t start = checkpoint.first_demand;
         workspace.residual_.assign(checkpoint.residual.begin(), checkpoint.residual.end());
-        for (const LinkOverride& override : overrides) {
-          workspace.residual_[override.link.value()] = override.capacity_gbps;
-        }
         for (const SrlgId srlg : down_srlgs) {
           for (const LinkId lid : index_.links_of(srlg)) workspace.residual_[lid.value()] = 0.0;
         }

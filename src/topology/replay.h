@@ -155,28 +155,6 @@ class ScenarioSweeper {
   void replay(std::span<const SrlgId> down_srlgs, Workspace& workspace,
               std::span<double> placed_out, ReplayStats* stats = nullptr) const;
 
-  /// A per-link base-capacity override: the link's intact capacity for this
-  /// replay, replacing the value the sweeper was built with. The vehicle for
-  /// capacity-only topology deltas (resize/drain/strike): an existing warmed
-  /// sweeper replays against the mutated capacities without re-recording its
-  /// baseline.
-  struct LinkOverride {
-    LinkId link;
-    double capacity_gbps = 0.0;
-  };
-
-  /// As replay(), but with `overrides` applied to the base capacities first
-  /// (a link both overridden and failed is down — zero wins). Bit-identical
-  /// to a fresh ScenarioSweeper built on the overridden base replaying
-  /// `down_srlgs`. Exactness rides the same induction as failed links:
-  /// an overridden link is seeded diverged at its override value, which is
-  /// its true scenario residual — no demand before its first scanned
-  /// dependent ever subtracts from it. Overridden links must have existed
-  /// when the sweeper was built (structural deltas need a rebuild).
-  void replay_with_overrides(std::span<const SrlgId> down_srlgs,
-                             std::span<const LinkOverride> overrides, Workspace& workspace,
-                             std::span<double> placed_out, ReplayStats* stats = nullptr) const;
-
   /// The no-failure outcome (what replay({}) yields).
   [[nodiscard]] std::span<const double> baseline_placed() const { return baseline_placed_; }
 

@@ -173,29 +173,16 @@ TEST(DrillSim, DeterministicForSeed) {
   }
 }
 
-TEST(DrillSim, ParallelTicksBitIdenticalToSerial) {
-  // The per-host classify and connection loops may fan out over a pool; the
-  // reductions stay in host order, so every tick field must replay exactly.
-  DrillConfig serial_config = fast_config();
-  serial_config.duration_seconds = 40.0 * 60.0;
-  DrillConfig parallel_config = serial_config;
-  parallel_config.exec.threads = 4;
-
-  DrillEngine serial(serial_config, Rng(7));
-  DrillEngine parallel(parallel_config, Rng(7));
-  const auto ta = serial.run();
-  const auto tb = parallel.run();
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_EQ(ta[i].total_rate, tb[i].total_rate) << "tick " << i;
-    EXPECT_EQ(ta[i].conform_rate, tb[i].conform_rate) << "tick " << i;
-    EXPECT_EQ(ta[i].conform_loss_ratio, tb[i].conform_loss_ratio) << "tick " << i;
-    EXPECT_EQ(ta[i].nonconform_loss_ratio, tb[i].nonconform_loss_ratio) << "tick " << i;
-    EXPECT_EQ(ta[i].nonconform_syn_per_s, tb[i].nonconform_syn_per_s) << "tick " << i;
-    EXPECT_EQ(ta[i].read_latency_ms, tb[i].read_latency_ms) << "tick " << i;
-    EXPECT_EQ(ta[i].write_latency_ms, tb[i].write_latency_ms) << "tick " << i;
-    EXPECT_EQ(ta[i].block_error_rate, tb[i].block_error_rate) << "tick " << i;
-  }
+TEST(DrillSim, ZeroFailoverDelayKeepsHealthyHostsServingReads) {
+  // A zero delay fails a dead host over on the tick it dies; hosts that are
+  // alive keep serving reads, so ACL drops still show in read latency.
+  DrillConfig config = fast_config();
+  config.failover_delay_seconds = 0.0;
+  DrillEngine sim(config, Rng(42));
+  const auto ticks = sim.run();
+  const double stage50 = window_mean(ticks, 115.0 * 60, 130.0 * 60,
+                                     [](const DrillTick& t) { return t.read_latency_ms; });
+  EXPECT_GT(stage50, config.read_base_latency_ms * 1.2);
 }
 
 TEST(DrillSim, InvalidConfigRejected) {
@@ -204,6 +191,12 @@ TEST(DrillSim, InvalidConfigRejected) {
   EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
   config = fast_config();
   config.acl_stages = {{10.0, 1.5}};
+  EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
+  config = fast_config();
+  config.write_session_tau_seconds = 0.0;
+  EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
+  config = fast_config();
+  config.failover_delay_seconds = -1.0;
   EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
 }
 

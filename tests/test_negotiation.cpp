@@ -38,7 +38,8 @@ ApprovalConfig relaxed_config() {
 TEST(Negotiation, FullyApprovedGetsTrivialProposal) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, NegotiationConfig{});
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(0), Direction::egress, Gbps(40)}, Gbps(40)}};
   Rng rng(1);
@@ -52,7 +53,8 @@ TEST(Negotiation, FullyApprovedGetsTrivialProposal) {
 TEST(Negotiation, UnderApprovalProducesResidualAndOptions) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, NegotiationConfig{});
   // Requested 400 egress at region b; only 300 approved.
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(300)}};
@@ -71,7 +73,8 @@ TEST(Negotiation, UnderApprovalProducesResidualAndOptions) {
 TEST(Negotiation, RegionOptionsSortedByGuarantee) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, NegotiationConfig{});
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(600)}, Gbps(200)}};
   Rng rng(3);
@@ -87,7 +90,8 @@ TEST(Negotiation, QosOptionsOnlyLowerClasses) {
   Router router(topo, 3);
   NegotiationConfig config;
   config.min_useful_fraction = 0.1;
-  const NegotiationEngine engine(router, relaxed_config(), config);
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, config);
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c2_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(250)}};
   Rng rng(4);
@@ -103,7 +107,8 @@ TEST(Negotiation, MinUsefulFractionFiltersWeakOptions) {
   Router router(topo, 3);
   NegotiationConfig strict;
   strict.min_useful_fraction = 0.999;  // only near-complete alternatives
-  const NegotiationEngine engine(router, relaxed_config(), strict);
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, strict);
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(2000)}, Gbps(500)}};
   Rng rng(5);
@@ -118,7 +123,8 @@ TEST(Negotiation, OptionCountsCapped) {
   NegotiationConfig config;
   config.max_region_options = 1;
   config.min_useful_fraction = 0.1;
-  const NegotiationEngine engine(router, relaxed_config(), config);
+  const ApprovalEngine approver(router, relaxed_config());
+  const NegotiationEngine engine(approver, config);
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(200)}};
   Rng rng(6);
@@ -131,7 +137,8 @@ TEST(Negotiation, InvalidConfigRejected) {
   Router router(topo, 3);
   NegotiationConfig bad;
   bad.min_useful_fraction = 0.0;
-  EXPECT_THROW(NegotiationEngine(router, relaxed_config(), bad), ContractViolation);
+  const ApprovalEngine approver(router, relaxed_config());
+  EXPECT_THROW(NegotiationEngine(approver, bad), ContractViolation);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/check.h"
 
 namespace netent {
 namespace {
@@ -26,48 +25,11 @@ TEST(ThreadPool, ZeroRequestedThreadsClampedToOne) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SingleThreadPoolRunsSubmissionsInFifoOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& future : futures) future.get();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, SubmitCompletesAcrossManyThreads) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
-
-TEST(ThreadPool, NullTaskRejected) {
-  ThreadPool pool(1);
-  EXPECT_THROW((void)pool.submit(std::function<void()>{}), ContractViolation);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(0, kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_with_worker(kN, [&hits](std::size_t, std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -76,24 +38,23 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, [&calls](std::size_t) { ++calls; });
-  pool.parallel_for(7, 3, [&calls](std::size_t) { ++calls; });
+  pool.parallel_for_with_worker(0, [&calls](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestThrowingIndex) {
   ThreadPool pool(4);
   try {
-    pool.parallel_for(0, 64, [](std::size_t i) {
+    pool.parallel_for_with_worker(64, [](std::size_t, std::size_t i) {
       if (i == 17 || i == 40) throw std::runtime_error("boom at " + std::to_string(i));
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "boom at 17");
   }
-  // The pool is reusable after a throwing parallel_for.
+  // The pool is reusable after a throwing loop.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 10, [&count](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_with_worker(10, [&count](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -104,7 +65,7 @@ TEST(ThreadPool, ParallelForBalancesUnevenWork) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 256;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(0, kN, [&hits](std::size_t i) {
+  pool.parallel_for_with_worker(kN, [&hits](std::size_t, std::size_t i) {
     if (i % 64 == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -113,29 +74,15 @@ TEST(ThreadPool, ParallelForBalancesUnevenWork) {
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasksUnderLoad) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 300; ++i) {
-      (void)pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        count.fetch_add(1);
-      });
-    }
-    // Destroyed while most tasks are still queued.
-  }
-  EXPECT_EQ(count.load(), 300);
-}
-
 TEST(ThreadPool, ManyConcurrentParallelForsFromOwnPools) {
-  // Several pools in flight at once (the drill engine owns one per run).
+  // Several pools in flight at once.
   std::atomic<int> total{0};
   std::vector<std::thread> drivers;
   for (int d = 0; d < 4; ++d) {
     drivers.emplace_back([&total] {
       ThreadPool pool(3);
-      pool.parallel_for(0, 200, [&total](std::size_t) { total.fetch_add(1); });
+      pool.parallel_for_with_worker(200,
+                                    [&total](std::size_t, std::size_t) { total.fetch_add(1); });
     });
   }
   for (auto& driver : drivers) driver.join();

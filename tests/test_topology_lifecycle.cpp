@@ -7,8 +7,6 @@
 //  * MutationLog epoch bookkeeping (consecutive epochs, O(1) since()).
 //  * Router::resync_topology == fresh Router after randomized structural +
 //    capacity churn, for every compiled pair, bit-identically.
-//  * ScenarioSweeper::replay_with_overrides == fresh sweeper built on the
-//    overridden base capacities, bit-identically.
 //  * SrlgIndex::resync == fresh index after fiber adds.
 //  * The mutation-churn TORTURE: one interleaved stream of topology deltas
 //    (resize / drain / storm / add / retire) and admit / resize / release
@@ -36,7 +34,6 @@
 #include "risk/fast_estimator.h"
 #include "risk/simulator.h"
 #include "service/admission.h"
-#include "topology/replay.h"
 #include "topology/routing.h"
 #include "topology/srlg_index.h"
 #include "topology/topology.h"
@@ -53,7 +50,6 @@ using service::AdmissionStatus;
 using service::ContractId;
 using service::ContractVerdict;
 using service::VerdictKind;
-using topology::Demand;
 using topology::Link;
 using topology::Mutation;
 using topology::MutationKind;
@@ -289,55 +285,6 @@ TEST(TopologyLifecycle, RouterResyncMatchesFreshRouterUnderChurn) {
     EXPECT_LE(stats.pairs_changed, stats.pairs_dirty);
     EXPECT_LE(stats.pairs_dirty, stats.pairs_checked);
     expect_store_matches_fresh(router, topo, "step " + std::to_string(step));
-  }
-}
-
-// --- replay overrides ----------------------------------------------------
-
-TEST(TopologyLifecycle, ReplayWithOverridesMatchesFreshSweeper) {
-  const Topology topo = seed_topology();
-  Router router(topo, kRouterPaths);
-  Rng rng(17);
-  std::vector<Demand> demands;
-  for (int i = 0; i < 24; ++i) {
-    const std::uint32_t s = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
-    const std::uint32_t d = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
-    if (s == d) continue;
-    demands.push_back({RegionId(s), RegionId(d), Gbps(rng.uniform(5.0, 40.0))});
-  }
-  router.warm(demands);
-  const Router::SweepGuard guard(router);
-
-  std::vector<double> base;
-  for (const Link& link : topo.links()) base.push_back(link.capacity.value());
-
-  // Capacity-only delta: two resizes and one drain-like zeroing.
-  using LinkOverride = topology::ScenarioSweeper::LinkOverride;
-  std::vector<LinkOverride> overrides = {
-      {LinkId(3), base[3] * 0.4}, {LinkId(10), base[10] * 1.8}, {LinkId(17), 0.0}};
-  std::vector<double> overridden = base;
-  for (const LinkOverride& o : overrides) overridden[o.link.value()] = o.capacity_gbps;
-
-  const topology::ScenarioSweeper warmed(router, demands, base);
-  const topology::ScenarioSweeper fresh(router, demands, overridden);
-  topology::ScenarioSweeper::Workspace ws_a;
-  topology::ScenarioSweeper::Workspace ws_b;
-  std::vector<double> got(demands.size());
-  std::vector<double> want(demands.size());
-
-  std::vector<std::vector<SrlgId>> scenarios = {{}};
-  for (std::size_t g = 0; g < topo.srlg_count(); ++g) {
-    scenarios.push_back({SrlgId(static_cast<std::uint32_t>(g))});
-  }
-  scenarios.push_back({SrlgId(0), SrlgId(5)});
-  scenarios.push_back({SrlgId(2), SrlgId(8)});
-
-  for (const std::vector<SrlgId>& down : scenarios) {
-    warmed.replay_with_overrides(down, overrides, ws_a, got);
-    fresh.replay(down, ws_b, want);
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "scenario size " << down.size() << " demand " << i;
-    }
   }
 }
 
