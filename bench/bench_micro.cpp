@@ -32,7 +32,6 @@
 #include "obs/timer.h"
 #include "risk/simulator.h"
 #include "topology/generator.h"
-#include "topology/max_flow.h"
 #include "topology/paths.h"
 #include "topology/routing.h"
 
@@ -206,18 +205,6 @@ void BM_PlacementCsrLayout(benchmark::State& state) {
   state.counters["demands"] = static_cast<double>(workload.demands.size());
 }
 BENCHMARK(BM_PlacementCsrLayout);
-
-void BM_MaxFlow(benchmark::State& state) {
-  Rng rng(2);
-  topology::GeneratorConfig config;
-  config.region_count = 16;
-  const topology::Topology topo = topology::generate_backbone(config, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        topology::max_flow(topo, RegionId(0), RegionId(8), topology::accept_all_links()));
-  }
-}
-BENCHMARK(BM_MaxFlow);
 
 void BM_HoseExtremePoint(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -8,10 +8,10 @@
 
 #include <chrono>
 
+#include "approval/approval.h"
 #include "common/exec_config.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "risk/verification.h"
 
 int main(int argc, char** argv) {
   using namespace netent;
@@ -54,9 +54,7 @@ int main(int argc, char** argv) {
       approved += result.approved.value();
     }
 
-    const risk::SloVerifier verifier(router,
-                                     risk::enumerate_scenarios(topo, config.scenarios));
-    const auto attainments = verifier.verify(approvals);
+    const auto attainments = engine.verify(approvals);
     double worst = 1.0;
     double sum = 0.0;
     int violations = 0;
@@ -83,20 +81,19 @@ int main(int argc, char** argv) {
   timing_config.scenarios.min_probability = 1e-10;
   const approval::ApprovalEngine timing_engine(router, timing_config);
   const auto approvals = timing_engine.pipe_approval(pipes);
-  const auto timing_scenarios = risk::enumerate_scenarios(topo, timing_config.scenarios);
-  const risk::SloVerifier verifier(router, timing_scenarios);
+  const std::size_t timing_scenarios = timing_engine.scenarios().size();
 
   const auto replay_ms = [&](std::size_t threads, risk::SweepMode mode,
-                             std::vector<risk::PipeAttainment>& out) {
+                             std::vector<approval::PipeAttainment>& out) {
     const auto start = std::chrono::steady_clock::now();
-    out = verifier.verify(approvals, threads, mode);
+    out = timing_engine.verify(approvals, threads, mode);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
   };
-  std::vector<risk::PipeAttainment> reference;
+  std::vector<approval::PipeAttainment> reference;
   const double full_serial_ms = replay_ms(1, risk::SweepMode::kFull, reference);
 
-  const auto identical_to_reference = [&](const std::vector<risk::PipeAttainment>& attainments) {
+  const auto identical_to_reference = [&](const auto& attainments) {
     bool identical = attainments.size() == reference.size();
     for (std::size_t i = 0; identical && i < attainments.size(); ++i) {
       identical = attainments[i].achieved_availability == reference[i].achieved_availability &&
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
   const std::uint64_t skipped_before = reg.counter("risk.replay.demands_skipped").value();
   const std::uint64_t shorted_before =
       reg.counter("risk.replay.scenarios_short_circuited").value();
-  std::vector<risk::PipeAttainment> incremental;
+  std::vector<approval::PipeAttainment> incremental;
   const double incr_serial_ms = replay_ms(1, risk::SweepMode::kIncremental, incremental);
   const std::uint64_t replayed =
       reg.counter("risk.replay.demands_replayed").value() - replayed_before;
@@ -123,7 +120,7 @@ int main(int argc, char** argv) {
           ? static_cast<double>(skipped) / static_cast<double>(replayed + skipped)
           : 0.0;
   const double short_circuit_ratio =
-      static_cast<double>(shorted) / static_cast<double>(timing_scenarios.size());
+      static_cast<double>(shorted) / static_cast<double>(timing_scenarios);
   bool all_identical = identical_to_reference(incremental);
 
   Table timing({"mode", "threads", "replay_ms", "speedup_vs_full_serial", "identical"}, 2);
@@ -143,7 +140,7 @@ int main(int argc, char** argv) {
   double incr_parallel_ms = incr_serial_ms;
   for (const std::size_t threads : counts) {
     for (const risk::SweepMode mode : {risk::SweepMode::kFull, risk::SweepMode::kIncremental}) {
-      std::vector<risk::PipeAttainment> attainments;
+      std::vector<approval::PipeAttainment> attainments;
       const double ms = replay_ms(threads, mode, attainments);
       const bool identical = identical_to_reference(attainments);
       all_identical = all_identical && identical;
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
 
   BenchJson json;
   json.add("bench", std::string("slo_verification_replay"));
-  json.add("scenarios", static_cast<std::uint64_t>(timing_scenarios.size()));
+  json.add("scenarios", static_cast<std::uint64_t>(timing_scenarios));
   json.add("pipes", static_cast<std::uint64_t>(approvals.size()));
   json.add("full_serial_ms", full_serial_ms);
   json.add("incremental_serial_ms", incr_serial_ms);

@@ -63,11 +63,9 @@ int main() {
   Rng cycle_rng(1);
   const core::CycleResult cycle = manager.run_cycle(histories, cycle_rng);
 
-  topology::Router router(topo, 4);
-  const approval::ApprovalEngine approver(router, config.approval);
   approval::NegotiationConfig negotiation_config;
   negotiation_config.min_useful_fraction = 0.3;
-  const approval::NegotiationEngine negotiator(approver, negotiation_config);
+  const approval::NegotiationEngine negotiator(manager.engine(), negotiation_config);
   Rng probe_rng(2);
   const auto proposals = negotiator.negotiate(cycle.approvals, probe_rng);
 

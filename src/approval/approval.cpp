@@ -45,6 +45,24 @@ ApprovalMetrics& metrics() {
   return instance;
 }
 
+/// Registered on the first verify call only, so runs that never verify
+/// export no risk.slo.* metrics.
+struct VerifyMetrics {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& verifications = reg.counter("risk.slo.verifications");
+  obs::Counter& pipes_verified = reg.counter("risk.slo.pipes_verified");
+  obs::Counter& scenarios_replayed = reg.counter("risk.slo.scenarios_replayed");
+  /// (scenario, pipe) pairs where the approved pipe was fully admitted —
+  /// the integer numerator behind the attainment fractions.
+  obs::Counter& admitted_outcomes = reg.counter("risk.slo.admitted_outcomes");
+  obs::Histogram& replay_seconds = reg.timer_histogram("risk.slo.scenario_replay_seconds");
+};
+
+VerifyMetrics& verify_metrics() {
+  static VerifyMetrics instance;
+  return instance;
+}
+
 std::uint64_t mgbps(Gbps rate) {
   return static_cast<std::uint64_t>(std::llround(rate.value() * 1e3));
 }
@@ -66,36 +84,26 @@ ApprovalEngine::ApprovalEngine(topology::Router& router, ApprovalConfig config)
     : router_(router),
       config_(std::move(config)),
       low_touch_([](NpgId) { return false; }),
-      scenarios_(risk::enumerate_scenarios(router.topo(), config_.scenarios)),
-      simulator_(router_, scenarios_, router_.full_capacities()) {
+      simulator_(router_, risk::enumerate_scenarios(router.topo(), config_.scenarios),
+                 router_.full_capacities()) {
   NETENT_EXPECTS(config_.slo_availability > 0.0 && config_.slo_availability <= 1.0);
   NETENT_EXPECTS(config_.realizations >= 1);
   NETENT_EXPECTS(config_.fastpath.slo_margin >= 0.0);
-  if (config_.fastpath.enabled) {
-    // The engine assesses every batch against the pristine base capacities,
-    // so its headroom summary is the base capacity itself.
-    fast_.emplace(router_.topo(), scenarios_);
-    fast_->rebuild_pristine(router_.full_capacities());
-  }
+  rebuild_fast_tier();
+}
+
+void ApprovalEngine::rebuild_fast_tier() {
+  if (!config_.fastpath.enabled) return;
+  // The engine assesses every batch against the pristine base capacities,
+  // so its headroom summary is the base capacity itself.
+  fast_.emplace(router_.topo(), simulator_.scenarios());
+  fast_->rebuild_pristine(router_.full_capacities());
 }
 
 bool ApprovalEngine::resync_topology() {
-  std::vector<risk::FailureScenario> fresh =
-      risk::enumerate_scenarios(router_.topo(), config_.scenarios);
-  const bool scenarios_changed =
-      fresh.size() != scenarios_.size() ||
-      !std::equal(fresh.begin(), fresh.end(), scenarios_.begin(),
-                  [](const risk::FailureScenario& a, const risk::FailureScenario& b) {
-                    return a.probability == b.probability && a.down == b.down;
-                  });
-  // Keep the vector physically in place when the set is value-identical, so
-  // scenario spans held by outside fast estimators stay valid.
-  if (scenarios_changed) scenarios_ = std::move(fresh);
-  simulator_.resync(scenarios_, router_.full_capacities());
-  if (config_.fastpath.enabled) {
-    fast_.emplace(router_.topo(), scenarios_);
-    fast_->rebuild_pristine(router_.full_capacities());
-  }
+  const bool scenarios_changed = simulator_.resync(
+      risk::enumerate_scenarios(router_.topo(), config_.scenarios), router_.full_capacities());
+  rebuild_fast_tier();
   return scenarios_changed;
 }
 
@@ -133,6 +141,48 @@ std::vector<std::size_t> ApprovalEngine::placement_order(
     order.insert(order.end(), indices.begin(), indices.end());
   }
   return order;
+}
+
+std::vector<PipeAttainment> ApprovalEngine::verify(std::span<const PipeApprovalResult> approvals,
+                                                   std::size_t num_threads,
+                                                   risk::SweepMode mode) const {
+  // Replay in the order pipe_approval placed the pipes, skipping those
+  // approved at zero (nothing was promised).
+  std::vector<PipeRequest> requests;
+  requests.reserve(approvals.size());
+  for (const PipeApprovalResult& approval : approvals) requests.push_back(approval.request);
+  std::vector<Demand> demands;
+  std::vector<PipeAttainment> attainments;
+  for (const std::size_t i : placement_order(requests)) {
+    const PipeApprovalResult& approval = approvals[i];
+    if (approval.approved > Gbps(0)) {
+      demands.push_back({approval.request.src, approval.request.dst, approval.approved});
+      attainments.push_back({approval.request, approval.approved, 0.0});
+    }
+  }
+
+  VerifyMetrics& m = verify_metrics();
+  const std::span<const risk::FailureScenario> scenarios = simulator_.scenarios();
+  m.verifications.add();
+  m.pipes_verified.add(demands.size());
+  m.scenarios_replayed.add(scenarios.size());
+  const auto placed = risk::sweep_scenario_placements(
+      router_, demands, router_.full_capacities(), simulator_.srlg_index(), scenarios,
+      num_threads, mode, &m.replay_seconds);
+
+  // Probability masses accumulate serially in scenario order, so the
+  // attainments are bit-identical for every thread count and sweep mode.
+  std::uint64_t admitted_count = 0;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (std::size_t k = 0; k < demands.size(); ++k) {
+      if (placed[s][k] >= demands[k].amount.value() - 1e-6) {
+        attainments[k].achieved_availability += scenarios[s].probability;
+        ++admitted_count;
+      }
+    }
+  }
+  if (admitted_count != 0) m.admitted_outcomes.add(admitted_count);
+  return attainments;
 }
 
 std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_with(

@@ -2,7 +2,8 @@
 // requests into representative pipe realizations, PIPE_APPROVAL assesses each
 // realization against failure risk (via the Risk Simulation System) with QoS
 // classes processed in priority order, and per-hose approvals are aggregated
-// as min-over-realizations of the summed pipe approvals.
+// as min-over-realizations of the summed pipe approvals. verify() replays the
+// engine's own placement order to measure SLO attainment (§3.2).
 #pragma once
 
 #include <functional>
@@ -68,6 +69,15 @@ struct HoseApprovalResult {
   Gbps approved;
 };
 
+/// SLO attainment of one approved pipe (§3.2: "uptime requires all traffic
+/// in that class of service to be admitted in the network").
+struct PipeAttainment {
+  hose::PipeRequest request;
+  Gbps approved;
+  /// Probability mass of scenarios fully admitting the approved rate.
+  double achieved_availability = 0.0;
+};
+
 /// Predicate marking low-touch NPGs; low-touch demand is satisfied first
 /// within each QoS class (§4.3). Defaults to "nothing is low-touch".
 using LowTouchPredicate = std::function<bool(NpgId)>;
@@ -92,6 +102,18 @@ class ApprovalEngine {
   /// capacity assessor) place pipes in the exact same sequence.
   [[nodiscard]] std::vector<std::size_t> placement_order(
       std::span<const hose::PipeRequest> pipes) const;
+
+  /// SLO verification: replays the simulator's scenarios (through its sweep
+  /// driver and SRLG index) against the pipes approved above zero, placed at
+  /// their approved rates in placement_order, and returns their attainments
+  /// in that order. The granting invariant (pinned in tests): achieved
+  /// availability >= the SLO target. The replay fans out over `num_threads`
+  /// threads (1 = serial); attainments are bit-identical for every thread
+  /// count and sweep mode.
+  [[nodiscard]] std::vector<PipeAttainment> verify(
+      std::span<const PipeApprovalResult> approvals,
+      std::size_t num_threads = ThreadPool::default_thread_count(),
+      risk::SweepMode mode = risk::SweepMode::kIncremental) const;
 
   /// Risk backend extension point: maps placement-ordered demands to one
   /// availability curve per demand (same order). pipe_approval uses the
@@ -185,10 +207,12 @@ class ApprovalEngine {
   [[nodiscard]] const ApprovalConfig& config() const { return config_; }
   [[nodiscard]] const topology::Topology& topo() const { return router_.topo(); }
 
-  /// The engine's enumerated failure scenarios (shared with callers that run
-  /// their own sweeps against the same risk model, e.g. the admission
-  /// service's residual state).
-  [[nodiscard]] std::span<const risk::FailureScenario> scenarios() const { return scenarios_; }
+  /// The engine's enumerated failure scenarios, owned by its simulator
+  /// (shared with callers that run their own sweeps against the same risk
+  /// model, e.g. the admission service's residual state).
+  [[nodiscard]] std::span<const risk::FailureScenario> scenarios() const {
+    return simulator_.scenarios();
+  }
 
   /// The engine-lifetime risk simulator (exposes the SRLG index and base
   /// capacities backing every approval).
@@ -199,8 +223,8 @@ class ApprovalEngine {
   /// re-binds the simulator to the new base capacities, and rebuilds the
   /// engine's pristine fast-tier summary. When the enumerated scenario set
   /// is value-identical to the old one (capacity-only deltas rarely move
-  /// MTBF/MTTR) the scenarios_ vector is left physically in place, so spans
-  /// from scenarios() taken by outside estimators stay valid. Returns
+  /// MTBF/MTTR) RiskSimulator::resync leaves it physically in place, so
+  /// spans from scenarios() taken by outside estimators stay valid. Returns
   /// whether the scenario set changed — callers holding scenario spans or
   /// per-scenario state must reconstruct it when true (and when the link
   /// count grew, regardless).
@@ -210,16 +234,18 @@ class ApprovalEngine {
   topology::Router& router_;
   ApprovalConfig config_;
   LowTouchPredicate low_touch_;
-  std::vector<risk::FailureScenario> scenarios_;
-  /// One risk simulator (scenario set, SRLG index, base capacities) for the
-  /// engine's lifetime: hose_approval's per-realization pipe approvals — and
-  /// every pipe_approval call — reuse it and the router's warmed path cache
-  /// instead of rebuilding per call.
+  /// The engine's one risk model (scenario set, SRLG index, base capacities)
+  /// for its lifetime: hose_approval's per-realization pipe approvals, every
+  /// pipe_approval call and verify reuse it and the router's warmed path
+  /// cache instead of rebuilding per call.
   risk::RiskSimulator simulator_;
   /// Fast tier over the engine's own assessment state (every pipe_approval
   /// batch starts from the pristine base capacities). Populated only when
   /// config_.fastpath.enabled; pipe_approval passes it through.
   std::optional<risk::FastEstimator> fast_;
+
+  /// (Re)builds fast_ over the current scenarios and base capacities.
+  void rebuild_fast_tier();
 };
 
 /// Total approved / total requested, the Figure 22 metric.

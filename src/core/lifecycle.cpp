@@ -32,11 +32,6 @@ std::vector<QuarterRecord> LifecycleSimulator::run(Rng& rng) const {
     return npg.value() < fleet.size() ? fleet[npg.value()].name : std::string();
   });
 
-  topology::Router router(topo_, config_.manager.router_paths);
-  const auto scenarios =
-      risk::enumerate_scenarios(topo_, config_.manager.approval.scenarios);
-  const risk::SloVerifier verifier(router, scenarios);
-
   std::vector<QuarterRecord> records;
   for (std::size_t quarter = 0; quarter < config_.quarters; ++quarter) {
     const std::size_t window_begin = quarter * kQuarterDays;
@@ -125,7 +120,8 @@ std::vector<QuarterRecord> LifecycleSimulator::run(Rng& rng) const {
       result.approved = pipe.rate * fraction;
       granted.push_back(result);
     }
-    const auto attainments = verifier.verify(granted, config_.manager.approval.sweep_threads());
+    const auto attainments =
+        manager.engine().verify(granted, config_.manager.approval.sweep_threads());
     double volume = 0.0;
     double weighted = 0.0;
     for (const auto& attainment : attainments) {

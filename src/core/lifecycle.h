@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/manager.h"
-#include "risk/verification.h"
 
 namespace netent::core {
 

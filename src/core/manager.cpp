@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "hose/segmented.h"
-#include "topology/routing.h"
 
 namespace netent::core {
 
@@ -18,14 +17,21 @@ constexpr NpgId kLowTouchAggregate{0xFFFFFFFFu};
 }  // namespace
 
 EntitlementManager::EntitlementManager(const topology::Topology& topo, ManagerConfig config)
-    : topo_(topo), config_(std::move(config)), name_lookup_([](NpgId) { return std::string(); }) {
+    : topo_(topo),
+      config_(std::move(config)),
+      name_lookup_([](NpgId) { return std::string(); }),
+      router_(topo_, config_.router_paths),
+      engine_(router_, config_.approval) {
   NETENT_EXPECTS(config_.period.end_seconds > config_.period.start_seconds);
   NETENT_EXPECTS(config_.segments >= 2);
+  engine_.set_low_touch([](NpgId npg) { return npg == kLowTouchAggregate; });
 }
 
-bool EntitlementManager::is_high_touch(NpgId npg) const {
-  return std::find(config_.high_touch_npgs.begin(), config_.high_touch_npgs.end(),
-                   npg.value()) != config_.high_touch_npgs.end();
+NpgId EntitlementManager::approval_npg(NpgId npg) const {
+  const bool high_touch = std::find(config_.high_touch_npgs.begin(),
+                                    config_.high_touch_npgs.end(),
+                                    npg.value()) != config_.high_touch_npgs.end();
+  return high_touch ? npg : kLowTouchAggregate;
 }
 
 CycleResult EntitlementManager::run_cycle(std::span<const PipeHistory> histories,
@@ -45,11 +51,7 @@ CycleResult EntitlementManager::run_cycle(std::span<const PipeHistory> histories
 
   // ---- Step 2: hose representation (+ low-touch aggregation). ----------
   std::vector<hose::PipeRequest> approval_pipes = result.pipe_requests;
-  if (config_.aggregate_low_touch) {
-    for (hose::PipeRequest& pipe : approval_pipes) {
-      if (!is_high_touch(pipe.npg)) pipe.npg = kLowTouchAggregate;
-    }
-  }
+  for (hose::PipeRequest& pipe : approval_pipes) pipe.npg = approval_npg(pipe.npg);
   result.hose_requests = hose::aggregate_to_hoses(result.pipe_requests, topo_.region_count());
   std::vector<hose::HoseRequest> approval_hoses =
       hose::aggregate_to_hoses(approval_pipes, topo_.region_count());
@@ -71,8 +73,7 @@ CycleResult EntitlementManager::run_cycle(std::span<const PipeHistory> histories
     std::size_t days = 0;
     for (const PipeHistory& history : histories) days = std::max(days, history.daily.size());
     for (const PipeHistory& history : histories) {
-      NpgId npg = history.npg;
-      if (config_.aggregate_low_touch && !is_high_touch(npg)) npg = kLowTouchAggregate;
+      const NpgId npg = approval_npg(history.npg);
       auto& grid = flows[{npg.value(), history.qos, history.src.value()}];
       if (grid.empty()) grid.assign(days, std::vector<double>(topo_.region_count(), 0.0));
       for (std::size_t t = 0; t < history.daily.size(); ++t) {
@@ -116,23 +117,12 @@ CycleResult EntitlementManager::run_cycle(std::span<const PipeHistory> histories
   }
 
   // ---- Step 3: approval. ------------------------------------------------
-  topology::Router router(topo_, config_.router_paths);
-  approval::ApprovalEngine engine(router, config_.approval);
-  if (config_.aggregate_low_touch) {
-    engine.set_low_touch([](NpgId npg) { return npg == kLowTouchAggregate; });
-  } else {
-    const auto* self = this;
-    engine.set_low_touch([self](NpgId npg) { return !self->is_high_touch(npg); });
-  }
-  const auto aggregated_approvals = engine.hose_approval(approval_hoses, result.segments, rng);
+  const auto aggregated_approvals = engine_.hose_approval(approval_hoses, result.segments, rng);
 
   // Apportion aggregate approvals back to the original hoses pro-rata.
   result.approvals.reserve(result.hose_requests.size());
   for (const hose::HoseRequest& request : result.hose_requests) {
-    NpgId lookup_npg = request.npg;
-    if (config_.aggregate_low_touch && !is_high_touch(request.npg)) {
-      lookup_npg = kLowTouchAggregate;
-    }
+    const NpgId lookup_npg = approval_npg(request.npg);
     double fraction = 0.0;
     for (std::size_t i = 0; i < aggregated_approvals.size(); ++i) {
       const auto& agg = aggregated_approvals[i];

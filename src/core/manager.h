@@ -21,6 +21,7 @@
 #include "core/contract_db.h"
 #include "forecast/sli.h"
 #include "hose/balance.h"
+#include "topology/routing.h"
 #include "traffic/fleet.h"
 
 namespace netent::core {
@@ -52,7 +53,6 @@ struct ManagerConfig {
   /// NPGs treated as high-touch (§4.3); every other NPG is folded into one
   /// aggregate low-touch service for approval, then apportioned back.
   std::vector<std::uint32_t> high_touch_npgs;
-  bool aggregate_low_touch = true;
 
   Period period{0.0, 90.0 * 86400.0};  ///< enforcement period of new contracts
   std::size_t router_paths = 4;
@@ -73,21 +73,36 @@ class EntitlementManager {
   /// `npg_name` resolves ids to display names for contracts (may return "").
   using NameLookup = std::function<std::string(NpgId)>;
 
+  /// Builds the manager's one Router and ApprovalEngine, kept for every
+  /// cycle; the engine places the aggregate low-touch service first within
+  /// each QoS class.
   EntitlementManager(const topology::Topology& topo, ManagerConfig config);
+  EntitlementManager(const EntitlementManager&) = delete;
+  EntitlementManager& operator=(const EntitlementManager&) = delete;
 
   void set_name_lookup(NameLookup lookup) { name_lookup_ = std::move(lookup); }
 
-  /// Runs one full entitlement cycle over the observed histories.
+  /// Runs one full entitlement cycle over the observed histories. Warms the
+  /// shared router's path cache (as ApprovalEngine::pipe_approval does), so
+  /// it is not safe to call concurrently on one manager.
   [[nodiscard]] CycleResult run_cycle(std::span<const PipeHistory> histories, Rng& rng) const;
 
   [[nodiscard]] const ManagerConfig& config() const { return config_; }
 
+  /// The approval engine every cycle runs on: the manager's risk model, for
+  /// verifying or negotiating its grants.
+  [[nodiscard]] const approval::ApprovalEngine& engine() const { return engine_; }
+
  private:
-  [[nodiscard]] bool is_high_touch(NpgId npg) const;
+  /// The NPG a pipe or hose is approved under: itself if high-touch, the
+  /// aggregate low-touch service otherwise.
+  [[nodiscard]] NpgId approval_npg(NpgId npg) const;
 
   const topology::Topology& topo_;
   ManagerConfig config_;
   NameLookup name_lookup_;
+  topology::Router router_;
+  approval::ApprovalEngine engine_;
 };
 
 /// Synthesizes per-pipe daily histories from fleet profiles (substitute for

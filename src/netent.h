@@ -26,7 +26,6 @@
 
 // Network model: regions/fibers, routing, SRLGs, synthetic generators.
 #include "topology/generator.h"
-#include "topology/max_flow.h"
 #include "topology/paths.h"
 #include "topology/routing.h"
 #include "topology/srlg_index.h"
@@ -39,12 +38,11 @@
 #include "traffic/incident.h"
 #include "traffic/service.h"
 
-// Risk: failure scenarios, availability simulation, SLO verification.
+// Risk: failure scenarios, availability simulation.
 #include "risk/failure.h"
 #include "risk/simulator.h"
-#include "risk/verification.h"
 
-// Contracts: approval pipeline, negotiation, database, serialization,
+// Contracts: approval pipeline (and SLO verification), negotiation, database, serialization,
 // lifecycle orchestration and reporting.
 #include "approval/approval.h"
 #include "approval/negotiation.h"

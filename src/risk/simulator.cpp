@@ -212,13 +212,19 @@ RiskSimulator::RiskSimulator(topology::Router& router, std::vector<FailureScenar
   NETENT_EXPECTS(base_capacity_.size() == router_.topo().link_count());
 }
 
-void RiskSimulator::resync(std::vector<FailureScenario> scenarios,
+bool RiskSimulator::resync(std::vector<FailureScenario> scenarios,
                            std::span<const double> base_capacity_gbps) {
   NETENT_EXPECTS(!scenarios.empty());
   NETENT_EXPECTS(base_capacity_gbps.size() == router_.topo().link_count());
-  scenarios_ = std::move(scenarios);
+  const bool changed =
+      !std::equal(scenarios.begin(), scenarios.end(), scenarios_.begin(), scenarios_.end(),
+                  [](const FailureScenario& a, const FailureScenario& b) {
+                    return a.probability == b.probability && a.down == b.down;
+                  });
+  if (changed) scenarios_ = std::move(scenarios);
   base_capacity_.assign(base_capacity_gbps.begin(), base_capacity_gbps.end());
   index_.resync(router_.topo());
+  return changed;
 }
 
 std::vector<AvailabilityCurve> RiskSimulator::availability_curves(

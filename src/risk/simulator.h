@@ -72,8 +72,8 @@ enum class SweepMode {
 };
 
 /// Per-link capacities with the scenario's failed SRLGs zeroed out — the
-/// one shared construction used by the risk simulator, the SLO verifier and
-/// the equivalence tests (O(links) copy + O(affected) zeroing).
+/// one shared construction used by the admission service's residual state
+/// and the equivalence tests (O(links) copy + O(affected) zeroing).
 [[nodiscard]] std::vector<double> scenario_capacities(const topology::SrlgIndex& index,
                                                       std::span<const double> base_capacity,
                                                       const FailureScenario& scenario);
@@ -99,7 +99,7 @@ class ScenarioCapacityScratch {
 };
 
 /// The shared scenario-sweep driver behind RiskSimulator::availability_curves
-/// and SloVerifier::verify: warms `router` for `demands`, guards the path
+/// and ApprovalEngine::verify: warms `router` for `demands`, guards the path
 /// cache, fans the scenarios out over `num_threads` threads (1 = serial, in
 /// the calling thread; sweeps of fewer than kFanOutCutoffPlacements
 /// scenario x demand placements also stay inline) and returns the placed
@@ -145,11 +145,13 @@ class RiskSimulator {
   [[nodiscard]] const topology::SrlgIndex& srlg_index() const { return index_; }
 
   /// Re-binds the simulator to the router's post-mutation topology state:
-  /// swaps in the freshly enumerated scenario set, copies the new base
+  /// takes the freshly enumerated scenario set, copies the new base
   /// capacities and catches the SRLG index up with any added links.
-  /// Equivalent to constructing RiskSimulator(router, scenarios, base) anew
-  /// (reference members make in-place reconstruction the cheaper spelling).
-  void resync(std::vector<FailureScenario> scenarios, std::span<const double> base_capacity_gbps);
+  /// Equivalent to constructing RiskSimulator(router, scenarios, base) anew,
+  /// except that a scenario set value-identical to the current one leaves
+  /// the scenarios() vector physically in place, so spans into it (held by
+  /// fast estimators) stay valid. Returns whether the scenario set changed.
+  bool resync(std::vector<FailureScenario> scenarios, std::span<const double> base_capacity_gbps);
 
  private:
   topology::Router& router_;

@@ -100,7 +100,6 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
       router_(topo, config_.router_paths),
       engine_(router_, with_threads(config_.approval, threads_)),
       negotiator_(engine_, config_.negotiation),
-      base_capacity_(router_.full_capacities()),  // view into router_; outlived by it
       rng_(config_.seed) {
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
@@ -654,9 +653,8 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   }
 
   // --- Apply, then resync every topology-derived cache in dependency
-  // order: router (path store + effective capacities), approval engine
-  // (scenarios + simulator + pristine fast summaries), and finally this
-  // controller's base-capacity view.
+  // order: router (path store + effective capacities), then approval engine
+  // (scenarios + simulator + pristine fast summaries).
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
   m.mutations_applied.add(request.mutations.size());
@@ -665,7 +663,6 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
   router_.resync_topology(&resync_stats, &changed_pairs);
   const bool scenarios_changed = engine_.resync_topology();
-  base_capacity_ = router_.full_capacities();  // may have grown / moved
 
   // --- The links whose effective capacity (or existence) the delta moved,
   // both directions; with `changed_pairs` these bound which contracts the
@@ -833,6 +830,7 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
   const std::size_t scenario_count = scenarios.size();
   const std::size_t realizations = config_.approval.realizations;
   const topology::SrlgIndex& index = engine_.simulator().srlg_index();
+  const std::span<const double> base_capacity = router_.full_capacities();
   ResidualState state(realizations);
   for (auto& per_scenario : state) per_scenario.resize(scenario_count);
   fan_out(threads_, realizations * scenario_count, scenario_count * demand_count(history),
@@ -840,7 +838,7 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
             const std::size_t k = c / scenario_count;
             const std::size_t s = c % scenario_count;
             std::vector<double>& residual = state[k][s];
-            residual = risk::scenario_capacities(index, base_capacity_, scenarios[s]);
+            residual = risk::scenario_capacities(index, base_capacity, scenarios[s]);
             place(history[k], residual);
           });
   return state;
@@ -953,7 +951,7 @@ void AdmissionController::audit_record_locked(const AuditRecord& record) {
     // Scatter the snapshotted candidate-path residuals into a full-size
     // scratch vector per scenario; links off the candidate paths are never
     // read by the fill, so their value (0) is irrelevant.
-    std::vector<double> scratch(base_capacity_.size(), 0.0);
+    std::vector<double> scratch(router_.full_capacities().size(), 0.0);
     topology::RouteResult result;  // reused across scenarios
     for (std::size_t s = 0; s < scenario_set.size(); ++s) {
       for (std::size_t i = 0; i < record.links.size(); ++i) {

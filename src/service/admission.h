@@ -285,8 +285,8 @@ class AdmissionController {
   [[nodiscard]] std::vector<AdmissionOutcome> evaluate_window(std::vector<Pending>& window);
   /// Processes one RequestKind::topology request: validate the whole batch,
   /// apply it to *mutable_topo_, resync every topology-derived cache
-  /// (router, approval engine, base-capacity view, residuals, fast-path
-  /// summaries) and re-verify affected in-force contracts.
+  /// (router, approval engine, residuals, fast-path summaries) and
+  /// re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
   /// Builds the per-realization headroom summaries from residual_ afresh
   /// (no-op when fastpath is disabled): after construction, a history
@@ -329,8 +329,6 @@ class AdmissionController {
   topology::Router router_;
   approval::ApprovalEngine engine_;
   approval::NegotiationEngine negotiator_;
-  /// View of router_'s intact capacity array (router_ outlives it).
-  std::span<const double> base_capacity_;
 
   /// Service state, guarded by state_mutex_ (windows are processed one at a
   /// time; the parallel fan-outs inside a window are internal).

@@ -1,7 +1,5 @@
 #include "topology/srlg_index.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace netent::topology {
@@ -29,16 +27,6 @@ void SrlgIndex::resync(const Topology& topo) {
 std::span<const LinkId> SrlgIndex::links_of(SrlgId srlg) const {
   NETENT_EXPECTS(srlg.value() < links_by_srlg_.size());
   return links_by_srlg_[srlg.value()];
-}
-
-std::vector<SrlgId> path_srlgs(const Topology& topo, const Path& path) {
-  std::vector<SrlgId> srlgs;
-  srlgs.reserve(path.links.size());
-  for (const LinkId lid : path.links) srlgs.push_back(topo.link(lid).srlg);
-  std::sort(srlgs.begin(), srlgs.end(),
-            [](SrlgId a, SrlgId b) { return a.value() < b.value(); });
-  srlgs.erase(std::unique(srlgs.begin(), srlgs.end()), srlgs.end());
-  return srlgs;
 }
 
 }  // namespace netent::topology

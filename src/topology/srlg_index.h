@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "topology/paths.h"
 #include "topology/topology.h"
 
 namespace netent::topology {
@@ -39,10 +38,5 @@ class SrlgIndex {
   std::vector<std::vector<LinkId>> links_by_srlg_;
   std::size_t links_indexed_ = 0;
 };
-
-/// The sorted, deduplicated set of SRLGs traversed by `path`: the path's
-/// failure signature. A scenario affects the path iff its down set
-/// intersects this set.
-[[nodiscard]] std::vector<SrlgId> path_srlgs(const Topology& topo, const Path& path);
 
 }  // namespace netent::topology

@@ -7,11 +7,11 @@
 #include <utility>
 #include <vector>
 
+#include "approval/approval.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "risk/simulator.h"
-#include "risk/verification.h"
 #include "topology/generator.h"
 #include "topology/replay.h"
 #include "topology/srlg_index.h"
@@ -135,10 +135,9 @@ TEST(RiskIncremental, VerifierAttainmentsBitIdenticalAcrossModes) {
   }
   const auto approvals = engine.pipe_approval(requests);
 
-  const SloVerifier verifier(router, sweep.scenarios);
-  const auto full = verifier.verify(approvals, 1, SweepMode::kFull);
+  const auto full = engine.verify(approvals, 1, SweepMode::kFull);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto incremental = verifier.verify(approvals, threads, SweepMode::kIncremental);
+    const auto incremental = engine.verify(approvals, threads, SweepMode::kIncremental);
     ASSERT_EQ(full.size(), incremental.size());
     for (std::size_t k = 0; k < full.size(); ++k) {
       EXPECT_EQ(full[k].achieved_availability, incremental[k].achieved_availability);

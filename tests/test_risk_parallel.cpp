@@ -1,17 +1,17 @@
 // Serial-vs-parallel equivalence of the risk-scenario sweep: for every
-// thread count the availability curves (and the SLO verifier's attainments)
-// must be BIT-identical to the serial sweep — the determinism guarantee the
-// parallel fan-out is built around.
+// thread count the availability curves (and the SLO attainments of
+// ApprovalEngine::verify) must be BIT-identical to the serial sweep — the
+// determinism guarantee the parallel fan-out is built around.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "approval/approval.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "risk/simulator.h"
-#include "risk/verification.h"
 #include "topology/generator.h"
 
 namespace netent::risk {
@@ -152,10 +152,9 @@ TEST(RiskParallel, SloVerifierAttainmentsBitIdenticalAcrossThreadCounts) {
                     [](const approval::PipeApprovalResult& a) { return a.approved.value() > 0.0; }));
   ASSERT_GT(replayed * sweep.scenarios.size(), kFanOutCutoffPlacements);
 
-  const SloVerifier verifier(router, sweep.scenarios);
-  const auto serial = verifier.verify(approvals, 1);
+  const auto serial = engine.verify(approvals, 1);
   for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = verifier.verify(approvals, threads);
+    const auto parallel = engine.verify(approvals, threads);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t k = 0; k < serial.size(); ++k) {
       EXPECT_EQ(serial[k].achieved_availability, parallel[k].achieved_availability);

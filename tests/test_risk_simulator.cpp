@@ -206,5 +206,31 @@ TEST(RiskSimulator, CurvesForEveryPipe) {
   EXPECT_EQ(sim.availability_curves(pipes).size(), 3u);
 }
 
+TEST(RiskSimulator, ResyncKeepsAValueIdenticalScenarioSetInPlace) {
+  TwoFiberFixture fx;
+  Router router(fx.topo, 3);
+  RiskSimulator sim(router, enumerate_scenarios(fx.topo, ScenarioConfig{}),
+                    router.full_capacities());
+  const FailureScenario* before = sim.scenarios().data();
+
+  // A freshly enumerated, value-identical set leaves the vector in place, so
+  // spans into scenarios() taken before the resync stay valid.
+  EXPECT_FALSE(
+      sim.resync(enumerate_scenarios(fx.topo, ScenarioConfig{}), router.full_capacities()));
+  EXPECT_EQ(sim.scenarios().data(), before);
+
+  // A set of the same size with one probability moved is a change.
+  std::vector<FailureScenario> shifted(sim.scenarios().begin(), sim.scenarios().end());
+  shifted.back().probability /= 2.0;
+  EXPECT_TRUE(sim.resync(shifted, router.full_capacities()));
+  EXPECT_EQ(sim.scenarios().back().probability, shifted.back().probability);
+
+  // So is a smaller set.
+  ScenarioConfig single;
+  single.max_simultaneous = 1;
+  EXPECT_TRUE(sim.resync(enumerate_scenarios(fx.topo, single), router.full_capacities()));
+  EXPECT_EQ(sim.scenarios().size(), shifted.size() - 1);
+}
+
 }  // namespace
 }  // namespace netent::risk

@@ -1,4 +1,4 @@
-#include "risk/verification.h"
+#include "approval/approval.h"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@ namespace {
 using approval::ApprovalConfig;
 using approval::ApprovalEngine;
 using approval::PipeApprovalResult;
+using approval::PipeAttainment;
 using hose::PipeRequest;
 using topology::RegionKind;
 using topology::Router;
@@ -31,15 +32,14 @@ Topology two_fiber_topo() {
 TEST(SloVerifier, AttainmentMatchesAnalyticAvailability) {
   const Topology topo = two_fiber_topo();
   Router router(topo, 3);
-  const auto scenarios = enumerate_scenarios(topo, ScenarioConfig{});
-  const SloVerifier verifier(router, scenarios);
+  const ApprovalEngine engine(router, ApprovalConfig{});
 
   // 100 Gbps approved: survives any single fiber cut.
   std::vector<PipeApprovalResult> approvals(1);
   approvals[0].request = PipeRequest{NpgId(1), QosClass::c1_low, RegionId(0), RegionId(1),
                                      Gbps(100)};
   approvals[0].approved = Gbps(100);
-  const auto attainments = verifier.verify(approvals);
+  const auto attainments = engine.verify(approvals);
   ASSERT_EQ(attainments.size(), 1u);
   EXPECT_NEAR(attainments[0].achieved_availability, 1.0 - 0.01 * 0.02, 1e-9);
 }
@@ -47,7 +47,7 @@ TEST(SloVerifier, AttainmentMatchesAnalyticAvailability) {
 TEST(SloVerifier, ZeroApprovedPipesSkipped) {
   const Topology topo = two_fiber_topo();
   Router router(topo, 3);
-  const SloVerifier verifier(router, enumerate_scenarios(topo, ScenarioConfig{}));
+  const ApprovalEngine engine(router, ApprovalConfig{});
   std::vector<PipeApprovalResult> approvals(2);
   approvals[0].request = PipeRequest{NpgId(1), QosClass::c1_low, RegionId(0), RegionId(1),
                                      Gbps(100)};
@@ -55,26 +55,42 @@ TEST(SloVerifier, ZeroApprovedPipesSkipped) {
   approvals[1].request = PipeRequest{NpgId(2), QosClass::c1_low, RegionId(0), RegionId(1),
                                      Gbps(50)};
   approvals[1].approved = Gbps(50);
-  const auto attainments = verifier.verify(approvals);
+  const auto attainments = engine.verify(approvals);
   ASSERT_EQ(attainments.size(), 1u);
   EXPECT_EQ(attainments[0].request.npg, NpgId(2));
 }
 
-TEST(SloVerifier, PerClassAggregation) {
-  std::vector<PipeAttainment> attainments;
-  attainments.push_back({{NpgId(1), QosClass::c1_low, RegionId(0), RegionId(1), Gbps(10)},
-                         Gbps(10), 0.999});
-  attainments.push_back({{NpgId(2), QosClass::c1_low, RegionId(0), RegionId(1), Gbps(10)},
-                         Gbps(10), 0.997});
-  attainments.push_back({{NpgId(3), QosClass::c3_low, RegionId(0), RegionId(1), Gbps(10)},
-                         Gbps(10), 0.9});
-  const auto classes = SloVerifier::per_class(attainments);
-  ASSERT_EQ(classes.size(), 2u);
-  EXPECT_EQ(classes[0].qos, QosClass::c1_low);
-  EXPECT_EQ(classes[0].pipes, 2u);
-  EXPECT_NEAR(classes[0].worst_availability, 0.997, 1e-12);
-  EXPECT_NEAR(classes[0].mean_availability, 0.998, 1e-12);
-  EXPECT_EQ(classes[1].qos, QosClass::c3_low);
+/// verify replays the engine's own placement order: a 150 G and a 100 G pipe
+/// of one class on two 100 G fibers, both approved in full. Whichever is
+/// placed first takes the capacity.
+TEST(SloVerifier, ReplaysTheEnginesLowTouchOrder) {
+  const Topology topo = two_fiber_topo();
+  Router router(topo, 3);
+  ApprovalEngine engine(router, ApprovalConfig{});
+  std::vector<PipeApprovalResult> approvals(2);
+  approvals[0].request = PipeRequest{NpgId(1), QosClass::c1_low, RegionId(0), RegionId(1),
+                                     Gbps(150)};
+  approvals[0].approved = Gbps(150);
+  approvals[1].request = PipeRequest{NpgId(2), QosClass::c1_low, RegionId(0), RegionId(1),
+                                     Gbps(100)};
+  approvals[1].approved = Gbps(100);
+
+  // Input order: the 150 G pipe is placed first and is admitted only while
+  // both fibers are up; the 100 G pipe never gets its full rate.
+  const auto input_order = engine.verify(approvals);
+  ASSERT_EQ(input_order.size(), 2u);
+  ASSERT_EQ(input_order[0].request.npg, NpgId(1));
+  EXPECT_NEAR(input_order[0].achieved_availability, 0.99 * 0.98, 1e-9);
+  EXPECT_NEAR(input_order[1].achieved_availability, 0.0, 1e-9);
+
+  // Low-touch NPG 2 goes first: 100 G survives any single fiber cut, and
+  // the 150 G pipe never fits beside it.
+  engine.set_low_touch([](NpgId npg) { return npg == NpgId(2); });
+  const auto low_touch_first = engine.verify(approvals);
+  ASSERT_EQ(low_touch_first.size(), 2u);
+  ASSERT_EQ(low_touch_first[0].request.npg, NpgId(2));
+  EXPECT_NEAR(low_touch_first[0].achieved_availability, 1.0 - 0.01 * 0.02, 1e-9);
+  EXPECT_NEAR(low_touch_first[1].achieved_availability, 0.0, 1e-9);
 }
 
 /// THE granting invariant: whatever the approval engine guarantees at SLO
@@ -114,8 +130,7 @@ TEST_P(GrantingInvariant, AchievedAtLeastPromised) {
                     [](const approval::PipeApprovalResult& a) { return a.approved > Gbps(0); }));
   ASSERT_GT(replayed * scenario_count, kFanOutCutoffPlacements);
 
-  const SloVerifier verifier(router, enumerate_scenarios(topo, config.scenarios));
-  const auto attainments = verifier.verify(approvals);
+  const auto attainments = engine.verify(approvals);
   for (const PipeAttainment& attainment : attainments) {
     EXPECT_GE(attainment.achieved_availability, slo - 1e-9)
         << "pipe " << attainment.request.npg << " promised " << slo << " but achieves "
