@@ -56,8 +56,10 @@ ReplayMetrics& replay_metrics() {
 AvailabilityCurve::AvailabilityCurve(std::vector<std::pair<double, double>> outcomes)
     : outcomes_(std::move(outcomes)) {
   NETENT_EXPECTS(!outcomes_.empty());
-  std::sort(outcomes_.begin(), outcomes_.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  // Stable, so tied bandwidths keep their input (scenario) order and the
+  // prefix masses do not depend on the sort implementation.
+  std::stable_sort(outcomes_.begin(), outcomes_.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
   prefix_mass_.reserve(outcomes_.size());
   for (const auto& [bandwidth, probability] : outcomes_) {
     NETENT_EXPECTS(bandwidth >= 0.0);
