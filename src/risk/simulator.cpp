@@ -24,9 +24,10 @@ struct SweepMetrics {
   /// so it exercises the sharded write path.
   obs::Histogram& place_seconds = reg.timer_histogram("risk.scenario_place_seconds");
   obs::Gauge& threads = reg.gauge("risk.sweep.threads", /*timing=*/true);
-  /// busy / (threads * wall) for the last sweep: how well the scenario
-  /// fan-out kept the pool fed (placement cost is skewed, so the tail
-  /// scenario can idle the rest of the pool).
+  /// placement busy / (threads * wall) for the last sweep, curve build
+  /// included in the wall: how well the scenario fan-out kept the pool fed
+  /// (placement cost is skewed, so the tail scenario can idle the rest of
+  /// the pool).
   obs::Gauge& utilization_pct = reg.gauge("risk.sweep.utilization_pct", /*timing=*/true);
 };
 
@@ -51,46 +52,57 @@ ReplayMetrics& replay_metrics() {
   return instance;
 }
 
+using Breakpoints = std::vector<std::pair<double, double>>;
+
+/// Appends one outcome to breakpoints built in descending-bandwidth order:
+/// the mass accumulates left to right, and an outcome tied with the last
+/// breakpoint's bandwidth joins its group.
+void append_outcome(Breakpoints& breakpoints, double bandwidth, double probability) {
+  const double mass = (breakpoints.empty() ? 0.0 : breakpoints.back().second) + probability;
+  if (!breakpoints.empty() && breakpoints.back().first == bandwidth) {
+    breakpoints.back().second = mass;
+  } else {
+    breakpoints.emplace_back(bandwidth, mass);
+  }
+}
+
 }  // namespace
 
-AvailabilityCurve::AvailabilityCurve(std::vector<std::pair<double, double>> outcomes)
-    : outcomes_(std::move(outcomes)) {
-  NETENT_EXPECTS(!outcomes_.empty());
-  // Stable, so tied bandwidths keep their input (scenario) order and the
-  // prefix masses do not depend on the sort implementation.
-  std::stable_sort(outcomes_.begin(), outcomes_.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  prefix_mass_.reserve(outcomes_.size());
-  for (const auto& [bandwidth, probability] : outcomes_) {
+AvailabilityCurve::AvailabilityCurve(std::vector<std::pair<double, double>> outcomes) {
+  NETENT_EXPECTS(!outcomes.empty());
+  for (const auto& [bandwidth, probability] : outcomes) {
     NETENT_EXPECTS(bandwidth >= 0.0);
     NETENT_EXPECTS(probability >= 0.0);
-    total_mass_ += probability;
-    prefix_mass_.push_back(total_mass_);
+  }
+  // Stable, so tied bandwidths keep their input (scenario) order and the
+  // masses do not depend on the sort implementation.
+  std::stable_sort(outcomes.begin(), outcomes.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (const auto& [bandwidth, probability] : outcomes) {
+    append_outcome(breakpoints_, bandwidth, probability);
   }
 }
 
 double AvailabilityCurve::availability_at(Gbps bandwidth) const {
-  // Outcomes are sorted descending, so the qualifying set is a prefix; its
-  // mass was pre-accumulated in the same left-to-right order the old linear
-  // scan used, so the returned double is bit-identical to that scan.
+  // Breakpoints are sorted descending, so the qualifying set is a prefix and
+  // its mass is the last qualifying breakpoint's.
   const double threshold = bandwidth.value() - 1e-9;
   const auto first_below =
-      std::partition_point(outcomes_.begin(), outcomes_.end(),
-                           [&](const auto& outcome) { return outcome.first >= threshold; });
-  const auto qualifying = static_cast<std::size_t>(first_below - outcomes_.begin());
-  return qualifying == 0 ? 0.0 : prefix_mass_[qualifying - 1];
+      std::partition_point(breakpoints_.begin(), breakpoints_.end(),
+                           [&](const auto& breakpoint) { return breakpoint.first >= threshold; });
+  return first_below == breakpoints_.begin() ? 0.0 : std::prev(first_below)->second;
 }
 
 Gbps AvailabilityCurve::bandwidth_at(double target_availability) const {
   NETENT_EXPECTS(target_availability > 0.0 && target_availability <= 1.0);
-  if (total_mass_ < target_availability) return Gbps(0);
-  // prefix_mass_ is non-decreasing (probabilities are >= 0): binary-search
-  // the first prefix whose mass covers the target.
+  if (total_mass() < target_availability) return Gbps(0);
+  // Masses are non-decreasing (probabilities are >= 0), and the last one
+  // covers the target: binary-search the first that does.
   const auto covering =
-      std::partition_point(prefix_mass_.begin(), prefix_mass_.end(),
-                           [&](double mass) { return mass < target_availability; });
-  if (covering == prefix_mass_.end()) return Gbps(outcomes_.back().first);
-  return Gbps(outcomes_[static_cast<std::size_t>(covering - prefix_mass_.begin())].first);
+      std::partition_point(breakpoints_.begin(), breakpoints_.end(), [&](const auto& breakpoint) {
+        return breakpoint.second < target_availability;
+      });
+  return Gbps(covering->first);
 }
 
 std::vector<double> scenario_capacities(const topology::SrlgIndex& index,
@@ -119,88 +131,195 @@ std::span<const double> ScenarioCapacityScratch::apply(const FailureScenario& sc
   return capacity_;
 }
 
+namespace {
+
+const topology::Router& warmed(topology::Router& router,
+                               std::span<const topology::Demand> demands) {
+  router.warm(demands);
+  return router;
+}
+
+/// One sweep's placement set-up, shared by the dense and the streamed
+/// sweep: warms the router and guards its path cache for the sweep's
+/// lifetime (the fan-out only reads it; the guard turns any accidental lazy
+/// insertion into a contract violation), and keeps per-worker-slot state (a
+/// sweeper workspace, or the capacity scratch and RouteResult of a full
+/// placement) so that scenarios racing over which index they claim never
+/// share placement state.
+class ScenarioPlacer {
+ public:
+  ScenarioPlacer(topology::Router& router, std::span<const topology::Demand> demands,
+                 std::span<const double> base_capacity, const topology::SrlgIndex& index,
+                 std::span<const FailureScenario> scenarios, std::size_t width, SweepMode mode,
+                 obs::Histogram* scenario_timer, std::size_t timer_stride)
+      : router_(warmed(router, demands)),
+        guard_(router_),
+        demands_(demands),
+        scenarios_(scenarios),
+        scenario_timer_(scenario_timer),
+        timer_stride_(timer_stride),
+        slots_(width) {
+    NETENT_EXPECTS(timer_stride >= 1);
+    ReplayMetrics& m = replay_metrics();
+    if (mode == SweepMode::kIncremental) {
+      sweeper_.emplace(router_, demands, base_capacity);
+      for (auto& slot : slots_) slot.value.placed.resize(demands.size());
+      m.scenarios_incremental.add(scenarios.size());
+    } else {
+      for (auto& slot : slots_) slot.value.capacity.emplace(index, base_capacity);
+      m.scenarios_full.add(scenarios.size());
+    }
+  }
+
+  /// Placed Gbps per demand under scenario `s`; valid until the slot's next
+  /// call.
+  std::span<const double> place(std::size_t worker, std::size_t s) {
+    std::optional<obs::ScopedTimer> span;
+    if (scenario_timer_ != nullptr && s % timer_stride_ == 0) span.emplace(*scenario_timer_);
+    Slot& slot = slots_[worker].value;
+    if (sweeper_) {
+      topology::ScenarioSweeper::ReplayStats stats;
+      sweeper_->replay(scenarios_[s].down, slot.workspace, slot.placed, &stats);
+      ReplayMetrics& m = replay_metrics();
+      m.demands_replayed.add(stats.demands_replayed);
+      m.demands_skipped.add(stats.demands_skipped);
+      if (stats.short_circuited) m.scenarios_short_circuited.add();
+      return slot.placed;
+    }
+    // The worker's RouteResult (and arena residual scratch inside) is
+    // reused, so steady-state scenarios never touch the heap.
+    router_.route_warmed_into(demands_, slot.capacity->apply(scenarios_[s]), slot.route);
+    NETENT_ENSURES(slot.route.placed_per_demand.size() == demands_.size());
+    return slot.route.placed_per_demand;
+  }
+
+ private:
+  struct Slot {
+    topology::ScenarioSweeper::Workspace workspace;
+    std::vector<double> placed;
+    std::optional<ScenarioCapacityScratch> capacity;
+    topology::RouteResult route;
+  };
+
+  const topology::Router& router_;
+  const topology::Router::SweepGuard guard_;
+  std::span<const topology::Demand> demands_;
+  std::span<const FailureScenario> scenarios_;
+  obs::Histogram* scenario_timer_;
+  std::size_t timer_stride_;
+  std::optional<topology::ScenarioSweeper> sweeper_;
+  std::vector<CacheAligned<Slot>> slots_;
+};
+
+}  // namespace
+
 std::vector<std::vector<double>> sweep_scenario_placements(
     topology::Router& router, std::span<const topology::Demand> demands,
     std::span<const double> base_capacity, const topology::SrlgIndex& index,
     std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
     obs::Histogram* scenario_timer, std::size_t timer_stride) {
   NETENT_EXPECTS(!scenarios.empty());
-  NETENT_EXPECTS(timer_stride >= 1);
-
-  // Populate the path cache up front; the fan-out below only reads it (the
-  // guard turns any accidental lazy insertion into a contract violation).
-  router.warm(demands);
-  const topology::Router& warmed = router;
-  const topology::Router::SweepGuard guard(warmed);
-
   const std::size_t placements = scenarios.size() * demands.size();
-  const std::size_t width = fan_out_width(num_threads, scenarios.size(), placements);
-
-  ReplayMetrics& m = replay_metrics();
+  ScenarioPlacer placer(router, demands, base_capacity, index, scenarios,
+                        fan_out_width(num_threads, scenarios.size(), placements), mode,
+                        scenario_timer, timer_stride);
   std::vector<std::vector<double>> placed(scenarios.size());
-  std::function<void(std::size_t, std::size_t)> run_scenario;
-
-  // Per-worker mutable state (workspaces / capacity scratch) is indexed by
-  // the fan-out's worker slot, so scenarios racing over *which* index they
-  // claim never share placement state.
-  std::optional<topology::ScenarioSweeper> sweeper;
-  std::vector<CacheAligned<topology::ScenarioSweeper::Workspace>> workspaces;
-  std::vector<CacheAligned<std::optional<ScenarioCapacityScratch>>> scratch;
-  std::vector<CacheAligned<topology::RouteResult>> route_scratch;
-
-  if (mode == SweepMode::kIncremental) {
-    sweeper.emplace(warmed, demands, base_capacity);
-    workspaces.resize(width);
-    m.scenarios_incremental.add(scenarios.size());
-    run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
-      std::optional<obs::ScopedTimer> span;
-      if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
-      placed[s].resize(demands.size());
-      topology::ScenarioSweeper::ReplayStats stats;
-      sweeper->replay(scenarios[s].down, workspaces[worker].value, placed[s], &stats);
-      m.demands_replayed.add(stats.demands_replayed);
-      m.demands_skipped.add(stats.demands_skipped);
-      if (stats.short_circuited) m.scenarios_short_circuited.add();
-    };
-  } else {
-    scratch.resize(width);
-    for (auto& slot : scratch) slot.value.emplace(index, base_capacity);
-    route_scratch.resize(width);
-    m.scenarios_full.add(scenarios.size());
-    run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
-      std::optional<obs::ScopedTimer> span;
-      if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
-      const auto capacity = scratch[worker].value->apply(scenarios[s]);
-      // Reuse the worker's RouteResult (and arena residual scratch inside)
-      // so steady-state scenarios never touch the heap beyond the per-
-      // scenario output vector itself.
-      topology::RouteResult& result = route_scratch[worker].value;
-      warmed.route_warmed_into(demands, capacity, result);
-      NETENT_ENSURES(result.placed_per_demand.size() == demands.size());
-      placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
-    };
-  }
-
-  fan_out(num_threads, scenarios.size(), placements, run_scenario);
+  fan_out(num_threads, scenarios.size(), placements, [&](std::size_t worker, std::size_t s) {
+    const std::span<const double> scenario_placed = placer.place(worker, s);
+    placed[s].assign(scenario_placed.begin(), scenario_placed.end());
+  });
   return placed;
 }
 
-std::vector<AvailabilityCurve> curves_from_placements(
-    std::span<const std::vector<double>> placed, std::span<const FailureScenario> scenarios,
-    std::size_t demand_count) {
-  NETENT_EXPECTS(placed.size() == scenarios.size());
-  // Merge back in scenario order: the outcome sequence each curve sees is
-  // exactly the serial sweep's, so curves are bit-identical per thread count.
-  std::vector<std::vector<std::pair<double, double>>> outcomes(demand_count);
-  for (auto& demand_outcomes : outcomes) demand_outcomes.reserve(scenarios.size());
+std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario> scenarios,
+                                                 std::size_t demand_count,
+                                                 std::size_t num_threads,
+                                                 const PlaceScenario& place) {
+  NETENT_EXPECTS(!scenarios.empty());
+  NETENT_EXPECTS(place != nullptr);
+  if (demand_count == 0) return {};
+  // running[s]: the mass of scenarios 0..s, summed from 0.0 in order.
+  std::vector<double> probability(scenarios.size());
+  std::vector<double> running(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    for (std::size_t i = 0; i < demand_count; ++i) {
-      outcomes[i].emplace_back(placed[s][i], scenarios[s].probability);
-    }
+    probability[s] = scenarios[s].probability;
+    NETENT_EXPECTS(probability[s] >= 0.0);
+    running[s] = (s == 0 ? 0.0 : running[s - 1]) + probability[s];
   }
+
+  const std::span<const double> first = place(0, 0);
+  NETENT_EXPECTS(first.size() == demand_count);
+  const std::vector<double> reference(first.begin(), first.end());
+  for (const double placed : reference) NETENT_EXPECTS(placed >= 0.0);
+
+  // A cell deviates when `placed != reference`: exactly the cells the dense
+  // sort does not tie with the reference. `index` is the demand while cells
+  // are grouped per scenario, and the scenario once regrouped per demand.
+  struct Cell {
+    std::size_t index = 0;
+    double placed = 0.0;
+  };
+  const std::size_t cells = scenarios.size() * demand_count;
+  std::vector<std::vector<Cell>> by_scenario(scenarios.size());
+  fan_out(num_threads, scenarios.size() - 1, cells - demand_count,
+          [&](std::size_t worker, std::size_t i) {
+            const std::size_t s = i + 1;
+            const std::span<const double> placed = place(worker, s);
+            NETENT_EXPECTS(placed.size() == demand_count);
+            for (std::size_t d = 0; d < demand_count; ++d) {
+              if (placed[d] == reference[d]) continue;
+              NETENT_EXPECTS(placed[d] >= 0.0);
+              by_scenario[s].push_back({d, placed[d]});
+            }
+          });
+  std::vector<std::vector<Cell>> deviations(demand_count);
+  for (std::size_t s = 1; s < scenarios.size(); ++s) {
+    for (const Cell& cell : by_scenario[s]) deviations[cell.index].push_back({s, cell.placed});
+  }
+
+  // Each curve in the dense curve's stable order: the deviations above the
+  // reference, the reference group, the deviations below, ties in scenario
+  // order. The reference group adds every non-deviating scenario's
+  // probability in scenario order, the same additions the dense curve makes,
+  // so every mass is bit-identical to it. That walk visits up to every
+  // scenario, so the fan-out's work is counted in cells.
+  std::vector<Breakpoints> breakpoints(demand_count);
+  fan_out(num_threads, demand_count, cells, [&](std::size_t, std::size_t d) {
+    const std::vector<Cell>& deviating = deviations[d];
+    std::vector<Cell> order = deviating;
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Cell& a, const Cell& b) { return a.placed > b.placed; });
+    Breakpoints& curve = breakpoints[d];
+    auto next = order.begin();
+    for (; next != order.end() && next->placed > reference[d]; ++next) {
+      append_outcome(curve, next->placed, probability[next->index]);
+    }
+    // With nothing above the reference the walk starts from 0.0, so up to
+    // the first deviation it makes exactly the additions of `running`.
+    std::size_t s = 0;
+    double mass = 0.0;
+    if (!curve.empty()) {
+      mass = curve.back().second;
+    } else {
+      s = deviating.empty() ? scenarios.size() : deviating.front().index;
+      mass = running[s - 1];
+    }
+    for (const Cell& skip : deviating) {
+      for (; s < skip.index; ++s) mass += probability[s];
+      s = skip.index + 1;
+    }
+    for (; s < scenarios.size(); ++s) mass += probability[s];
+    curve.emplace_back(reference[d], mass);
+    for (; next != order.end(); ++next) {
+      append_outcome(curve, next->placed, probability[next->index]);
+    }
+  });
+
   std::vector<AvailabilityCurve> curves;
   curves.reserve(demand_count);
-  for (auto& demand_outcomes : outcomes) curves.emplace_back(std::move(demand_outcomes));
+  for (Breakpoints& curve : breakpoints) {
+    curves.push_back(AvailabilityCurve(std::move(curve), AvailabilityCurve::FromBreakpoints{}));
+  }
   return curves;
 }
 
@@ -242,9 +361,12 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
       fan_out_width(num_threads, scenarios_.size(), scenarios_.size() * pipes.size());
   const double busy_before = m.place_seconds.sum();
   const auto sweep_start = std::chrono::steady_clock::now();
-  const auto placed = sweep_scenario_placements(router_, pipes, base_capacity_, index_,
-                                                scenarios_, num_threads, mode, &m.place_seconds,
-                                                kPlaceSampleStride);
+  ScenarioPlacer placer(router_, pipes, base_capacity_, index_, scenarios_, width, mode,
+                        &m.place_seconds, kPlaceSampleStride);
+  auto curves = curves_from_sweep(scenarios_, pipes.size(), num_threads,
+                                  [&](std::size_t worker, std::size_t s) {
+                                    return placer.place(worker, s);
+                                  });
   if constexpr (obs::kEnabled) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
@@ -258,7 +380,7 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
     }
   }
 
-  return curves_from_placements(placed, scenarios_, pipes.size());
+  return curves;
 }
 
 }  // namespace netent::risk

@@ -794,25 +794,19 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
     const ResidualState& residuals, std::size_t k, std::span<const Demand> demands) {
   router_.warm(demands);
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
-  const std::size_t scenario_count = scenarios.size();
-  std::vector<std::vector<double>> placed(scenario_count);
-  {
-    const topology::Router::SweepGuard guard(router_);
-    const std::size_t placements = scenario_count * demands.size();
-    // Per-worker RouteResult scratch (reused across scenarios) keeps the
-    // fan-out's steady state allocation-free apart from the per-scenario
-    // output vectors.
-    std::vector<CacheAligned<topology::RouteResult>> scratch(
-        fan_out_width(threads_, scenario_count, placements));
-    fan_out(threads_, scenario_count, placements, [&](std::size_t worker, std::size_t s) {
-      topology::RouteResult& result = scratch[worker].value;
-      router_.route_warmed_into(demands, residuals[k][s], result);
-      placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
-    });
-  }
-  // The simulator's scenario-order merge, so curves over pristine residuals
-  // are bit-identical to RiskSimulator::availability_curves.
-  return risk::curves_from_placements(placed, scenarios, demands.size());
+  const topology::Router::SweepGuard guard(router_);
+  // Per-worker RouteResult scratch (reused across scenarios) keeps the
+  // fan-out's steady state allocation-free. The simulator's streamed curve
+  // build, so curves over pristine residuals are bit-identical to
+  // RiskSimulator::availability_curves.
+  std::vector<CacheAligned<topology::RouteResult>> scratch(
+      fan_out_width(threads_, scenarios.size(), scenarios.size() * demands.size()));
+  return risk::curves_from_sweep(scenarios, demands.size(), threads_,
+                                 [&](std::size_t worker, std::size_t s) {
+                                   topology::RouteResult& result = scratch[worker].value;
+                                   router_.route_warmed_into(demands, residuals[k][s], result);
+                                   return std::span<const double>(result.placed_per_demand);
+                                 });
 }
 
 void AdmissionController::place(std::span<const TaggedDemand> demands,

@@ -4,6 +4,7 @@
 // guarantee the perf optimisation is built around.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -235,8 +236,9 @@ TEST(RiskIncremental, ReplayCountersDeterministicAcrossThreadCounts) {
 }
 
 TEST(RiskIncremental, CurveLookupsMatchLinearReference) {
-  // The binary-searched availability_at / bandwidth_at must return the exact
-  // doubles the pre-optimisation linear scans produced.
+  // The binary-searched availability_at / bandwidth_at over the curve's
+  // breakpoints must return the exact doubles of linear scans over the raw
+  // outcomes, sorted by bandwidth descending with ties in input order.
   Rng rng(99);
   for (int round = 0; round < 20; ++round) {
     std::vector<std::pair<double, double>> outcomes;
@@ -244,11 +246,14 @@ TEST(RiskIncremental, CurveLookupsMatchLinearReference) {
     for (std::size_t i = 0; i < n; ++i) {
       outcomes.emplace_back(rng.uniform(0.0, 200.0), rng.uniform(0.0, 0.05));
     }
+    std::vector<std::pair<double, double>> sorted = outcomes;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
     const AvailabilityCurve curve(std::move(outcomes));
 
     const auto ref_availability = [&](Gbps bandwidth) {
       double mass = 0.0;
-      for (const auto& [bw, p] : curve.outcomes()) {
+      for (const auto& [bw, p] : sorted) {
         if (bw >= bandwidth.value() - 1e-9) mass += p;
       }
       return mass;
@@ -256,11 +261,11 @@ TEST(RiskIncremental, CurveLookupsMatchLinearReference) {
     const auto ref_bandwidth = [&](double target) {
       if (curve.total_mass() < target) return Gbps(0);
       double mass = 0.0;
-      for (const auto& [bw, p] : curve.outcomes()) {
+      for (const auto& [bw, p] : sorted) {
         mass += p;
         if (mass >= target) return Gbps(bw);
       }
-      return Gbps(curve.outcomes().back().first);
+      return Gbps(sorted.back().first);
     };
 
     for (int probe = 0; probe < 50; ++probe) {
@@ -270,7 +275,7 @@ TEST(RiskIncremental, CurveLookupsMatchLinearReference) {
       EXPECT_EQ(curve.bandwidth_at(target).value(), ref_bandwidth(target).value());
     }
     // Boundary probes: exact outcome bandwidths and the total mass.
-    for (const auto& [bw, p] : curve.outcomes()) {
+    for (const auto& [bw, p] : sorted) {
       EXPECT_EQ(curve.availability_at(Gbps(bw)), ref_availability(Gbps(bw)));
     }
     if (curve.total_mass() > 0.0) {
