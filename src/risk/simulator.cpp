@@ -66,6 +66,54 @@ void append_outcome(Breakpoints& breakpoints, double bandwidth, double probabili
   }
 }
 
+/// A placement that differs from its demand's reference. `index` is the
+/// demand while cells are grouped per scenario, and the scenario once
+/// regrouped per demand.
+struct Cell {
+  std::size_t index = 0;
+  double placed = 0.0;
+};
+
+/// One demand's breakpoints from its deviating (scenario, placed) cells in
+/// scenario order, in the dense curve's stable order: the deviations above
+/// the reference, the reference group, then the deviations below, ties in
+/// scenario order. The reference group adds every non-deviating scenario's
+/// probability in scenario order, the same additions the dense curve makes,
+/// so every mass is bit-identical to it. `running[s]` is the mass of
+/// scenarios 0..s summed from 0.0.
+Breakpoints streamed_curve(std::span<const Cell> deviating, double reference,
+                           std::span<const double> probability,
+                           std::span<const double> running) {
+  std::vector<Cell> order(deviating.begin(), deviating.end());
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Cell& a, const Cell& b) { return a.placed > b.placed; });
+  Breakpoints curve;
+  auto next = order.begin();
+  for (; next != order.end() && next->placed > reference; ++next) {
+    append_outcome(curve, next->placed, probability[next->index]);
+  }
+  // With nothing above the reference the walk starts from 0.0, so up to the
+  // first deviation it makes exactly the additions of `running`.
+  std::size_t s = 0;
+  double mass = 0.0;
+  if (!curve.empty()) {
+    mass = curve.back().second;
+  } else {
+    s = deviating.empty() ? probability.size() : deviating.front().index;
+    mass = running[s - 1];
+  }
+  for (const Cell& skip : deviating) {
+    for (; s < skip.index; ++s) mass += probability[s];
+    s = skip.index + 1;
+  }
+  for (; s < probability.size(); ++s) mass += probability[s];
+  curve.emplace_back(reference, mass);
+  for (; next != order.end(); ++next) {
+    append_outcome(curve, next->placed, probability[next->index]);
+  }
+  return curve;
+}
+
 }  // namespace
 
 AvailabilityCurve::AvailabilityCurve(std::vector<std::pair<double, double>> outcomes) {
@@ -238,7 +286,6 @@ std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario
   NETENT_EXPECTS(!scenarios.empty());
   NETENT_EXPECTS(place != nullptr);
   if (demand_count == 0) return {};
-  // running[s]: the mass of scenarios 0..s, summed from 0.0 in order.
   std::vector<double> probability(scenarios.size());
   std::vector<double> running(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -253,12 +300,7 @@ std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario
   for (const double placed : reference) NETENT_EXPECTS(placed >= 0.0);
 
   // A cell deviates when `placed != reference`: exactly the cells the dense
-  // sort does not tie with the reference. `index` is the demand while cells
-  // are grouped per scenario, and the scenario once regrouped per demand.
-  struct Cell {
-    std::size_t index = 0;
-    double placed = 0.0;
-  };
+  // sort does not tie with the reference.
   const std::size_t cells = scenarios.size() * demand_count;
   std::vector<std::vector<Cell>> by_scenario(scenarios.size());
   fan_out(num_threads, scenarios.size() - 1, cells - demand_count,
@@ -277,42 +319,11 @@ std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario
     for (const Cell& cell : by_scenario[s]) deviations[cell.index].push_back({s, cell.placed});
   }
 
-  // Each curve in the dense curve's stable order: the deviations above the
-  // reference, the reference group, the deviations below, ties in scenario
-  // order. The reference group adds every non-deviating scenario's
-  // probability in scenario order, the same additions the dense curve makes,
-  // so every mass is bit-identical to it. That walk visits up to every
-  // scenario, so the fan-out's work is counted in cells.
+  // The reference-group walk visits up to every scenario, so this
+  // fan-out's work is counted in cells.
   std::vector<Breakpoints> breakpoints(demand_count);
   fan_out(num_threads, demand_count, cells, [&](std::size_t, std::size_t d) {
-    const std::vector<Cell>& deviating = deviations[d];
-    std::vector<Cell> order = deviating;
-    std::stable_sort(order.begin(), order.end(),
-                     [](const Cell& a, const Cell& b) { return a.placed > b.placed; });
-    Breakpoints& curve = breakpoints[d];
-    auto next = order.begin();
-    for (; next != order.end() && next->placed > reference[d]; ++next) {
-      append_outcome(curve, next->placed, probability[next->index]);
-    }
-    // With nothing above the reference the walk starts from 0.0, so up to
-    // the first deviation it makes exactly the additions of `running`.
-    std::size_t s = 0;
-    double mass = 0.0;
-    if (!curve.empty()) {
-      mass = curve.back().second;
-    } else {
-      s = deviating.empty() ? scenarios.size() : deviating.front().index;
-      mass = running[s - 1];
-    }
-    for (const Cell& skip : deviating) {
-      for (; s < skip.index; ++s) mass += probability[s];
-      s = skip.index + 1;
-    }
-    for (; s < scenarios.size(); ++s) mass += probability[s];
-    curve.emplace_back(reference[d], mass);
-    for (; next != order.end(); ++next) {
-      append_outcome(curve, next->placed, probability[next->index]);
-    }
+    breakpoints[d] = streamed_curve(deviations[d], reference[d], probability, running);
   });
 
   std::vector<AvailabilityCurve> curves;

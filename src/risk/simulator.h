@@ -40,25 +40,6 @@ namespace netent::risk {
 using PlaceScenario =
     std::function<std::span<const double>(std::size_t worker, std::size_t scenario)>;
 
-class AvailabilityCurve;
-
-/// Availability curves for `demand_count` demands placed under every one of
-/// `scenarios` by `place`, without materializing the [scenario][demand]
-/// matrix. Scenario 0 is placed first, on worker slot 0, as every demand's
-/// reference; the other scenarios fan out over `num_threads` threads and
-/// keep only the cells whose placement differs from the reference; a second
-/// fan-out over demands turns each demand's deviations into its curve.
-/// Curves are bit-identical to AvailabilityCurve(outcomes) over the same
-/// outcomes in scenario order, for every thread count. Correctness does not
-/// depend on which scenario comes first, only the saving does: it is large
-/// when scenario 0 places what most scenarios place (the no-failure
-/// scenario does). `place` may run on several threads at once, with
-/// `worker` < fan_out_width(num_threads, scenarios.size(),
-/// scenarios.size() * demand_count).
-[[nodiscard]] std::vector<AvailabilityCurve> curves_from_sweep(
-    std::span<const FailureScenario> scenarios, std::size_t demand_count,
-    std::size_t num_threads, const PlaceScenario& place);
-
 /// Availability as a function of delivered bandwidth for one pipe:
 /// A(b) = P(admissible bandwidth >= b) over failure scenarios. Probability
 /// mass not covered by the enumeration counts as unavailable (conservative).
@@ -148,6 +129,23 @@ class ScenarioCapacityScratch {
     std::span<const double> base_capacity, const topology::SrlgIndex& index,
     std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
     obs::Histogram* scenario_timer = nullptr, std::size_t timer_stride = 1);
+
+/// Availability curves for `demand_count` demands placed under every one of
+/// `scenarios` by `place`, without materializing the [scenario][demand]
+/// matrix. Scenario 0 is placed first, on worker slot 0, as every demand's
+/// reference; the other scenarios fan out over `num_threads` threads and
+/// keep only the cells whose placement differs from the reference; a second
+/// fan-out over demands turns each demand's deviations into its curve.
+/// Curves are bit-identical to AvailabilityCurve(outcomes) over the same
+/// outcomes in scenario order, for every thread count. Correctness does not
+/// depend on which scenario comes first, only the saving does: it is large
+/// when scenario 0 places what most scenarios place (the no-failure
+/// scenario does). `place` may run on several threads at once, with
+/// `worker` < fan_out_width(num_threads, scenarios.size(),
+/// scenarios.size() * demand_count).
+[[nodiscard]] std::vector<AvailabilityCurve> curves_from_sweep(
+    std::span<const FailureScenario> scenarios, std::size_t demand_count,
+    std::size_t num_threads, const PlaceScenario& place);
 
 class RiskSimulator {
  public:

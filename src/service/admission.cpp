@@ -795,10 +795,9 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
   router_.warm(demands);
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
   const topology::Router::SweepGuard guard(router_);
-  // Per-worker RouteResult scratch (reused across scenarios) keeps the
-  // fan-out's steady state allocation-free. The simulator's streamed curve
-  // build, so curves over pristine residuals are bit-identical to
-  // RiskSimulator::availability_curves.
+  // Per-worker RouteResult scratch, reused across scenarios. The curves
+  // come from the simulator's streamed build, so curves over pristine
+  // residuals are bit-identical to RiskSimulator::availability_curves.
   std::vector<CacheAligned<topology::RouteResult>> scratch(
       fan_out_width(threads_, scenarios.size(), scenarios.size() * demands.size()));
   return risk::curves_from_sweep(scenarios, demands.size(), threads_,

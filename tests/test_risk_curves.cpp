@@ -13,10 +13,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "risk/simulator.h"
 #include "topology/generator.h"
-#include "topology/srlg_index.h"
 
 namespace netent::risk {
 namespace {
