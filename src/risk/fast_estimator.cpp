@@ -21,7 +21,8 @@ FastEstimator::FastEstimator(const topology::Topology& topo,
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
     total_mass_ += scenarios_[s].probability;
     for (const SrlgId srlg : scenarios_[s].down) {
-      srlg_scenarios_[srlg.value()].push_back(static_cast<std::uint32_t>(s));
+      std::vector<std::uint32_t>& downing = srlg_scenarios_[srlg.value()];
+      if (downing.empty() || downing.back() != s) downing.push_back(static_cast<std::uint32_t>(s));
     }
   }
 }
@@ -32,17 +33,30 @@ bool FastEstimator::link_alive(LinkId link, const FailureScenario& scenario) con
                              link_srlg_[link.value()]);
 }
 
+double FastEstimator::alive_min(LinkId link,
+                                std::span<const std::vector<double>> scenario_residuals) const {
+  // The scenarios downing the link's SRLG, ascending: skipped in one merge
+  // pass, so the scan reads no down-set.
+  const std::vector<std::uint32_t>& dead = srlg_scenarios_[link_srlg_[link.value()].value()];
+  auto next_dead = dead.begin();
+  double headroom = kInf;
+  for (std::size_t s = 0; s < scenario_residuals.size(); ++s) {
+    if (next_dead != dead.end() && *next_dead == s) {
+      ++next_dead;
+      continue;
+    }
+    headroom = std::min(headroom, scenario_residuals[s][link.value()]);
+  }
+  return headroom;
+}
+
 void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residuals) {
   NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());
-  headroom_.assign(headroom_.size(), kInf);
-  for (std::size_t s = 0; s < scenarios_.size(); ++s) {
-    const std::vector<double>& residual = scenario_residuals[s];
+  for (const std::vector<double>& residual : scenario_residuals) {
     NETENT_EXPECTS(residual.size() == headroom_.size());
-    for (std::size_t l = 0; l < headroom_.size(); ++l) {
-      if (link_alive(LinkId(static_cast<std::uint32_t>(l)), scenarios_[s])) {
-        headroom_[l] = std::min(headroom_[l], residual[l]);
-      }
-    }
+  }
+  for (std::size_t l = 0; l < headroom_.size(); ++l) {
+    headroom_[l] = alive_min(LinkId(static_cast<std::uint32_t>(l)), scenario_residuals);
   }
 }
 
@@ -54,13 +68,8 @@ void FastEstimator::rebuild_pristine(std::span<const double> base_capacity) {
   // every scenario, so the bound's scenario scan never counts it.)
   NETENT_EXPECTS(base_capacity.size() == headroom_.size());
   for (std::size_t l = 0; l < headroom_.size(); ++l) {
-    bool alive_somewhere = false;
-    for (const FailureScenario& scenario : scenarios_) {
-      if (link_alive(LinkId(static_cast<std::uint32_t>(l)), scenario)) {
-        alive_somewhere = true;
-        break;
-      }
-    }
+    const bool alive_somewhere =
+        srlg_scenarios_[link_srlg_[l].value()].size() < scenarios_.size();
     headroom_[l] = alive_somewhere ? base_capacity[l] : kInf;
   }
 }
@@ -70,13 +79,7 @@ void FastEstimator::refresh_links(std::span<const LinkId> links,
   NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());
   for (const LinkId link : links) {
     NETENT_EXPECTS(link.value() < headroom_.size());
-    double headroom = kInf;
-    for (std::size_t s = 0; s < scenarios_.size(); ++s) {
-      if (link_alive(link, scenarios_[s])) {
-        headroom = std::min(headroom, scenario_residuals[s][link.value()]);
-      }
-    }
-    headroom_[link.value()] = headroom;
+    headroom_[link.value()] = alive_min(link, scenario_residuals);
   }
 }
 

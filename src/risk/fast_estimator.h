@@ -132,13 +132,18 @@ class FastEstimator {
 
  private:
   [[nodiscard]] bool link_alive(LinkId link, const FailureScenario& scenario) const;
+  /// min of `scenario_residuals[s][link]` over the scenarios leaving `link`
+  /// alive (+inf when none does).
+  [[nodiscard]] double alive_min(LinkId link,
+                                 std::span<const std::vector<double>> scenario_residuals) const;
 
   std::span<const FailureScenario> scenarios_;
   std::vector<SrlgId> link_srlg_;  ///< SRLG of each link, by LinkId
-  /// Scenario indices downing each SRLG, by SrlgId. bound()'s scenario scan
-  /// only visits scenarios that hit a candidate-path SRLG — every other
-  /// scenario leaves all paths alive and is decided by path 0 wholesale —
-  /// keeping the fast tier O(path links + affected scenarios) per demand.
+  /// Scenario indices downing each SRLG, by SrlgId, strictly ascending.
+  /// bound()'s scenario scan only visits scenarios that hit a
+  /// candidate-path SRLG — every other scenario leaves all paths alive and
+  /// is decided by path 0 wholesale — keeping the fast tier O(path links +
+  /// affected scenarios) per demand.
   std::vector<std::vector<std::uint32_t>> srlg_scenarios_;
   std::vector<double> headroom_;   ///< min alive-scenario residual, by LinkId
   double total_mass_ = 0.0;

@@ -503,11 +503,10 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       audit.demands.reserve(record.size());
       for (const DrawnDemand& d : record) audit.demands.push_back(d.demand);
       audit.links = candidate_links(router_, record);
-      audit.residuals.reserve(residual_[k].size() * audit.links.size());
+      audit.residuals.resize(residual_[k].size() * audit.links.size());
+      double* snapshot = audit.residuals.data();
       for (const std::vector<double>& scenario_residual : residual_[k]) {
-        for (const LinkId link : audit.links) {
-          audit.residuals.push_back(scenario_residual[link.value()]);
-        }
+        for (const LinkId link : audit.links) *snapshot++ = scenario_residual[link.value()];
       }
       audit.bounds = std::move(fast_pass.bounds);
       window_audits.push_back(std::move(audit));

@@ -266,6 +266,62 @@ TEST(FastEstimator, AllLinksDirtyRefreshEqualsRebuild) {
   }
 }
 
+// The summary is the alive-scenario minimum itself, checked against a
+// direct scan of every down-set: on the enumerated scenarios, with one
+// SRLG down in every scenario (its links keep +inf) and a first scenario
+// that lists an SRLG twice.
+TEST(FastEstimator, HeadroomIsTheMinimumOverScenariosLeavingTheLinkAlive) {
+  Rng rng(29);
+  const World world = make_world(rng);
+  std::vector<FailureScenario> scenarios = world.scenarios;
+  const SrlgId always = world.topo.link(LinkId(0)).srlg;
+  for (FailureScenario& scenario : scenarios) {
+    const auto at = std::lower_bound(scenario.down.begin(), scenario.down.end(), always);
+    if (at == scenario.down.end() || *at != always) scenario.down.insert(at, always);
+  }
+  const SrlgId repeated = world.topo.link(LinkId(2)).srlg;
+  std::vector<SrlgId> twice{always, repeated, repeated};
+  std::sort(twice.begin(), twice.end());
+  scenarios.insert(scenarios.begin(), FailureScenario{twice, 1e-3});
+
+  // Alive cells get arbitrary residuals; dead cells stay 0, below them all.
+  std::vector<std::vector<double>> residuals;
+  for (const FailureScenario& scenario : scenarios) {
+    std::vector<double> residual = scenario_capacities(world.index, world.caps, scenario);
+    for (double& r : residual) r *= rng.uniform(0.2, 1.0);
+    residuals.push_back(std::move(residual));
+  }
+
+  std::vector<double> expected(world.caps.size(), std::numeric_limits<double>::infinity());
+  std::vector<LinkId> all_links;
+  for (std::size_t l = 0; l < world.caps.size(); ++l) {
+    const LinkId link(static_cast<std::uint32_t>(l));
+    all_links.push_back(link);
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      const std::vector<SrlgId>& down = scenarios[s].down;
+      if (std::find(down.begin(), down.end(), world.topo.link(link).srlg) == down.end()) {
+        expected[l] = std::min(expected[l], residuals[s][l]);
+      }
+    }
+  }
+
+  FastEstimator rebuilt(world.topo, scenarios);
+  rebuilt.rebuild(residuals);
+  FastEstimator refreshed(world.topo, scenarios);
+  refreshed.refresh_links(all_links, residuals);
+  FastEstimator pristine(world.topo, scenarios);
+  pristine.rebuild_pristine(world.caps);
+  for (std::size_t l = 0; l < world.caps.size(); ++l) {
+    EXPECT_EQ(rebuilt.headroom()[l], expected[l]) << "link " << l;
+    EXPECT_EQ(refreshed.headroom()[l], expected[l]) << "link " << l;
+    const bool always_down = world.topo.link(all_links[l]).srlg == always;
+    EXPECT_EQ(pristine.headroom()[l],
+              always_down ? std::numeric_limits<double>::infinity() : world.caps[l])
+        << "link " << l;
+  }
+  EXPECT_EQ(rebuilt.headroom()[0], std::numeric_limits<double>::infinity());
+}
+
 // Pristine summaries (the approval engine's state) must match rebuild()
 // from untouched scenario capacities: headroom IS the base capacity for
 // every link that is alive in some scenario.
