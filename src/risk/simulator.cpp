@@ -24,10 +24,10 @@ struct SweepMetrics {
   /// so it exercises the sharded write path.
   obs::Histogram& place_seconds = reg.timer_histogram("risk.scenario_place_seconds");
   obs::Gauge& threads = reg.gauge("risk.sweep.threads", /*timing=*/true);
-  /// placement busy / (threads * wall) for the last sweep, curve build
-  /// included in the wall: how well the scenario fan-out kept the pool fed
-  /// (placement cost is skewed, so the tail scenario can idle the rest of
-  /// the pool).
+  /// placement busy / (threads * wall) for the last sweep, the wall ending
+  /// with the last placement: how well the scenario fan-out kept the pool
+  /// fed (placement cost is skewed, so the tail scenario can idle the rest
+  /// of the pool).
   obs::Gauge& utilization_pct = reg.gauge("risk.sweep.utilization_pct", /*timing=*/true);
 };
 
@@ -79,11 +79,9 @@ struct Cell {
 /// the reference, the reference group, then the deviations below, ties in
 /// scenario order. The reference group adds every non-deviating scenario's
 /// probability in scenario order, the same additions the dense curve makes,
-/// so every mass is bit-identical to it. `running[s]` is the mass of
-/// scenarios 0..s summed from 0.0.
+/// so every mass is bit-identical to it.
 Breakpoints streamed_curve(std::span<const Cell> deviating, double reference,
-                           std::span<const double> probability,
-                           std::span<const double> running) {
+                           std::span<const double> probability) {
   std::vector<Cell> order(deviating.begin(), deviating.end());
   std::stable_sort(order.begin(), order.end(),
                    [](const Cell& a, const Cell& b) { return a.placed > b.placed; });
@@ -92,16 +90,8 @@ Breakpoints streamed_curve(std::span<const Cell> deviating, double reference,
   for (; next != order.end() && next->placed > reference; ++next) {
     append_outcome(curve, next->placed, probability[next->index]);
   }
-  // With nothing above the reference the walk starts from 0.0, so up to the
-  // first deviation it makes exactly the additions of `running`.
   std::size_t s = 0;
-  double mass = 0.0;
-  if (!curve.empty()) {
-    mass = curve.back().second;
-  } else {
-    s = deviating.empty() ? probability.size() : deviating.front().index;
-    mass = running[s - 1];
-  }
+  double mass = curve.empty() ? 0.0 : curve.back().second;
   for (const Cell& skip : deviating) {
     for (; s < skip.index; ++s) mass += probability[s];
     s = skip.index + 1;
@@ -287,11 +277,9 @@ std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario
   NETENT_EXPECTS(place != nullptr);
   if (demand_count == 0) return {};
   std::vector<double> probability(scenarios.size());
-  std::vector<double> running(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     probability[s] = scenarios[s].probability;
     NETENT_EXPECTS(probability[s] >= 0.0);
-    running[s] = (s == 0 ? 0.0 : running[s - 1]) + probability[s];
   }
 
   const std::span<const double> first = place(0, 0);
@@ -323,7 +311,7 @@ std::vector<AvailabilityCurve> curves_from_sweep(std::span<const FailureScenario
   // fan-out's work is counted in cells.
   std::vector<Breakpoints> breakpoints(demand_count);
   fan_out(num_threads, demand_count, cells, [&](std::size_t, std::size_t d) {
-    breakpoints[d] = streamed_curve(deviations[d], reference[d], probability, running);
+    breakpoints[d] = streamed_curve(deviations[d], reference[d], probability);
   });
 
   std::vector<AvailabilityCurve> curves;
@@ -374,13 +362,22 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
   const auto sweep_start = std::chrono::steady_clock::now();
   ScenarioPlacer placer(router_, pipes, base_capacity_, index_, scenarios_, width, mode,
                         &m.place_seconds, kPlaceSampleStride);
-  auto curves = curves_from_sweep(scenarios_, pipes.size(), num_threads,
-                                  [&](std::size_t worker, std::size_t s) {
-                                    return placer.place(worker, s);
-                                  });
+  // When each worker slot finished its last placement: the latest is where
+  // the scenario fan-out ends, before the regroup and the curve fan-out.
+  std::vector<CacheAligned<std::chrono::steady_clock::time_point>> placed_at(
+      width, CacheAligned<std::chrono::steady_clock::time_point>{sweep_start});
+  const auto place = [&](std::size_t worker, std::size_t s) {
+    const std::span<const double> placed = placer.place(worker, s);
+    if constexpr (obs::kEnabled) placed_at[worker].value = std::chrono::steady_clock::now();
+    return placed;
+  };
+  auto curves = curves_from_sweep(scenarios_, pipes.size(), num_threads, place);
   if constexpr (obs::kEnabled) {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
+    const auto placed_until =
+        std::max_element(placed_at.begin(), placed_at.end(), [](const auto& a, const auto& b) {
+          return a.value < b.value;
+        })->value;
+    const double wall = std::chrono::duration<double>(placed_until - sweep_start).count();
     m.threads.set(static_cast<double>(width));
     if (wall > 0.0) {
       // Spans are sampled 1-in-kPlaceSampleStride; scale the sampled busy
