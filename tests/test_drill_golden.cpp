@@ -7,8 +7,12 @@
 // read, agents-after-sweep) to the actual historical numbers.
 //
 // The jittered-phase tests don't compare against the lockstep numbers (the
-// fleet is deliberately desynchronized); they pin determinism instead: the
-// same seed must produce byte-identical series across repeated runs.
+// fleet is deliberately desynchronized). They pin determinism (the same seed
+// must produce byte-identical series across repeated runs) and history: the
+// jittered goldens below were captured from the engine as it stood before
+// the slot-indexed event spine and the FIFO store deliveries, together with
+// the queue's scheduled/executed/cancelled counts, so a spine that reordered
+// or dropped events in the desynchronized mode perfbench runs fails here.
 
 #include <gtest/gtest.h>
 
@@ -119,6 +123,73 @@ TEST(DrillGolden, JitteredPhasesAreRunToRunDeterministic) {
   DrillEngine a(jittered_config(), Rng(20220822));
   DrillEngine b(jittered_config(), Rng(20220822));
   EXPECT_EQ(hash_ticks(a.run()), hash_ticks(b.run()));
+}
+
+/// A run's tick series hash plus the event spine's three counts.
+struct EventGolden {
+  std::uint64_t ticks_hash;
+  std::uint64_t scheduled;
+  std::uint64_t executed;
+  std::uint64_t cancelled;
+};
+
+EventGolden run_golden(const DrillConfig& config, std::uint64_t seed) {
+  DrillEngine engine(config, Rng(seed));
+  const std::uint64_t hash = hash_ticks(engine.run());
+  const DrillEngineStats& stats = engine.stats();
+  return {hash, stats.events_scheduled, stats.events_executed, stats.events_cancelled};
+}
+
+void expect_golden(const EventGolden& actual, const EventGolden& expected) {
+  EXPECT_EQ(actual.ticks_hash, expected.ticks_hash);
+  EXPECT_EQ(actual.scheduled, expected.scheduled);
+  EXPECT_EQ(actual.executed, expected.executed);
+  EXPECT_EQ(actual.cancelled, expected.cancelled);
+}
+
+/// Flow-based marking, stateless meter and AIMD transport, with publishes
+/// that reach the store in the same timestamp (zero visibility delay).
+DrillConfig jittered_flow_config() {
+  DrillConfig c = golden2_config();
+  c.phase_jitter_seconds = 3.0;
+  c.store_visibility_delay_seconds = 0.0;
+  return c;
+}
+
+/// Every fault kind on a jittered fleet, with a delivery delay that is not a
+/// multiple of the tick, so deliveries land between sweeps and some fall due
+/// inside the partition.
+DrillConfig jittered_fault_config() {
+  DrillConfig c = golden1_config();
+  c.phase_jitter_seconds = 5.0;
+  c.store_visibility_delay_seconds = 7.5;
+  for (std::size_t h = 0; h < 6; ++h) {
+    c.faults.push_back({10.0 * 60.0 + 1.5 * static_cast<double>(h),
+                        DrillFault::Kind::agent_crash, h});
+    c.faults.push_back({13.0 * 60.0, DrillFault::Kind::agent_restart, h});
+  }
+  c.faults.push_back({15.0 * 60.0 + 2.0, DrillFault::Kind::store_partition, 0});
+  c.faults.push_back({17.0 * 60.0, DrillFault::Kind::store_heal, 0});
+  c.faults.push_back({19.0 * 60.0, DrillFault::Kind::host_down, 20});
+  c.faults.push_back({19.0 * 60.0, DrillFault::Kind::host_down, 21});
+  c.faults.push_back({24.0 * 60.0 + 3.0, DrillFault::Kind::host_up, 20});
+  return c;
+}
+
+constexpr EventGolden kJitteredHost{0x25569a92a7730ae3ULL, 21964, 21867, 49};
+constexpr EventGolden kJitteredFlow{0x9de36dbbcfefb9a6ULL, 9845, 9812, 33};
+constexpr EventGolden kJitteredFaults{0xb13864dc5a080142ULL, 21003, 20900, 63};
+
+TEST(DrillGolden, JitteredHostBasedMatchesHistory) {
+  expect_golden(run_golden(jittered_config(), 20220822), kJitteredHost);
+}
+
+TEST(DrillGolden, JitteredFlowBasedZeroDelayMatchesHistory) {
+  expect_golden(run_golden(jittered_flow_config(), 7), kJitteredFlow);
+}
+
+TEST(DrillGolden, JitteredFaultsMatchHistory) {
+  expect_golden(run_golden(jittered_fault_config(), 42), kJitteredFaults);
 }
 
 TEST(DrillGolden, EngineReportsEventStats) {
