@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot paths: the kernel
 // classification stage runs per packet, the meters per cycle per host, the
-// risk simulator per scenario per approval batch. These bound the system's
-// scalability claims (§3.1 challenge 3, §5 "Efficiency").
+// risk simulator per scenario per approval batch, the drill's event spine per
+// event. These bound the system's scalability claims (§3.1 challenge 3, §5
+// "Efficiency").
 //
 // Extra flags (stripped before google-benchmark sees argv):
 //   --smoke              fast CI pass (injects --benchmark_min_time=0.01)
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "risk/simulator.h"
+#include "sim/event_queue.h"
 #include "topology/generator.h"
 #include "topology/paths.h"
 #include "topology/routing.h"
@@ -82,6 +85,40 @@ void BM_SwitchTransmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwitchTransmit);
+
+void BM_EventQueuePeriodic(benchmark::State& state) {
+  // The drill's event spine without its world: 500 agents' publish timers
+  // at jittered phases, each publish a delivery 10 s later through a
+  // constant-delay channel. One iteration is one 5-s period (500 timer
+  // fires plus ~500 deliveries); events_per_s is the spine's own throughput.
+  constexpr std::size_t kTimers = 500;
+  constexpr double kPeriod = 5.0;
+  sim::EventQueue queue;
+  std::uint64_t delivered = 0;
+  sim::DelayLine<std::uint64_t> deliveries(queue, 2.0 * kPeriod, sim::kDeliveryStratum,
+                                           [&delivered](const std::uint64_t& host) {
+                                             delivered += host;
+                                           });
+  std::vector<std::unique_ptr<sim::PeriodicTimer>> timers;
+  Rng rng(17);
+  for (std::uint64_t host = 0; host < kTimers; ++host) {
+    timers.push_back(std::make_unique<sim::PeriodicTimer>(
+        queue, kPeriod, sim::kAgentStratum, [&deliveries, host] { deliveries.send(host); }));
+    timers.back()->start_at(rng.uniform(0.0, kPeriod));
+  }
+  double horizon = 4.0 * kPeriod;
+  queue.run_until(horizon);  // warm-up: the heap, slots and channel ring grow
+  const std::uint64_t executed_before = queue.executed_count();
+  for (auto _ : state) {
+    horizon += kPeriod;
+    queue.run_until(horizon);
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(queue.executed_count() - executed_before), benchmark::Counter::kIsRate);
+  for (auto& timer : timers) timer->stop();
+}
+BENCHMARK(BM_EventQueuePeriodic);
 
 void BM_RouteDemandBatch(benchmark::State& state) {
   Rng rng(1);

@@ -6,6 +6,7 @@
 // production logic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -37,6 +38,13 @@ class BpfClassifier {
   /// programmed entry keeps its class's conforming DSCP (no contract => no
   /// remark).
   [[nodiscard]] std::uint8_t classify(const EgressMeta& meta) const;
+
+  /// How many of `host`'s flows first_flow, ..., first_flow + flows - 1 in
+  /// (npg, qos) classify() remarks to kNonConformingDscp, with one map
+  /// lookup for the whole range.
+  [[nodiscard]] std::size_t count_non_conforming(NpgId npg, QosClass qos, HostId host,
+                                                 std::uint64_t first_flow,
+                                                 std::size_t flows) const;
 
   [[nodiscard]] const Marker& marker() const { return marker_; }
   [[nodiscard]] std::size_t map_size() const { return ratios_.size(); }

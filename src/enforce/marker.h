@@ -6,6 +6,7 @@
 // applications can fail over away from them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
@@ -36,6 +37,13 @@ class Marker {
   /// the current NonConformRatio. In host-based mode the flow id is ignored.
   [[nodiscard]] bool non_conforming(HostId host, std::uint64_t flow_id,
                                     double non_conform_ratio) const;
+
+  /// How many of `host`'s flows first_flow, ..., first_flow + flows - 1
+  /// non_conforming() remarks: one group decision for the whole range in
+  /// host-based mode, one per flow in flow-based mode.
+  [[nodiscard]] std::size_t count_non_conforming(HostId host, std::uint64_t first_flow,
+                                                 std::size_t flows,
+                                                 double non_conform_ratio) const;
 
  private:
   [[nodiscard]] bool group_marked(std::uint32_t group, double non_conform_ratio) const;

@@ -26,9 +26,8 @@ using namespace netent::enforce;
 constexpr NpgId kColdstorage{0};
 constexpr double kEps = 1e-9;
 
-/// Drill-wide tallies. flows_classified / flows_marked are bumped per host;
-/// the volume counters are accumulated once per tick as milli-gbit of
-/// traffic (rate x tick, rounded).
+/// Drill-wide tallies, bumped once per world sweep. The volume counters are
+/// accumulated as milli-gbit of traffic (rate x tick, rounded).
 struct DrillMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& runs = reg.counter("sim.drill.runs");
@@ -74,40 +73,23 @@ double lossy_latency_factor(double loss, double gain) {
   return std::min(1.0 + gain * bounded / (1.0 - bounded), 10.0);
 }
 
-/// RateStoreIface adapter that turns each publish into a delivery event
-/// visibility_delay later (kDeliveryStratum, so an arrival that coincides
-/// with a metering read lands first — the boundary the lookback store's
-/// `ts <= now - delay` included). Reads go straight to the arrived state.
-class PropagatingStore final : public RateStoreIface {
- public:
-  PropagatingStore(EventQueue& queue, EventRateStore& inner)
-      : queue_(queue), inner_(inner) {}
-
-  void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-               double now_seconds) override {
-    queue_.schedule_in(inner_.visibility_delay(), kDeliveryStratum,
-                       [this, npg, qos, host, total, conform, now_seconds] {
-                         inner_.deliver(npg, qos, host, total, conform, now_seconds,
-                                        queue_.now());
-                       });
-  }
-
-  [[nodiscard]] ServiceRates aggregate(NpgId npg, QosClass qos,
-                                       double now_seconds) const override {
-    return inner_.read(npg, qos, now_seconds);
-  }
-
- private:
-  EventQueue& queue_;
-  EventRateStore& inner_;
-};
-
 void validate(const DrillConfig& config) {
+  // Times must be finite: run() casts duration / tick to a tick count, the
+  // timers multiply their periods, and the store's deliveries rely on one
+  // finite constant delay.
   NETENT_EXPECTS(config.host_count >= 2);
-  NETENT_EXPECTS(config.tick_seconds > 0.0);
-  NETENT_EXPECTS(config.duration_seconds > config.tick_seconds);
+  NETENT_EXPECTS(std::isfinite(config.tick_seconds) && config.tick_seconds > 0.0);
+  NETENT_EXPECTS(std::isfinite(config.duration_seconds) &&
+                 config.duration_seconds > config.tick_seconds);
+  NETENT_EXPECTS(std::isfinite(config.metering_interval_seconds) &&
+                 config.metering_interval_seconds > 0.0);
+  NETENT_EXPECTS(std::isfinite(config.publish_interval_seconds) &&
+                 config.publish_interval_seconds > 0.0);
+  NETENT_EXPECTS(std::isfinite(config.store_visibility_delay_seconds) &&
+                 config.store_visibility_delay_seconds >= 0.0);
   NETENT_EXPECTS(config.flows_per_host >= 1);
-  NETENT_EXPECTS(config.phase_jitter_seconds >= 0.0);
+  NETENT_EXPECTS(std::isfinite(config.phase_jitter_seconds) &&
+                 config.phase_jitter_seconds >= 0.0);
   NETENT_EXPECTS(config.failover_delay_seconds >= 0.0);
   NETENT_EXPECTS(config.write_session_tau_seconds > 0.0);
   for (const AclStage& stage : config.acl_stages) {
@@ -122,6 +104,23 @@ void validate(const DrillConfig& config) {
 }
 
 }  // namespace
+
+PropagatingStore::PropagatingStore(EventQueue& queue, EventRateStore& inner)
+    : inner_(inner),
+      in_flight_(queue, inner.visibility_delay(), kDeliveryStratum,
+                 [this, &queue](const Publish& p) {
+                   inner_.deliver(p.npg, p.qos, p.host, p.total, p.conform, p.published_seconds,
+                                  queue.now());
+                 }) {}
+
+void PropagatingStore::publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
+                               double now_seconds) {
+  in_flight_.send(Publish{npg, qos, host, total, conform, now_seconds});
+}
+
+ServiceRates PropagatingStore::aggregate(NpgId npg, QosClass qos, double now_seconds) const {
+  return inner_.read(npg, qos, now_seconds);
+}
 
 DrillEngine::DrillEngine(DrillConfig config, Rng rng)
     : config_(std::move(config)), rng_(rng) {
@@ -266,10 +265,14 @@ std::vector<DrillTick> DrillEngine::run() {
     const double demand = demand_at(t);
     const double acl = current_acl;
 
-    // 1. Hosts classify their egress traffic through the kernel stage.
+    // 1. Hosts classify their egress traffic through the kernel stage: host
+    // h's flows are h * 1000 + [0, flows_per_host), and one classifier query
+    // per host counts how many of them it remarks.
     double conf_sent = 0.0;
     double nonconf_sent = 0.0;
     const double flow_rate_divisor = static_cast<double>(config_.flows_per_host);
+    std::uint64_t flows_classified = 0;
+    std::uint64_t flows_marked = 0;
     for (std::size_t h = 0; h < n; ++h) {
       if (!host_alive[h]) {
         // Machine death fault: no egress at all.
@@ -279,14 +282,11 @@ std::vector<DrillTick> DrillEngine::run() {
         continue;
       }
       const double host_demand = demand * weight[h];
-      std::uint64_t marked_flows = 0;
-      for (std::size_t f = 0; f < config_.flows_per_host; ++f) {
-        const EgressMeta meta{kColdstorage, config_.qos, HostId(static_cast<std::uint32_t>(h)),
-                              static_cast<std::uint64_t>(h) * 1000 + f};
-        if (classifiers[h].classify(meta) == kNonConformingDscp) ++marked_flows;
-      }
-      dm.flows_classified.add(config_.flows_per_host);
-      if (marked_flows != 0) dm.flows_marked.add(marked_flows);
+      const std::size_t marked_flows = classifiers[h].count_non_conforming(
+          kColdstorage, config_.qos, HostId(static_cast<std::uint32_t>(h)),
+          static_cast<std::uint64_t>(h) * 1000, config_.flows_per_host);
+      flows_classified += config_.flows_per_host;
+      flows_marked += marked_flows;
       const double marked = static_cast<double>(marked_flows) / flow_rate_divisor;
       host_marked_share[h] = marked;
       // Transport reaction: non-conforming flows send at a collapsed rate
@@ -299,6 +299,8 @@ std::vector<DrillTick> DrillEngine::run() {
       conf_sent += host_conf[h];
       nonconf_sent += host_nonconf[h];
     }
+    if (flows_classified != 0) dm.flows_classified.add(flows_classified);
+    if (flows_marked != 0) dm.flows_marked.add(flows_marked);
 
     // 2. ACL stage drops a scheduled fraction of non-conforming traffic.
     const double acl_dropped = nonconf_sent * acl;

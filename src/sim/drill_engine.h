@@ -35,9 +35,43 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/types.h"
+#include "common/units.h"
+#include "enforce/ratestore.h"
 #include "sim/drill.h"
+#include "sim/event_queue.h"
 
 namespace netent::sim {
+
+/// The agents' rate store in the drill: each publish becomes a delivery
+/// event visibility_delay later (kDeliveryStratum, so an arrival that
+/// coincides with a metering read lands first — the boundary the lookback
+/// store's `ts <= now - delay` included). Reads go straight to the arrived
+/// state. The delay is one constant, so in-flight publishes wait in a
+/// DelayLine and every delivery event captures only that channel.
+class PropagatingStore final : public enforce::RateStoreIface {
+ public:
+  PropagatingStore(EventQueue& queue, enforce::EventRateStore& inner);
+
+  void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
+               double now_seconds) override;
+
+  [[nodiscard]] enforce::ServiceRates aggregate(NpgId npg, QosClass qos,
+                                                double now_seconds) const override;
+
+ private:
+  struct Publish {
+    NpgId npg;
+    QosClass qos = QosClass::c1_low;
+    HostId host;
+    Gbps total;
+    Gbps conform;
+    double published_seconds = 0.0;
+  };
+
+  enforce::EventRateStore& inner_;
+  DelayLine<Publish> in_flight_;
+};
 
 /// Event-layer accounting for one engine run (the bench's events/sec
 /// throughput section reads these).

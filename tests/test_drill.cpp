@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/check.h"
 
 namespace netent::sim {
@@ -198,6 +201,29 @@ TEST(DrillSim, InvalidConfigRejected) {
   config = fast_config();
   config.failover_delay_seconds = -1.0;
   EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
+
+  // Non-finite times: an infinite duration used to pass (inf > tick) and
+  // then overflow the tick count; the store's deliveries need one finite,
+  // non-negative delay.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double DrillConfig::*> times = {
+      &DrillConfig::duration_seconds,          &DrillConfig::tick_seconds,
+      &DrillConfig::metering_interval_seconds, &DrillConfig::publish_interval_seconds,
+      &DrillConfig::store_visibility_delay_seconds, &DrillConfig::phase_jitter_seconds};
+  for (double DrillConfig::*field : times) {
+    for (const double bad : {kInf, -kInf, nan}) {
+      config = fast_config();
+      config.*field = bad;
+      EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation) << bad;
+    }
+  }
+  config = fast_config();
+  config.store_visibility_delay_seconds = -1.0;
+  EXPECT_THROW(DrillEngine(config, Rng(1)), ContractViolation);
+  config = fast_config();
+  config.store_visibility_delay_seconds = 0.0;
+  EXPECT_NO_THROW(DrillEngine(config, Rng(1)));
 }
 
 }  // namespace
