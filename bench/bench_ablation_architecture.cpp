@@ -127,7 +127,7 @@ void failure_experiment() {
 
   // Second generation: agents keep metering locally; a calm conforming
   // service is never marked, regardless of any central component.
-  RateStore store(1.0);
+  RateStore store(RateStore::AggregateMode::kExactOrdered, 1.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based)};
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{}, std::make_unique<StatefulMeter>(),
                   fixed_entitlement(entitled), store, classifier);

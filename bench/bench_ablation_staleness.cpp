@@ -31,7 +31,7 @@ struct CellResult {
 };
 
 CellResult run_cell(double visibility_delay, double gain) {
-  RateStore store(visibility_delay);
+  RateStore store(RateStore::AggregateMode::kExactOrdered, visibility_delay);
   const Marker marker(MarkingMode::host_based);
   const EntitlementQuery query = [](NpgId, QosClass, double) {
     return EntitlementAnswer{true, Gbps(kEntitled)};

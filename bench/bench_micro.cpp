@@ -62,9 +62,10 @@ void BM_StatefulMeterCycle(benchmark::State& state) {
 BENCHMARK(BM_StatefulMeterCycle);
 
 void BM_RateStoreAggregate(benchmark::State& state) {
-  // One service's aggregate among a large multi-service fleet: the lookup
-  // must touch only the queried service's publishers.
-  enforce::RateStore store(1.0);
+  // One service's repeat read among a large multi-service fleet: once the
+  // first read has applied the publishes, an exact-mode read is one service
+  // lookup plus the memoized sum, flat in the number of services.
+  enforce::RateStore store(enforce::RateStore::AggregateMode::kExactOrdered, 1.0);
   const auto services = static_cast<std::uint32_t>(state.range(0));
   for (std::uint32_t svc = 0; svc < services; ++svc) {
     for (std::uint32_t h = 0; h < 64; ++h) {
@@ -72,7 +73,7 @@ void BM_RateStoreAggregate(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.aggregate(NpgId(0), QosClass::c2_low, 200.0));
+    benchmark::DoNotOptimize(store.read(NpgId(0), QosClass::c2_low, 200.0));
   }
 }
 BENCHMARK(BM_RateStoreAggregate)->Arg(10)->Arg(1000);

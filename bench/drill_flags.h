@@ -39,10 +39,13 @@ inline bool fault_kind_is_host_scoped(sim::DrillFault::Kind kind) {
   return kind != Kind::store_partition && kind != Kind::store_heal;
 }
 
-/// Parses the `--faults` DSL into DrillConfig faults. Throws
-/// std::invalid_argument on malformed specs (DrillEngine itself still validates
-/// times and host bounds against the config).
-inline std::vector<sim::DrillFault> parse_fault_spec(const std::string& spec) {
+/// Parses the `--faults` DSL into DrillConfig faults for a fleet of
+/// `host_count` hosts. Throws std::invalid_argument on malformed specs and on
+/// hosts outside [0, host_count), checked before a range is expanded, so a
+/// huge or unsigned-overflowing HI never reaches the expansion loop
+/// (DrillEngine itself still validates times against the config).
+inline std::vector<sim::DrillFault> parse_fault_spec(const std::string& spec,
+                                                     std::size_t host_count) {
   std::vector<sim::DrillFault> faults;
   std::size_t begin = 0;
   while (begin <= spec.size()) {
@@ -74,6 +77,7 @@ inline std::vector<sim::DrillFault> parse_fault_spec(const std::string& spec) {
                                ? lo
                                : static_cast<std::size_t>(std::stoul(hosts.substr(dash + 1)));
     if (hi < lo) throw std::invalid_argument("empty host range: " + entry);
+    if (hi >= host_count) throw std::invalid_argument("host beyond the fleet: " + entry);
     for (std::size_t host = lo; host <= hi; ++host) faults.push_back({at_seconds, kind, host});
   }
   return faults;
@@ -84,7 +88,7 @@ inline void apply_drill_flags(int argc, char** argv, sim::DrillConfig& config) {
   const std::string jitter = flag_value(argc, argv, "phase-jitter", "");
   if (!jitter.empty()) config.phase_jitter_seconds = std::stod(jitter);
   const std::string faults = flag_value(argc, argv, "faults", "");
-  if (!faults.empty()) config.faults = parse_fault_spec(faults);
+  if (!faults.empty()) config.faults = parse_fault_spec(faults, config.host_count);
 }
 
 }  // namespace netent::bench

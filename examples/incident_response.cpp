@@ -40,7 +40,7 @@ std::vector<Minute> run(bool enforce_entitlements) {
   traffic::inject_bug_spike(culprit, 5.0 * 60.0, 3.0 * 60.0, 20.0 * 60.0, 0.5);
   traffic::inject_feature_step(culprit, 30.0 * 60.0, 400.0);
 
-  enforce::RateStore store(30.0);
+  enforce::RateStore store(enforce::RateStore::AggregateMode::kExactOrdered, 30.0);
   enforce::BpfClassifier classifier{enforce::Marker(enforce::MarkingMode::host_based)};
   const enforce::EntitlementQuery query = [&](NpgId, QosClass, double) {
     return enforce::EntitlementAnswer{true, culprit_entitled};

@@ -89,7 +89,7 @@ int main() {
   }
 
   // --- Run-time enforcement hooks straight off the database. --------------
-  enforce::RateStore store(1.0);
+  enforce::RateStore store(enforce::RateStore::AggregateMode::kExactOrdered, 1.0);
   enforce::BpfClassifier classifier{enforce::Marker(enforce::MarkingMode::host_based)};
   enforce::HostAgent agent(HostId(1), NpgId(1), QosClass::c1_low, enforce::AgentConfig{},
                            std::make_unique<enforce::StatefulMeter>(),

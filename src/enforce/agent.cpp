@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -14,7 +15,7 @@ namespace {
 /// Metering cycles happen on a seconds cadence per agent, so registry-handle
 /// lookup is hoisted into one process-wide static; every agent shares the
 /// counters (they are fleet aggregates, like the dashboards the §6 drill
-/// reads).
+/// reads) and adds its own counts to them in batches (flush_counts).
 struct AgentMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& publishes = reg.counter("enforce.agent.publishes");
@@ -44,8 +45,8 @@ constexpr std::uint64_t kCycleSampleMask = 0xF;
 }  // namespace
 
 HostAgent::HostAgent(HostId host, NpgId npg, QosClass qos, AgentConfig config,
-                     std::unique_ptr<Meter> meter, EntitlementQuery query,
-                     RateStoreIface& store, BpfClassifier& classifier)
+                     std::unique_ptr<Meter> meter, EntitlementQuery query, RateStore& store,
+                     BpfClassifier& classifier)
     : host_(host),
       npg_(npg),
       qos_(qos),
@@ -59,6 +60,8 @@ HostAgent::HostAgent(HostId host, NpgId npg, QosClass qos, AgentConfig config,
   NETENT_EXPECTS(config_.metering_interval_seconds > 0.0);
   NETENT_EXPECTS(config_.publish_interval_seconds > 0.0);
 }
+
+HostAgent::~HostAgent() { flush_counts(); }
 
 void HostAgent::observe_local(Gbps total, Gbps conform) {
   NETENT_EXPECTS(total >= Gbps(0));
@@ -80,13 +83,8 @@ bool HostAgent::tick(double now_seconds) {
 
 void HostAgent::publish_now(double now_seconds) {
   store_.publish(npg_, qos_, host_, local_total_, local_conform_, now_seconds);
-  metrics().publishes.add();
+  ++publishes_;
   last_publish_ = now_seconds;
-}
-
-void HostAgent::run_metering(double now_seconds) {
-  run_metering_cycle(now_seconds);
-  last_metering_ = now_seconds;
 }
 
 void HostAgent::restart() {
@@ -98,38 +96,26 @@ void HostAgent::restart() {
   last_metering_ = -1e18;
 }
 
-void HostAgent::run_metering_cycle(double now_seconds) {
+void HostAgent::run_metering(double now_seconds) {
+  last_metering_ = now_seconds;
   AgentMetrics& m = metrics();
   std::optional<obs::ScopedTimer> span;
-  if ((cycle_count_++ & kCycleSampleMask) == 0) span.emplace(m.cycle_seconds);
-  m.metering_cycles.add();
+  if ((cycle_count_ & kCycleSampleMask) == 0) span.emplace(m.cycle_seconds);
+  if (++cycle_count_ % kObsFlushCycles == 0) flush_counts();
+  ++metering_cycles_;
 
   const EntitlementAnswer answer = query_(npg_, qos_, now_seconds);
   if (!answer.found) {
     // No contract for this period: remove any stale kernel entry.
-    m.no_contract_cycles.add();
-    if (programmed_ratio_ >= 0.0) m.kernel_unprograms.add();
+    ++no_contract_cycles_;
+    if (programmed_ratio_ >= 0.0) ++kernel_unprograms_;
     classifier_.unprogram(npg_, qos_);
     programmed_ratio_ = -1.0;
     return;
   }
-  const ServiceRates aggregate = store_.aggregate(npg_, qos_, now_seconds);
+  const ServiceRates aggregate = store_.read(npg_, qos_, now_seconds);
   const double ratio = meter_->update(
       MeterInput{aggregate.total, aggregate.conform, answer.entitled_rate});
-
-  // Flush the meter's event deltas at cycle cadence (the meter itself keeps
-  // plain members so its per-update cost stays instrumentation-free).
-  // Zero deltas are the common case for every tally but `updates` in steady
-  // state; skipping them keeps the per-cycle obs cost to a couple of adds.
-  const MeterEvents& events = meter_->events();
-  const auto flush = [](obs::Counter& counter, std::uint64_t current, std::uint64_t flushed) {
-    if (current != flushed) counter.add(current - flushed);
-  };
-  flush(m.meter_updates, events.updates, flushed_events_.updates);
-  flush(m.meter_recoveries, events.recoveries, flushed_events_.recoveries);
-  flush(m.meter_clamps, events.clamps, flushed_events_.clamps);
-  flush(m.meter_idle_cycles, events.idle_cycles, flushed_events_.idle_cycles);
-  flushed_events_ = events;
   m.conform_ratio.set(meter_->conform_ratio());
 
   // Hysteresis keeps the marked set stable at the metering equilibrium; the
@@ -139,10 +125,28 @@ void HostAgent::run_metering_cycle(double now_seconds) {
       std::fabs(ratio - programmed_ratio_) > config_.ratio_hysteresis) {
     classifier_.program(npg_, qos_, ratio);
     programmed_ratio_ = ratio;
-    m.kernel_programs.add();
+    ++kernel_programs_;
   } else {
-    m.reprograms_suppressed.add();
+    ++reprograms_suppressed_;
   }
+}
+
+void HostAgent::flush_counts() {
+  AgentMetrics& m = metrics();
+  m.publishes.add(std::exchange(publishes_, 0));
+  m.metering_cycles.add(std::exchange(metering_cycles_, 0));
+  m.no_contract_cycles.add(std::exchange(no_contract_cycles_, 0));
+  m.kernel_programs.add(std::exchange(kernel_programs_, 0));
+  m.kernel_unprograms.add(std::exchange(kernel_unprograms_, 0));
+  m.reprograms_suppressed.add(std::exchange(reprograms_suppressed_, 0));
+  // The meter keeps plain tallies too, so its per-update cost stays
+  // instrumentation-free; they flush as deltas.
+  const MeterEvents& events = meter_->events();
+  m.meter_updates.add(events.updates - flushed_events_.updates);
+  m.meter_recoveries.add(events.recoveries - flushed_events_.recoveries);
+  m.meter_clamps.add(events.clamps - flushed_events_.clamps);
+  m.meter_idle_cycles.add(events.idle_cycles - flushed_events_.idle_cycles);
+  flushed_events_ = events;
 }
 
 }  // namespace netent::enforce

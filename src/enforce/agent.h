@@ -9,6 +9,7 @@
 // architecture).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -40,14 +41,22 @@ struct AgentConfig {
   double ratio_hysteresis = 0.02;
 };
 
+/// Per-cycle counts (publishes, metering and no-contract cycles, kernel
+/// program paths, meter events) are kept in plain integers and flushed to
+/// the obs registry every kObsFlushCycles metering cycles and on
+/// destruction; the conform-ratio gauge is still set every cycle.
 class HostAgent {
  public:
+  static constexpr std::uint64_t kObsFlushCycles = 64;
+
   /// The classifier is owned by the host (kernel); the agent programs it.
-  /// The store may be the lockstep lookback RateStore or the event engine's
-  /// propagation adapter — the agent cannot tell the difference.
   HostAgent(HostId host, NpgId npg, QosClass qos, AgentConfig config,
-            std::unique_ptr<Meter> meter, EntitlementQuery query, RateStoreIface& store,
+            std::unique_ptr<Meter> meter, EntitlementQuery query, RateStore& store,
             BpfClassifier& classifier);
+  ~HostAgent();
+
+  HostAgent(const HostAgent&) = delete;
+  HostAgent& operator=(const HostAgent&) = delete;
 
   /// Reports this host's currently measured egress rates for the service
   /// (set by the traffic source each cycle before tick()).
@@ -73,11 +82,10 @@ class HostAgent {
   /// cycle reprograms unconditionally.
   void restart();
 
-  [[nodiscard]] HostId host() const { return host_; }
   [[nodiscard]] double non_conform_ratio() const { return meter_->non_conform_ratio(); }
 
  private:
-  void run_metering_cycle(double now_seconds);
+  void flush_counts();
 
   HostId host_;
   NpgId npg_;
@@ -85,7 +93,7 @@ class HostAgent {
   AgentConfig config_;
   std::unique_ptr<Meter> meter_;
   EntitlementQuery query_;
-  RateStoreIface& store_;
+  RateStore& store_;
   BpfClassifier& classifier_;
 
   Gbps local_total_;
@@ -93,8 +101,16 @@ class HostAgent {
   double last_publish_ = -1e18;
   double last_metering_ = -1e18;
   double programmed_ratio_ = -1.0;  // <0: nothing programmed yet
-  MeterEvents flushed_events_;      // meter tallies already pushed to obs
-  std::uint64_t cycle_count_ = 0;   // drives the sampled cycle-latency span
+  std::uint64_t cycle_count_ = 0;  // drives the sampled span and the flushes
+  // Counts not yet flushed to the obs registry; the meter's tallies flush as
+  // deltas against what was already pushed.
+  std::uint64_t publishes_ = 0;
+  std::uint64_t metering_cycles_ = 0;
+  std::uint64_t no_contract_cycles_ = 0;
+  std::uint64_t kernel_programs_ = 0;
+  std::uint64_t kernel_unprograms_ = 0;
+  std::uint64_t reprograms_suppressed_ = 0;
+  MeterEvents flushed_events_;
 };
 
 }  // namespace netent::enforce

@@ -1,6 +1,8 @@
 #include "enforce/ratestore.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -11,11 +13,8 @@ namespace {
 
 struct StoreMetrics {
   obs::Registry& reg = obs::Registry::global();
-  obs::Counter& publishes = reg.counter("enforce.ratestore.publishes");
   obs::Counter& reads = reg.counter("enforce.ratestore.reads");
   obs::Counter& empty_reads = reg.counter("enforce.ratestore.empty_reads");
-  obs::Counter& compactions = reg.counter("enforce.ratestore.compactions");
-  obs::Counter& samples_dropped = reg.counter("enforce.ratestore.samples_dropped");
   obs::Counter& deliveries = reg.counter("enforce.ratestore.deliveries");
   obs::Counter& partition_dropped = reg.counter("enforce.ratestore.partition_dropped");
   /// Age of the freshest sample an aggregate read actually used (one record
@@ -34,125 +33,76 @@ StoreMetrics& metrics() {
 
 }  // namespace
 
-RateStore::RateStore(double visibility_delay_seconds)
-    : visibility_delay_(visibility_delay_seconds) {
+RateStore::RateStore(AggregateMode mode, double visibility_delay_seconds)
+    : mode_(mode), visibility_delay_(visibility_delay_seconds) {
   NETENT_EXPECTS(visibility_delay_seconds >= 0.0);
 }
+
+RateStore::~RateStore() { flush_counts(); }
 
 void RateStore::publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
                         double now_seconds) {
   NETENT_EXPECTS(total >= Gbps(0));
   NETENT_EXPECTS(conform >= Gbps(0));
   NETENT_EXPECTS(conform <= total + Gbps(1e-9));
-  auto& queue = samples_[{npg.value(), qos}][host.value()];
-  NETENT_EXPECTS(queue.empty() || queue.back().timestamp <= now_seconds);
-  queue.push_back({now_seconds, total.value(), conform.value()});
-  metrics().publishes.add();
+  NETENT_EXPECTS(now_seconds >= last_published_);
+  last_published_ = now_seconds;
+  // Reclaim the applied prefix once it is half the buffer: amortized O(1)
+  // moves per publish, and no allocation once the buffer has grown.
+  if (head_ != 0 && 2 * head_ >= in_flight_.size()) {
+    in_flight_.erase(in_flight_.begin(), in_flight_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  in_flight_.push_back(InFlight{{npg.value(), qos},
+                                host.value(),
+                                HostSample{now_seconds, total.value(), conform.value()}});
 }
 
-ServiceRates RateStore::aggregate(NpgId npg, QosClass qos, double now_seconds) const {
-  StoreMetrics& m = metrics();
-  m.reads.add();
-  const double horizon = now_seconds - visibility_delay_;
-  ServiceRates rates{Gbps(0), Gbps(0)};
-  const auto service = samples_.find({npg.value(), qos});
-  if (service == samples_.end()) {
-    m.empty_reads.add();
-    return rates;
+void RateStore::deliver(double now_seconds) {
+  for (; head_ != in_flight_.size(); ++head_) {
+    if (in_flight_[head_].sample.published + visibility_delay_ > now_seconds) return;
+    apply(in_flight_[head_]);
   }
-  double newest_used = -1.0;  // timestamp of the freshest sample merged
-  for (const auto& [host, queue] : service->second) {
-    // Latest sample visible at the horizon.
-    const Sample* visible = nullptr;
-    for (const Sample& sample : queue) {
-      if (sample.timestamp <= horizon) {
-        visible = &sample;
-      } else {
-        break;
-      }
-    }
-    if (visible != nullptr) {
-      rates.total += Gbps(visible->total_gbps);
-      rates.conform += Gbps(visible->conform_gbps);
-      if (visible->timestamp > newest_used) newest_used = visible->timestamp;
-    }
-  }
-  if (newest_used < 0.0) {
-    m.empty_reads.add();
-  } else {
-    m.staleness.record(now_seconds - newest_used);
-  }
-  return rates;
 }
 
-void RateStore::compact(double now_seconds) {
-  metrics().compactions.add();
-  const double horizon = now_seconds - visibility_delay_;
-  std::uint64_t dropped = 0;
-  for (auto& [service, hosts] : samples_) {
-    for (auto& [host, queue] : hosts) {
-      // Keep the newest sample at or before the horizon plus everything after.
-      while (queue.size() >= 2 && queue[1].timestamp <= horizon) {
-        queue.pop_front();
-        ++dropped;
-      }
-    }
-  }
-  if (dropped != 0) metrics().samples_dropped.add(dropped);
-}
-
-EventRateStore::EventRateStore(AggregateMode mode, double visibility_delay_seconds)
-    : mode_(mode), visibility_delay_(visibility_delay_seconds) {
-  NETENT_EXPECTS(visibility_delay_seconds >= 0.0);
-}
-
-void EventRateStore::deliver(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-                             double published_seconds, double now_seconds) {
-  NETENT_EXPECTS(total >= Gbps(0));
-  NETENT_EXPECTS(conform >= Gbps(0));
-  NETENT_EXPECTS(conform <= total + Gbps(1e-9));
-  NETENT_EXPECTS(published_seconds <= now_seconds + 1e-9);
+void RateStore::apply(const InFlight& publish) {
   if (partitioned_) {
-    metrics().partition_dropped.add();
+    ++partition_dropped_;
     return;
   }
-  Service& service = services_[{npg.value(), qos}];
-  auto [it, inserted] = service.hosts.try_emplace(host.value());
+  Service& service = services_[publish.service];
+  auto [it, inserted] = service.hosts.try_emplace(publish.host);
   HostSample& sample = it->second;
   if (!inserted) {
-    // Deliveries for one host arrive in publish order (uniform delay), so a
-    // non-monotone timestamp means the engine double-delivered.
-    NETENT_EXPECTS(sample.published <= published_seconds);
     service.milli_total -= std::llround(sample.total_gbps * 1e3);
     service.milli_conform -= std::llround(sample.conform_gbps * 1e3);
   }
-  sample = HostSample{published_seconds, total.value(), conform.value()};
-  service.milli_total += std::llround(total.value() * 1e3);
-  service.milli_conform += std::llround(conform.value() * 1e3);
-  if (published_seconds > service.newest_published) {
-    service.newest_published = published_seconds;
-  }
+  sample = publish.sample;
+  service.milli_total += std::llround(sample.total_gbps * 1e3);
+  service.milli_conform += std::llround(sample.conform_gbps * 1e3);
+  service.newest_published = std::max(service.newest_published, sample.published);
   ++service.version;
-  metrics().deliveries.add();
+  ++deliveries_;
 }
 
-ServiceRates EventRateStore::read(NpgId npg, QosClass qos, double now_seconds) const {
-  StoreMetrics& m = metrics();
-  m.reads.add();
+ServiceRates RateStore::read(NpgId npg, QosClass qos, double now_seconds) {
+  deliver(now_seconds);
+  if (++reads_ == kObsFlushReads) flush_counts();
   const auto service_it = services_.find({npg.value(), qos});
-  if (service_it == services_.end() || service_it->second.hosts.empty()) {
-    m.empty_reads.add();
+  if (service_it == services_.end()) {
+    ++empty_reads_;
     return ServiceRates{Gbps(0), Gbps(0)};
   }
-  const Service& service = service_it->second;
-  m.staleness.record(now_seconds - service.newest_published);
+  Service& service = service_it->second;
+  metrics().staleness.record(now_seconds - service.newest_published);
   if (mode_ == AggregateMode::kFastDelta) {
     return ServiceRates{Gbps(static_cast<double>(service.milli_total) * 1e-3),
                         Gbps(static_cast<double>(service.milli_conform) * 1e-3)};
   }
   if (service.cached_version != service.version) {
-    // Ascending-host-id double sum: the same summation order RateStore uses
-    // (its host maps are ordered too), so compat-mode reads are bit-identical.
+    // Ascending-host-id double sum: the summation order of the historical
+    // lookback store (its host maps were ordered too), so compat-mode reads
+    // are bit-identical to it.
     ServiceRates rates{Gbps(0), Gbps(0)};
     for (const auto& [host, sample] : service.hosts) {
       rates.total += Gbps(sample.total_gbps);
@@ -164,6 +114,18 @@ ServiceRates EventRateStore::read(NpgId npg, QosClass qos, double now_seconds) c
   return service.cached;
 }
 
-void EventRateStore::set_partitioned(bool partitioned) { partitioned_ = partitioned; }
+void RateStore::set_partitioned(bool partitioned, double now_seconds) {
+  // Arrivals strictly before the fault land under the old state.
+  deliver(std::nextafter(now_seconds, -std::numeric_limits<double>::infinity()));
+  partitioned_ = partitioned;
+}
+
+void RateStore::flush_counts() {
+  StoreMetrics& m = metrics();
+  m.reads.add(std::exchange(reads_, 0));
+  m.empty_reads.add(std::exchange(empty_reads_, 0));
+  m.deliveries.add(std::exchange(deliveries_, 0));
+  m.partition_dropped.add(std::exchange(partition_dropped_, 0));
+}
 
 }  // namespace netent::enforce

@@ -2,25 +2,22 @@
 // agent publishes flow rate information periodically using Meta's internal
 // distributed key-value store. These rates are aggregated remotely across
 // the entire service and read by the agent periodically."). The relevant
-// distributed-systems property is staleness: an aggregate read at time t
-// reflects what hosts had published by t - visibility_delay.
+// distributed-systems property is staleness, modeled as propagation: a
+// publish waits in flight until it arrives visibility_delay later, and an
+// arrived publish replaces its host's visible sample. A sample is therefore
+// visible at `now` iff `published + delay <= now`, the latest visible sample
+// per host counts, and hosts are summed in ascending order.
 //
-// Two models of that staleness live here:
-//  * RateStore — the lookback model: publishes are recorded instantly with
-//    their timestamps and aggregate() rewinds by the visibility delay. Right
-//    for lockstep drivers that call publish and aggregate from one loop.
-//  * EventRateStore — the propagation model used by the event-driven drill
-//    engine: a publish becomes a *delivery event* scheduled visibility_delay
-//    later, and deliver() applies it to the store's visible state; reads see
-//    exactly what has arrived. For a uniform delay the two models agree
-//    sample-for-sample (ts <= now - delay  <=>  ts + delay <= now); the
-//    event model additionally supports runtime partition faults and O(1)
-//    aggregate reads.
+// Arrivals are applied by deliver(now) and, first thing, by every read, so
+// lockstep callers (publish and read from one loop) need no event queue. The
+// event-driven drill schedules one arrival event per publish, so a partition
+// drops exactly the publishes that arrive while it lasts.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "common/types.h"
 #include "common/units.h"
@@ -33,103 +30,70 @@ struct ServiceRates {
   Gbps conform;
 };
 
-/// What a host agent needs from the rate store: publish its local rates and
-/// read the service aggregate. Kept abstract so the agent works unchanged
-/// against the lockstep lookback store and the event engine's propagation
-/// adapter (which turns publish() into a scheduled delivery).
-class RateStoreIface {
- public:
-  virtual ~RateStoreIface() = default;
-
-  /// A host publishes its measured per-service rates.
-  virtual void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-                       double now_seconds) = 0;
-
-  /// Aggregate across all hosts of (npg, qos) as visible at `now`.
-  [[nodiscard]] virtual ServiceRates aggregate(NpgId npg, QosClass qos,
-                                               double now_seconds) const = 0;
-};
-
-class RateStore final : public RateStoreIface {
- public:
-  /// `visibility_delay_seconds` models publish + aggregation + fan-out lag.
-  explicit RateStore(double visibility_delay_seconds);
-
-  void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-               double now_seconds) override;
-
-  /// Aggregate across all hosts of (npg, qos): for each host, the most
-  /// recent sample published at or before now - visibility_delay.
-  [[nodiscard]] ServiceRates aggregate(NpgId npg, QosClass qos,
-                                       double now_seconds) const override;
-
-  /// Drops samples that can no longer be visible (memory hygiene for long
-  /// simulations).
-  void compact(double now_seconds);
-
-  [[nodiscard]] double visibility_delay() const { return visibility_delay_; }
-
- private:
-  struct Sample {
-    double timestamp;
-    double total_gbps;
-    double conform_gbps;
-  };
-  // Indexed by service key first so aggregate() touches only that service's
-  // publishers, not the whole fleet (the store serves O(100k) agents, §5).
-  using ServiceKey = std::pair<std::uint32_t, QosClass>;  // npg, qos
-
-  double visibility_delay_;
-  std::map<ServiceKey, std::map<std::uint32_t, std::deque<Sample>>> samples_;
-};
-
-/// The event-modeled store: holds only *arrived* samples (the engine turns
-/// each publish into a delivery event visibility_delay later), so reads are
-/// against real propagated state instead of a lookback. Keeps one sample per
-/// host — the latest delivered — which bounds memory without compaction.
+/// Keeps one sample per host, the latest arrived, plus the publishes in
+/// flight, whose buffer is reused once it has grown to the most ever in
+/// flight at once.
 ///
 /// Aggregation modes:
-///  * kExactOrdered — recompute the double sum in ascending host order,
-///    memoized by a version stamp. Bit-identical to RateStore::aggregate on
-///    the same visible samples (same values, same summation order); O(hosts)
-///    on the first read after a delivery, O(1) for the repeat reads of a
-///    lockstep metering sweep. The compatibility mode of the drill engine.
-///  * kFastDelta — maintain the aggregate incrementally in integer
-///    milli-Gbps (exact integer adds commute, so the value is independent of
-///    delivery order). O(1) per read and per delivery: the scale mode that
-///    keeps a 2000-host drill within the per-host budget of the 200-host
-///    lockstep run. Quantizes each host's contribution to 0.001 Gbps.
-class EventRateStore {
+///  * kExactOrdered — the double sum in ascending host order, memoized by a
+///    version stamp: O(hosts) on the first read after an arrival, O(1) for
+///    the repeat reads of a lockstep metering sweep. The historical lookback
+///    store's sum order, so its sums are bit-identical to that store's on
+///    the same visible samples; the drill's compatibility mode.
+///  * kFastDelta — the aggregate kept incrementally in integer milli-Gbps
+///    (integer adds commute, so arrival order cannot change it): O(1) per
+///    read and per arrival, the scale mode of the jittered drill. Quantizes
+///    each host's contribution to 0.001 Gbps.
+///
+/// Reads, empty reads, deliveries and partition drops are counted in plain
+/// integers and flushed to the obs registry every kObsFlushReads reads and
+/// on destruction.
+class RateStore {
  public:
   enum class AggregateMode : std::uint8_t { kExactOrdered, kFastDelta };
 
-  explicit EventRateStore(AggregateMode mode, double visibility_delay_seconds);
+  static constexpr std::uint64_t kObsFlushReads = 64;
 
-  /// Applies an arrived publish. `published_seconds` is when the host
-  /// published (must be monotone per host); `now_seconds` is the arrival
-  /// time, used for partition bookkeeping only. Deliveries during a
-  /// partition are lost (dropped, counted), exactly like writes that never
-  /// reach a partitioned KV replica.
-  void deliver(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-               double published_seconds, double now_seconds);
+  /// `visibility_delay_seconds` models publish + aggregation + fan-out lag.
+  RateStore(AggregateMode mode, double visibility_delay_seconds);
+  ~RateStore();
 
-  /// Aggregate over everything that has arrived. Records the control loop's
-  /// real staleness (now - newest arrived publish timestamp).
-  [[nodiscard]] ServiceRates read(NpgId npg, QosClass qos, double now_seconds) const;
+  RateStore(const RateStore&) = delete;
+  RateStore& operator=(const RateStore&) = delete;
 
-  /// Partition fault: while partitioned, deliveries are dropped and readers
-  /// keep seeing the pre-partition aggregate (ever-growing staleness).
-  void set_partitioned(bool partitioned);
+  /// A host publishes its measured per-service rates. Publish times may not
+  /// decrease, which keeps the publishes in flight in arrival order.
+  void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
+               double now_seconds);
+
+  /// Applies every publish that has arrived by `now_seconds`. While
+  /// partitioned, arrivals are lost (dropped, counted), exactly like writes
+  /// that never reach a partitioned KV replica.
+  void deliver(double now_seconds);
+
+  /// Aggregate over everything arrived by `now_seconds`. Records the control
+  /// loop's real staleness (now - newest arrived publish timestamp).
+  [[nodiscard]] ServiceRates read(NpgId npg, QosClass qos, double now_seconds);
+
+  /// Partition fault at `now_seconds`: readers keep seeing the pre-partition
+  /// aggregate until the heal. Arrivals before `now_seconds` are applied
+  /// under the old state and arrivals at it under the new one: a fault lands
+  /// before same-time arrivals, as the drill's control stratum runs before
+  /// its delivery stratum.
+  void set_partitioned(bool partitioned, double now_seconds);
   [[nodiscard]] bool partitioned() const { return partitioned_; }
 
-  [[nodiscard]] AggregateMode mode() const { return mode_; }
-  [[nodiscard]] double visibility_delay() const { return visibility_delay_; }
-
  private:
+  using ServiceKey = std::pair<std::uint32_t, QosClass>;
   struct HostSample {
     double published;
     double total_gbps;
     double conform_gbps;
+  };
+  struct InFlight {
+    ServiceKey service;
+    std::uint32_t host;
+    HostSample sample;
   };
   struct Service {
     std::map<std::uint32_t, HostSample> hosts;  // ordered: exact-mode sum order
@@ -137,16 +101,25 @@ class EventRateStore {
     std::int64_t milli_conform = 0;
     double newest_published = -1.0;
     std::uint64_t version = 0;
-    // Exact-mode memo: the ordered sum at `cached_version`.
-    mutable std::uint64_t cached_version = ~std::uint64_t{0};
-    mutable ServiceRates cached{Gbps(0), Gbps(0)};
+    std::uint64_t cached_version = ~std::uint64_t{0};  // exact-mode memo
+    ServiceRates cached{Gbps(0), Gbps(0)};
   };
-  using ServiceKey = std::pair<std::uint32_t, QosClass>;
+
+  void apply(const InFlight& publish);
+  void flush_counts();
 
   AggregateMode mode_;
   double visibility_delay_;
   bool partitioned_ = false;
   std::map<ServiceKey, Service> services_;
+  std::vector<InFlight> in_flight_;  // arrival order; [0, head_) already applied
+  std::size_t head_ = 0;
+  double last_published_ = -std::numeric_limits<double>::infinity();
+  // Counts not yet flushed to the obs registry.
+  std::uint64_t reads_ = 0;
+  std::uint64_t empty_reads_ = 0;
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t partition_dropped_ = 0;
 };
 
 }  // namespace netent::enforce

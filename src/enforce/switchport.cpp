@@ -47,11 +47,11 @@ PriorityQueueSwitch::PriorityQueueSwitch(Gbps capacity, double service_quantum_m
   NETENT_EXPECTS(max_queue_delay_ms > 0.0);
 }
 
-std::vector<QueueOutcome> PriorityQueueSwitch::transmit(
+std::array<QueueOutcome, kQueueCount> PriorityQueueSwitch::transmit(
     std::span<const double> offered_per_queue) const {
   NETENT_EXPECTS(offered_per_queue.size() == kQueueCount);
 
-  std::vector<QueueOutcome> outcomes(kQueueCount);
+  std::array<QueueOutcome, kQueueCount> outcomes{};
   double remaining = capacity_.value();
   double served_cumulative = 0.0;
 

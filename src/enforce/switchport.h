@@ -6,8 +6,8 @@
 // queueing-delay estimate.
 #pragma once
 
+#include <array>
 #include <span>
-#include <vector>
 
 #include "common/units.h"
 #include "enforce/dscp.h"
@@ -30,8 +30,10 @@ class PriorityQueueSwitch {
   /// Drains `offered_per_queue` (indexed by queue, size kQueueCount) in
   /// strict priority order (queue 0 first). Work-conserving: capacity unused
   /// by premium queues serves the lower ones, so absent congestion even
-  /// non-conforming traffic is delivered in full.
-  [[nodiscard]] std::vector<QueueOutcome> transmit(
+  /// non-conforming traffic is delivered in full. The outcomes are returned
+  /// by value (the queue count is a compile-time constant), so a per-tick
+  /// caller allocates nothing.
+  [[nodiscard]] std::array<QueueOutcome, kQueueCount> transmit(
       std::span<const double> offered_per_queue) const;
 
   [[nodiscard]] Gbps capacity() const { return capacity_; }

@@ -105,23 +105,6 @@ void validate(const DrillConfig& config) {
 
 }  // namespace
 
-PropagatingStore::PropagatingStore(EventQueue& queue, EventRateStore& inner)
-    : inner_(inner),
-      in_flight_(queue, inner.visibility_delay(), kDeliveryStratum,
-                 [this, &queue](const Publish& p) {
-                   inner_.deliver(p.npg, p.qos, p.host, p.total, p.conform, p.published_seconds,
-                                  queue.now());
-                 }) {}
-
-void PropagatingStore::publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-                               double now_seconds) {
-  in_flight_.send(Publish{npg, qos, host, total, conform, now_seconds});
-}
-
-ServiceRates PropagatingStore::aggregate(NpgId npg, QosClass qos, double now_seconds) const {
-  return inner_.read(npg, qos, now_seconds);
-}
-
 DrillEngine::DrillEngine(DrillConfig config, Rng rng)
     : config_(std::move(config)), rng_(rng) {
   validate(config_);
@@ -181,14 +164,13 @@ std::vector<DrillTick> DrillEngine::run() {
   }
 
   // --- enforcement plane ----------------------------------------------
-  // Exact ordered sums in compat mode (bit-identical to the lookback
-  // store); O(1) integer-delta aggregation once the fleet is jittered and
-  // reads no longer batch per timestamp.
+  // Exact ordered sums in compat mode (bit-identical to the historical
+  // lookback store); O(1) integer-delta aggregation once the fleet is
+  // jittered and reads no longer batch per timestamp.
   const bool compat = config_.phase_jitter_seconds == 0.0;
-  EventRateStore inner(compat ? EventRateStore::AggregateMode::kExactOrdered
-                              : EventRateStore::AggregateMode::kFastDelta,
-                       config_.store_visibility_delay_seconds);
-  PropagatingStore store(queue, inner);
+  RateStore store(compat ? RateStore::AggregateMode::kExactOrdered
+                         : RateStore::AggregateMode::kFastDelta,
+                  config_.store_visibility_delay_seconds);
   const Marker marker(config_.marking, config_.marking_groups);
   const EntitlementQuery query = [&](NpgId npg, QosClass qos, double /*now*/) {
     NETENT_EXPECTS(npg == kColdstorage);
@@ -447,7 +429,14 @@ std::vector<DrillTick> DrillEngine::run() {
 
   // Per-agent publish/metering timers, created interleaved per host so the
   // same-timestamp FIFO reproduces the historical "publish, then meter, per
-  // host in order" sequence in compat mode.
+  // host in order" sequence in compat mode. Each publish schedules its
+  // arrival; both timer actions and the arrival capture two words, which fit
+  // std::function's small buffer.
+  const double delay = config_.store_visibility_delay_seconds;
+  const auto publish = [&store, &queue, delay](HostAgent& agent) {
+    agent.publish_now(queue.now());
+    queue.schedule_in(delay, kDeliveryStratum, [&store, &queue] { store.deliver(queue.now()); });
+  };
   std::vector<std::unique_ptr<PeriodicTimer>> publish_timers;
   std::vector<std::unique_ptr<PeriodicTimer>> metering_timers;
   publish_timers.reserve(n);
@@ -456,7 +445,7 @@ std::vector<DrillTick> DrillEngine::run() {
     HostAgent* agent = agents[h].get();
     publish_timers.push_back(std::make_unique<PeriodicTimer>(
         queue, config_.publish_interval_seconds, kAgentStratum,
-        [agent, &queue] { agent->publish_now(queue.now()); }));
+        [agent, &publish] { publish(*agent); }));
     metering_timers.push_back(std::make_unique<PeriodicTimer>(
         queue, config_.metering_interval_seconds, kAgentStratum,
         [agent, &queue] { agent->run_metering(queue.now()); }));
@@ -482,11 +471,11 @@ std::vector<DrillTick> DrillEngine::run() {
         break;
       case DrillFault::Kind::store_partition:
         fm.store_partitions.add();
-        inner.set_partitioned(true);
+        store.set_partitioned(true, queue.now());
         break;
       case DrillFault::Kind::store_heal:
         fm.store_heals.add();
-        inner.set_partitioned(false);
+        store.set_partitioned(false, queue.now());
         break;
       case DrillFault::Kind::host_down:
         fm.host_downs.add();

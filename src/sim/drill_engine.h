@@ -14,9 +14,10 @@
 //    historical lockstep tick series bit-for-bit; with jitter > 0 each
 //    agent's phases are seed-derived uniform offsets and the control plane
 //    runs desynchronized, the way a real fleet does;
-//  * rate-store propagation (kDeliveryStratum) — a publish schedules a
-//    delivery event store_visibility_delay_seconds later, so the delay is
-//    real propagation rather than a lookback;
+//  * rate-store propagation (kDeliveryStratum) — each publish timer fire
+//    also schedules one arrival event store_visibility_delay_seconds later,
+//    which applies the publishes then due (RateStore::deliver), so a
+//    partition drops exactly the publishes that arrive while it lasts;
 //  * control changes and faults (kControlStratum) — the entitlement cut,
 //    ACL stage starts, and DrillFault injections are scheduled events that
 //    land before the same-timestamp sweep.
@@ -27,8 +28,8 @@
 // the next metering), so moving them after the full sweep at the same
 // timestamp changes no recorded value. Publish/metering interleaving per
 // host matches the old HostAgent::tick order through the stratum FIFO, and
-// the EventRateStore's kExactOrdered mode sums hosts in the same ascending
-// order as the lookback store, so aggregates are bit-identical.
+// the RateStore's kExactOrdered mode sums hosts in the same ascending order
+// as the historical lookback store, so aggregates are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -37,41 +38,10 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/units.h"
-#include "enforce/ratestore.h"
 #include "sim/drill.h"
 #include "sim/event_queue.h"
 
 namespace netent::sim {
-
-/// The agents' rate store in the drill: each publish becomes a delivery
-/// event visibility_delay later (kDeliveryStratum, so an arrival that
-/// coincides with a metering read lands first — the boundary the lookback
-/// store's `ts <= now - delay` included). Reads go straight to the arrived
-/// state. The delay is one constant, so in-flight publishes wait in a
-/// DelayLine and every delivery event captures only that channel.
-class PropagatingStore final : public enforce::RateStoreIface {
- public:
-  PropagatingStore(EventQueue& queue, enforce::EventRateStore& inner);
-
-  void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-               double now_seconds) override;
-
-  [[nodiscard]] enforce::ServiceRates aggregate(NpgId npg, QosClass qos,
-                                                double now_seconds) const override;
-
- private:
-  struct Publish {
-    NpgId npg;
-    QosClass qos = QosClass::c1_low;
-    HostId host;
-    Gbps total;
-    Gbps conform;
-    double published_seconds = 0.0;
-  };
-
-  enforce::EventRateStore& inner_;
-  DelayLine<Publish> in_flight_;
-};
 
 /// Event-layer accounting for one engine run (the bench's events/sec
 /// throughput section reads these).

@@ -15,6 +15,7 @@ namespace {
 
 constexpr NpgId kSvc{1};
 constexpr QosClass kQos = QosClass::c2_low;
+constexpr auto kExact = RateStore::AggregateMode::kExactOrdered;
 
 EntitlementQuery fixed_entitlement(double gbps) {
   return [gbps](NpgId, QosClass, double) { return EntitlementAnswer{true, Gbps(gbps)}; };
@@ -25,7 +26,7 @@ EntitlementQuery no_entitlement() {
 }
 
 TEST(HostAgent, PublishesAndMetersOnSchedule) {
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based)};
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                   std::make_unique<StatefulMeter>(), fixed_entitlement(100.0), store,
@@ -35,11 +36,11 @@ TEST(HostAgent, PublishesAndMetersOnSchedule) {
   EXPECT_FALSE(agent.tick(5.0));      // publish only
   EXPECT_FALSE(agent.tick(9.0));      // nothing due
   EXPECT_TRUE(agent.tick(10.0));      // metering due again
-  EXPECT_EQ(store.aggregate(kSvc, kQos, 10.0).total, Gbps(50));
+  EXPECT_EQ(store.read(kSvc, kQos, 10.0).total, Gbps(50));
 }
 
 TEST(HostAgent, NoContractUnprogramsClassifier) {
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based)};
   classifier.program(kSvc, kQos, 0.5);  // stale entry
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{}, std::make_unique<StatefulMeter>(),
@@ -56,7 +57,7 @@ TEST(HostAgent, FleetConvergesToEntitlement) {
   const std::size_t hosts = 20;
   const double per_host = 10.0;
   const double entitled = 100.0;
-  RateStore store(1.0);
+  RateStore store(kExact, 1.0);
   const Marker marker(MarkingMode::host_based);
   std::vector<BpfClassifier> classifiers(hosts, BpfClassifier(marker));
   std::vector<std::unique_ptr<HostAgent>> agents;
@@ -85,7 +86,7 @@ TEST(HostAgent, FleetConvergesToEntitlement) {
 TEST(HostAgent, AgentsShareStateOnlyViaStore) {
   // Two agents of the same service: each sees the aggregate, not only its
   // own rate.
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   const Marker marker(MarkingMode::host_based);
   BpfClassifier c1{marker};
   BpfClassifier c2{marker};
@@ -107,7 +108,7 @@ TEST(HostAgent, AgentsShareStateOnlyViaStore) {
 }
 
 TEST(HostAgent, HysteresisSuppressesSmallReprogramming) {
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based, 1000)};
   AgentConfig config{10.0, 5.0};
   config.ratio_hysteresis = 0.05;
@@ -132,12 +133,12 @@ TEST(HostAgent, EventApiMatchesTickSchedule) {
   // would have chosen produces the same store and classifier state — this is
   // what lets the event engine's per-agent timers replace the lockstep sweep.
   const Marker marker(MarkingMode::host_based, 1000);
-  RateStore tick_store(0.0);
+  RateStore tick_store(kExact, 0.0);
   BpfClassifier tick_classifier{marker};
   HostAgent tick_agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                        std::make_unique<StatefulMeter>(), fixed_entitlement(100.0),
                        tick_store, tick_classifier);
-  RateStore event_store(0.0);
+  RateStore event_store(kExact, 0.0);
   BpfClassifier event_classifier{marker};
   HostAgent event_agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                         std::make_unique<StatefulMeter>(), fixed_entitlement(100.0),
@@ -151,13 +152,13 @@ TEST(HostAgent, EventApiMatchesTickSchedule) {
   }
   const EgressMeta probe{kSvc, kQos, HostId(7), 3};
   EXPECT_EQ(tick_classifier.classify(probe), event_classifier.classify(probe));
-  EXPECT_EQ(tick_store.aggregate(kSvc, kQos, 40.0).total.value(),
-            event_store.aggregate(kSvc, kQos, 40.0).total.value());
+  EXPECT_EQ(tick_store.read(kSvc, kQos, 40.0).total.value(),
+            event_store.read(kSvc, kQos, 40.0).total.value());
   EXPECT_EQ(tick_agent.non_conform_ratio(), event_agent.non_conform_ratio());
 }
 
 TEST(HostAgent, RestartForgetsMeterStateButKernelMapPersists) {
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based, 1000)};
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                   std::make_unique<StatefulMeter>(), fixed_entitlement(100.0), store,
@@ -186,42 +187,31 @@ TEST(HostAgent, RestartForgetsMeterStateButKernelMapPersists) {
 }
 
 TEST(HostAgent, WorksAgainstEventRateStore) {
-  // The agent runs unchanged against the event-modeled store (via
-  // RateStoreIface): publishes are applied by the engine as deliveries.
-  class DeliveringStore final : public RateStoreIface {
-   public:
-    explicit DeliveringStore(EventRateStore& inner) : inner_(inner) {}
-    void publish(NpgId npg, QosClass qos, HostId host, Gbps total, Gbps conform,
-                 double now_seconds) override {
-      inner_.deliver(npg, qos, host, total, conform, now_seconds, now_seconds);
-    }
-    [[nodiscard]] ServiceRates aggregate(NpgId npg, QosClass qos,
-                                         double now_seconds) const override {
-      return inner_.read(npg, qos, now_seconds);
-    }
-
-   private:
-    EventRateStore& inner_;
-  };
-  EventRateStore inner(EventRateStore::AggregateMode::kExactOrdered, 0.0);
-  DeliveringStore store(inner);
+  // The agent runs unchanged when the store's arrivals are applied by
+  // deliver() calls, as the drill's arrival events apply them, rather than
+  // by its own reads.
+  RateStore store(kExact, 5.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based, 1000)};
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                   std::make_unique<StatefulMeter>(), fixed_entitlement(100.0), store,
                   classifier);
   agent.observe_local(Gbps(200), Gbps(200));
-  agent.tick(0.0);
+  agent.publish_now(0.0);
+  store.deliver(5.0);
+  agent.run_metering(10.0);
   EXPECT_NEAR(agent.non_conform_ratio(), 0.5, 1e-9);
   // Marking took effect: conforming traffic now equals the entitlement, so
   // the loop holds steady.
   agent.observe_local(Gbps(200), Gbps(100));
-  agent.tick(10.0);
+  agent.publish_now(10.0);
+  store.deliver(15.0);
+  agent.run_metering(20.0);
   EXPECT_NEAR(agent.non_conform_ratio(), 0.5, 0.05);
-  EXPECT_EQ(inner.read(kSvc, kQos, 10.0).total, Gbps(200));
+  EXPECT_EQ(store.read(kSvc, kQos, 20.0).total, Gbps(200));
 }
 
 TEST(HostAgent, InvalidConstructionRejected) {
-  RateStore store(0.0);
+  RateStore store(kExact, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based)};
   EXPECT_THROW(HostAgent(HostId(1), kSvc, kQos, AgentConfig{}, nullptr,
                          fixed_entitlement(1.0), store, classifier),

@@ -20,7 +20,6 @@
 #include "enforce/bpf.h"
 #include "enforce/meter.h"
 #include "enforce/ratestore.h"
-#include "sim/drill_engine.h"
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: every global new in this binary bumps a counter,
@@ -486,14 +485,17 @@ TEST(DelayLine, InvalidConstructionRejected) {
   EXPECT_THROW(DelayLine<int>(queue, 1.0, kDeliveryStratum, nullptr), ContractViolation);
 }
 
-TEST(DelayLine, DrillPublishToDeliveryPathAllocatesNothing) {
-  // The drill's store path with real agents: publish timers push through the
-  // PropagatingStore's DelayLine, deliveries land in the EventRateStore, and
-  // metering timers read it and program the classifiers.
+// --- The drill's store path -------------------------------------------------
+
+TEST(DrillStorePath, PublishArrivalMeteringAllocatesNothing) {
+  // The drill's store path with real agents: publish timers publish into the
+  // RateStore's in-flight ring and schedule one arrival each, arrivals apply
+  // the due publishes, and metering timers read the store and program the
+  // classifiers.
   constexpr std::size_t kHosts = 16;
+  constexpr double kDelay = 10.0;
   EventQueue queue;
-  enforce::EventRateStore inner(enforce::EventRateStore::AggregateMode::kFastDelta, 10.0);
-  PropagatingStore store(queue, inner);
+  enforce::RateStore store(enforce::RateStore::AggregateMode::kFastDelta, kDelay);
   const enforce::EntitlementQuery query = [](NpgId, QosClass, double) {
     return enforce::EntitlementAnswer{true, Gbps(100)};
   };
@@ -510,7 +512,11 @@ TEST(DelayLine, DrillPublishToDeliveryPathAllocatesNothing) {
     enforce::HostAgent* agent = agents.back().get();
     agent->observe_local(Gbps(10.0 + static_cast<double>(h)), Gbps(8.0));
     timers.push_back(std::make_unique<PeriodicTimer>(
-        queue, 5.0, kAgentStratum, [agent, &queue] { agent->publish_now(queue.now()); }));
+        queue, 5.0, kAgentStratum, [agent, &queue, &store] {
+          agent->publish_now(queue.now());
+          queue.schedule_in(kDelay, kDeliveryStratum,
+                            [&store, &queue] { store.deliver(queue.now()); });
+        }));
     timers.back()->start_at(rng.uniform(0.0, 5.0));
     timers.push_back(std::make_unique<PeriodicTimer>(
         queue, 10.0, kAgentStratum, [agent, &queue] { agent->run_metering(queue.now()); }));
@@ -522,9 +528,9 @@ TEST(DelayLine, DrillPublishToDeliveryPathAllocatesNothing) {
   const std::uint64_t before = g_alloc_count.load();
   queue.run_until(2000.0);
   const std::uint64_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state publish -> delivery touched the heap";
+  EXPECT_EQ(after - before, 0u) << "steady-state publish -> arrival -> metering touched the heap";
   EXPECT_GT(queue.executed_count() - executed_before, 3 * kHosts * 190);
-  const enforce::ServiceRates rates = store.aggregate(NpgId(0), QosClass::c2_low, queue.now());
+  const enforce::ServiceRates rates = store.read(NpgId(0), QosClass::c2_low, queue.now());
   EXPECT_NEAR(rates.total.value(), 10.0 * kHosts + 120.0, 1e-9);
   for (auto& timer : timers) timer->stop();
 }

@@ -24,7 +24,7 @@ EntitlementQuery fixed_entitlement(double gbps) {
 }
 
 struct Fleet {
-  RateStore store{1.0};
+  RateStore store{RateStore::AggregateMode::kExactOrdered, 1.0};
   Marker marker{MarkingMode::host_based};
   std::vector<BpfClassifier> classifiers;
   std::vector<std::unique_ptr<HostAgent>> agents;
@@ -103,12 +103,12 @@ TEST(FailureInjection, AllAgentsDeadMeansMarkingFreezes) {
 TEST(FailureInjection, StalePublisherCountsAtLastValue) {
   // A host that stops publishing keeps its last sample visible: the
   // aggregate does not silently shrink (which would un-throttle everyone).
-  RateStore store(0.0);
+  RateStore store(RateStore::AggregateMode::kExactOrdered, 0.0);
   store.publish(kSvc, kQos, HostId(1), Gbps(100), Gbps(100), 10.0);
   store.publish(kSvc, kQos, HostId(2), Gbps(100), Gbps(100), 10.0);
   // Host 2 goes silent; much later the aggregate still includes it.
   store.publish(kSvc, kQos, HostId(1), Gbps(100), Gbps(100), 500.0);
-  EXPECT_EQ(store.aggregate(kSvc, kQos, 500.0).total, Gbps(200));
+  EXPECT_EQ(store.read(kSvc, kQos, 500.0).total, Gbps(200));
 }
 
 TEST(FailureInjection, ContractExpiryUnprogramsEnforcement) {
@@ -122,7 +122,7 @@ TEST(FailureInjection, ContractExpiryUnprogramsEnforcement) {
                                    Gbps(50), core::Period{0.0, 100.0}});
   db.add(std::move(contract));
 
-  RateStore store(0.0);
+  RateStore store(RateStore::AggregateMode::kExactOrdered, 0.0);
   BpfClassifier classifier{Marker(MarkingMode::host_based)};
   HostAgent agent(HostId(1), kSvc, kQos, AgentConfig{10.0, 5.0},
                   std::make_unique<StatefulMeter>(), db.query_adapter(), store, classifier);

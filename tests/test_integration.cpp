@@ -107,7 +107,7 @@ TEST(Integration, ContractDrivesEnforcementConvergence) {
   const double demand = 2.0 * entitled.value();
   const double per_host = demand / static_cast<double>(hosts);
 
-  enforce::RateStore store(1.0);
+  enforce::RateStore store(enforce::RateStore::AggregateMode::kExactOrdered, 1.0);
   const enforce::Marker marker(enforce::MarkingMode::host_based);
   std::vector<enforce::BpfClassifier> classifiers(hosts, enforce::BpfClassifier(marker));
   std::vector<std::unique_ptr<enforce::HostAgent>> agents;
