@@ -25,6 +25,20 @@ FastEstimator::FastEstimator(const topology::Topology& topo,
       if (downing.empty() || downing.back() != s) downing.push_back(static_cast<std::uint32_t>(s));
     }
   }
+  // Invert the per-SRLG index into per-scenario dead-link lists. Links are
+  // visited in ascending order, so every list comes out sorted.
+  dead_begin_.assign(scenarios_.size() + 1, 0);
+  for (const SrlgId srlg : link_srlg_) {
+    for (const std::uint32_t s : srlg_scenarios_[srlg.value()]) ++dead_begin_[s + 1];
+  }
+  for (std::size_t s = 0; s < scenarios_.size(); ++s) dead_begin_[s + 1] += dead_begin_[s];
+  dead_links_.resize(dead_begin_.back());
+  std::vector<std::size_t> fill(dead_begin_.begin(), dead_begin_.end() - 1);
+  for (std::size_t l = 0; l < link_srlg_.size(); ++l) {
+    for (const std::uint32_t s : srlg_scenarios_[link_srlg_[l].value()]) {
+      dead_links_[fill[s]++] = static_cast<std::uint32_t>(l);
+    }
+  }
 }
 
 bool FastEstimator::link_alive(LinkId link, const FailureScenario& scenario) const {
@@ -55,8 +69,22 @@ void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residu
   for (const std::vector<double>& residual : scenario_residuals) {
     NETENT_EXPECTS(residual.size() == headroom_.size());
   }
-  for (std::size_t l = 0; l < headroom_.size(); ++l) {
-    headroom_[l] = alive_min(LinkId(static_cast<std::uint32_t>(l)), scenario_residuals);
+  // Scenario-major: each scenario's residual vector is read once, front to
+  // back, and folded into every link it leaves alive. Each link still sees
+  // alive_min()'s fold, std::min over the same scenarios in the same
+  // ascending order, so the summary is bit-identical to the per-link scan.
+  std::fill(headroom_.begin(), headroom_.end(), kInf);
+  for (std::size_t s = 0; s < scenario_residuals.size(); ++s) {
+    const double* residual = scenario_residuals[s].data();
+    const auto fold = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t l = begin; l < end; ++l) headroom_[l] = std::min(headroom_[l], residual[l]);
+    };
+    std::size_t next = 0;
+    for (std::size_t i = dead_begin_[s]; i < dead_begin_[s + 1]; ++i) {
+      fold(next, dead_links_[i]);
+      next = dead_links_[i] + std::size_t{1};
+    }
+    fold(next, headroom_.size());
   }
 }
 

@@ -44,9 +44,12 @@
 // onto, which upper-bounds its consumption under any scenario.
 //
 // Summaries are maintained alongside the residual state they summarize:
-// rebuild() after a from-scratch residual rebuild (release / resize
-// windows), refresh_links() for the links a pure-admit commit touched
-// (residuals only ever decrease there, so a per-link re-min is exact).
+// rebuild() after a history edit (release / resize / topology windows),
+// refresh_links() for the links a pure-admit commit touched (residuals only
+// ever decrease there, so a per-link re-min is exact). rebuild() walks the
+// residuals scenario-major, one contiguous vector per scenario, while
+// refresh_links() re-mins single links across scenarios; both fold each
+// link's alive scenarios in ascending order, so they agree bit for bit.
 #pragma once
 
 #include <span>
@@ -81,7 +84,8 @@ class FastEstimator {
   FastEstimator(const topology::Topology& topo, std::span<const FailureScenario> scenarios);
 
   /// Rebuilds every per-link headroom from `scenario_residuals` (indexed
-  /// [scenario][link], aligned with the constructor's scenario span).
+  /// [scenario][link], aligned with the constructor's scenario span). One
+  /// estimator can be rebuilt any number of times over the same scenarios.
   void rebuild(std::span<const std::vector<double>> scenario_residuals);
 
   /// Headroom of the placement-free state: every alive link keeps its base
@@ -145,6 +149,11 @@ class FastEstimator {
   /// is decided by path 0 wholesale — keeping the fast tier O(path links +
   /// affected scenarios) per demand.
   std::vector<std::vector<std::uint32_t>> srlg_scenarios_;
+  /// The links each scenario downs, ascending, as one CSR list: scenario s
+  /// owns dead_links_[dead_begin_[s] .. dead_begin_[s + 1]). rebuild() folds
+  /// every other link of the scenario's residual vector.
+  std::vector<std::size_t> dead_begin_;
+  std::vector<std::uint32_t> dead_links_;
   std::vector<double> headroom_;   ///< min alive-scenario residual, by LinkId
   double total_mass_ = 0.0;
 };

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <utility>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -45,10 +49,14 @@ struct ServiceMetrics {
   obs::Counter& contracts_revoked = reg.counter("service.admission.contracts_revoked");
   obs::Counter& windows = reg.counter("service.admission.windows");
   obs::Counter& rebuilds = reg.counter("service.admission.rebuilds");
+  /// Placements the history edits replayed behind their restore points.
+  obs::Counter& replayed_placements = reg.counter("service.admission.replayed_placements");
   obs::Counter& counter_proposals = reg.counter("service.admission.counter_proposals");
   obs::Counter& committed_demands = reg.counter("service.admission.committed_demands");
   obs::Counter& fastpath_audited = reg.counter("risk.fastpath.audited");
   obs::Counter& fastpath_audit_violations = reg.counter("risk.fastpath.audit_violations");
+  /// Audits a window ran itself because the queue was past kAuditBacklog.
+  obs::Counter& fastpath_audits_inline = reg.counter("risk.fastpath.audits_inline");
   obs::Histogram& window_size = reg.histogram("service.admission.window_size",
                                               std::array{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& latency_seconds = reg.timer_histogram("service.admission.latency_seconds");
@@ -92,6 +100,29 @@ std::vector<LinkId> candidate_links(const topology::Router& router, const Demand
   return links;
 }
 
+/// Copies one cell's residuals into its snapshot slice. Where SSE2 is
+/// available the stores stream past the caches: an edit rewrites megabytes
+/// of snapshots that nothing reads until a later edit restores from them,
+/// and cached stores would evict the residual state the next window reads.
+/// The fence orders the streamed stores before the fan-out's completion
+/// publishes the snapshot.
+void store_snapshot(std::span<const double> residual, double* slice) {
+#if defined(__SSE2__)
+  std::size_t i = 0;
+  if (reinterpret_cast<std::uintptr_t>(slice) % 16 != 0 && !residual.empty()) {
+    slice[0] = residual[0];  // align the streamed pairs
+    i = 1;
+  }
+  for (; i + 2 <= residual.size(); i += 2) {
+    _mm_stream_pd(slice + i, _mm_loadu_pd(residual.data() + i));
+  }
+  if (i < residual.size()) slice[i] = residual[i];
+  _mm_sfence();
+#else
+  std::copy(residual.begin(), residual.end(), slice);
+#endif
+}
+
 }  // namespace
 
 AdmissionController::AdmissionController(const topology::Topology& topo, AdmissionConfig config)
@@ -105,7 +136,9 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
   config_.approval.exec.threads = threads_;  // config() reflects the resolution
   history_.resize(config_.approval.realizations);
-  residual_ = residuals_of(history_);
+  snapshots_.resize(config_.approval.realizations);
+  (void)replay_edit(history_, std::vector<std::size_t>(history_.size(), 0), residual_,
+                    /*rewrite=*/false);
   rebuild_fastpath();
   if (config_.background) {
     worker_ = std::thread(&AdmissionController::worker_loop, this);
@@ -263,7 +296,9 @@ void AdmissionController::process_window(std::vector<Pending> window) {
       outcomes = evaluate_window(window);
     } catch (const std::exception& e) {
       // State mutations happen after evaluation succeeds, so a throwing
-      // window leaves the admitted set untouched; fail the whole window.
+      // window leaves the admitted set untouched, and the snapshots its
+      // evaluation wrote are dropped; fail the whole window.
+      settle_snapshots(false);
       outcomes.clear();
       for (std::size_t i = 0; i < window.size(); ++i) {
         outcomes.push_back(failed_outcome(ErrorCode::invalid_argument,
@@ -422,21 +457,21 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
   // --- Phase 2: joint approval of the window against residual capacity. ---
   // Releases (and resize targets) free their reservations for the
   // evaluation: their demands are dropped from the commit history and the
-  // residuals are recomputed from it. A rejected resize keeps its old grant
-  // (restored in phase 4), so the evaluation is optimistic about resizes
-  // that end up rejected — the trade for keeping the window joint.
+  // suffix behind the first dropped one is replayed into scratch_. A
+  // rejected resize keeps its old grant (restored in phase 4), so the
+  // evaluation is optimistic about resizes that end up rejected — the trade
+  // for keeping the window joint.
   std::set<ContractId> eval_removed = released_ids;
   for (const EvalEntry& entry : entries) {
     if (entry.is_resize) eval_removed.insert(entry.id);
   }
   History eval_history;
-  ResidualState eval_scratch;
   const ResidualState* eval_residual = &residual_;
   if (!eval_removed.empty()) {
     eval_history = history_;
-    prune(eval_history, eval_removed);
-    eval_scratch = residuals_of(eval_history);
-    eval_residual = &eval_scratch;
+    const std::vector<std::size_t> same = prune(eval_history, eval_removed);
+    (void)replay_edit(eval_history, same, scratch_, /*rewrite=*/true);
+    eval_residual = &scratch_;
     m.rebuilds.add();
   }
 
@@ -515,8 +550,19 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     fast_stats_.hits += window_fast.hits;
     fast_stats_.fallbacks += window_fast.fallbacks;
     if (!window_audits.empty()) {
-      const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
-      std::move(window_audits.begin(), window_audits.end(), std::back_inserter(audit_queue_));
+      // Past the backlog cap the oldest records are audited here, under the
+      // state lock this window holds, so an undrained queue stays bounded.
+      std::vector<AuditRecord> overflow;
+      {
+        const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
+        std::move(window_audits.begin(), window_audits.end(), std::back_inserter(audit_queue_));
+        while (audit_queue_.size() > kAuditBacklog) {
+          overflow.push_back(std::move(audit_queue_.front()));
+          audit_queue_.pop_front();
+        }
+      }
+      for (const AuditRecord& record : overflow) audit_record_locked(record);
+      m.fastpath_audits_inline.add(overflow.size());
     }
   }
 
@@ -578,25 +624,30 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     // with the window's batch appended on top — the same water_fill_demand
     // sequence a full rebuild would run.
     if (final_removed == eval_removed) {
-      // The evaluation already rebuilt exactly this pruned history.
+      // The evaluation already replayed exactly this pruned history.
       history_ = std::move(eval_history);
-      residual_ = std::move(eval_scratch);
+      std::swap(residual_, scratch_);
+      settle_snapshots(true);
     } else {
       // A rejected resize keeps its old grant, which the evaluation dropped:
-      // free the evaluation's state, then rebuild from the pruned history.
-      eval_history.clear();
-      eval_scratch.clear();
-      prune(history_, final_removed);
-      residual_ = residuals_of(history_);
+      // drop the evaluation's snapshots, then replay the pruned history.
+      settle_snapshots(false);
+      const std::vector<std::size_t> same = prune(history_, final_removed);
+      (void)replay_edit(history_, same, residual_, /*rewrite=*/true);
+      settle_snapshots(true);
       m.rebuilds.add();
     }
     if (committed > 0) commit(batch);
     rebuild_fastpath();
-  } else if (committed > 0) {
-    // Pure-admit hot path: append-only, so the residuals advance with the
-    // same water_fill_demand sequence a from-scratch replay would run.
-    commit(batch);
-    refresh_fastpath(batch);  // only the batch's links moved
+  } else {
+    // Every resize was rejected: the evaluation's edit is not committed.
+    if (!eval_removed.empty()) settle_snapshots(false);
+    if (committed > 0) {
+      // Pure-admit hot path: append-only, so the residuals advance with the
+      // same water_fill_demand sequence a from-scratch replay would run.
+      commit(batch);
+      refresh_fastpath(batch);  // only the batch's links moved
+    }
   }
   m.committed_demands.add(committed);
 
@@ -643,7 +694,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   // snapshot PRE-mutation residuals over the pre-mutation scenario set, so
   // they must replay against the network they were decided on.
   {
-    std::vector<AuditRecord> audits;
+    std::deque<AuditRecord> audits;
     {
       const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
       audits.swap(audit_queue_);
@@ -653,7 +704,12 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 
   // --- Apply, then resync every topology-derived cache in dependency
   // order: router (path store + effective capacities), then approval engine
-  // (scenarios + simulator + pristine fast summaries).
+  // (scenarios + simulator + pristine fast summaries). The residual
+  // snapshots describe the old network: free them first, so none survives
+  // the mutation even if a later step throws.
+  for (auto& slots : snapshots_) {
+    for (Snapshot& snapshot : slots) snapshot.position = 0;
+  }
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
   m.mutations_applied.add(request.mutations.size());
@@ -716,26 +772,38 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
     }
   }
 
+  // --- The residual state (the scenario set and link count may both have
+  // changed shape) and its snapshots on the mutated network: one full
+  // replay, which every edit below restores from.
+  const std::size_t realizations = config_.approval.realizations;
+  (void)replay_edit(history_, std::vector<std::size_t>(realizations, 0), residual_,
+                    /*rewrite=*/true);
+  settle_snapshots(true);
+  m.rebuilds.add();
+
   // --- Re-verify each affected contract in ascending id order, applying
   // each verdict before judging the next (deterministic: no RNG, and every
   // step below is bit-identical at any thread count). A contract is
   // judged by re-placing its committed demands LAST: against residuals with
   // every other in-force grant placed, the fraction of each demand that
   // still clears the SLO target bounds what the evolved network supports.
-  const std::size_t realizations = config_.approval.realizations;
+  // Those residuals, and the shrink / revoke edits, replay only the history
+  // behind the contract's first demand.
   const double slo = config_.approval.slo_availability;
   std::vector<ContractVerdict> verdicts;
   for (const ContractId id : affected) {
     History others = history_;
-    const History own = prune(others, {id});
-    const ResidualState minus_c = residuals_of(others);
+    const std::vector<std::size_t> first = prune(others, {id});
+    (void)replay_edit(others, first, scratch_, /*rewrite=*/false);
     double worst = 1.0;
     for (std::size_t k = 0; k < realizations; ++k) {
-      if (own[k].empty()) continue;
       std::vector<Demand> demands;
-      for (const TaggedDemand& tagged : own[k]) demands.push_back(tagged.demand);
+      for (std::size_t i = first[k]; i < history_[k].size(); ++i) {
+        if (history_[k][i].owner == id) demands.push_back(history_[k][i].demand);
+      }
+      if (demands.empty()) continue;
       const std::vector<risk::AvailabilityCurve> curves =
-          curves_against_residuals(minus_c, k, demands);
+          curves_against_residuals(scratch_, k, demands);
       for (std::size_t i = 0; i < demands.size(); ++i) {
         const double amount = demands[i].amount.value();
         if (amount <= kEps) continue;
@@ -752,7 +820,9 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
     } else if (worst <= kEps) {
       verdict.kind = VerdictKind::revoked;
       verdict.fraction = 0.0;
-      prune(history_, {id});
+      history_ = std::move(others);
+      (void)replay_edit(history_, first, residual_, /*rewrite=*/true);
+      settle_snapshots(true);
       db_.remove(id);
       m.contracts_revoked.add();
     } else {
@@ -763,6 +833,8 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
           if (tagged.owner == id) tagged.demand.amount = Gbps(tagged.demand.amount.value() * worst);
         }
       }
+      (void)replay_edit(history_, first, residual_, /*rewrite=*/true);
+      settle_snapshots(true);
       const core::EntitlementContract* existing = db_.find_by_id(id);
       NETENT_EXPECTS(existing != nullptr);
       core::EntitlementContract updated = *existing;
@@ -776,11 +848,8 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
     verdicts.push_back(verdict);
   }
 
-  // --- Rebuild the maintained residual state (the scenario set and link
-  // count may both have changed shape) and the fast-path summaries on the
-  // resynced engine state.
-  residual_ = residuals_of(history_);
-  m.rebuilds.add();
+  // --- Fast-path estimators and summaries on the resynced engine state.
+  fast_.clear();
   rebuild_fastpath();
 
   AdmissionOutcome outcome;
@@ -836,34 +905,137 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
   return state;
 }
 
-void AdmissionController::commit(const History& batch) {
-  const std::size_t scenario_count = engine_.scenarios().size();
-  fan_out(threads_, config_.approval.realizations * scenario_count,
-          scenario_count * demand_count(batch), [&](std::size_t /*worker*/, std::size_t c) {
-            const std::size_t k = c / scenario_count;
-            place(batch[k], residual_[k][c % scenario_count]);
-          });
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    history_[k].insert(history_[k].end(), batch[k].begin(), batch[k].end());
-  }
-}
-
-AdmissionController::History AdmissionController::prune(History& history,
-                                                        const std::set<ContractId>& owners) {
-  History removed(history.size());
-  for (std::size_t k = 0; k < history.size(); ++k) {
-    std::vector<TaggedDemand>& demands = history[k];
-    std::size_t kept = 0;
-    for (const TaggedDemand& tagged : demands) {
-      if (owners.count(tagged.owner) != 0) {
-        removed[k].push_back(tagged);
-      } else {
-        demands[kept++] = tagged;
+std::size_t AdmissionController::replay_edit(const History& history,
+                                             std::span<const std::size_t> same,
+                                             ResidualState& out, bool rewrite) {
+  const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
+  const std::size_t scenario_count = scenarios.size();
+  const std::size_t link_count = router_.full_capacities().size();
+  const std::size_t realizations = history.size();
+  // Per realization: the restore point (null: the scenario capacities) and
+  // the snapshots the replay rewrites behind it.
+  std::vector<const Snapshot*> from(realizations, nullptr);
+  std::vector<std::size_t> start(realizations, 0);
+  std::vector<std::vector<SnapshotWrite>> writes(realizations);
+  std::size_t placements = 0;
+  NETENT_EXPECTS(provisional_.empty());
+  for (std::size_t k = 0; k < realizations; ++k) {
+    for (const Snapshot& snapshot : snapshots_[k]) {
+      if (snapshot.position > start[k] && snapshot.position <= same[k]) {
+        start[k] = snapshot.position;
+        from[k] = &snapshot;
       }
     }
-    demands.resize(kept);
+    placements += scenario_count * (history[k].size() - start[k]);
+    // The restore snapshot may be freed and claimed again here: each cell
+    // reads its own slice of it before writing any slice of the rewrites.
+    if (rewrite) writes[k] = plan_snapshots(k, start[k], history[k].size());
   }
-  return removed;
+  if (rewrite) provisional_ = start;
+
+  out.resize(realizations);
+  for (auto& per_scenario : out) per_scenario.resize(scenario_count);
+  const topology::SrlgIndex& index = engine_.simulator().srlg_index();
+  const std::span<const double> base_capacity = router_.full_capacities();
+  fan_out(threads_, realizations * scenario_count, placements,
+          [&](std::size_t /*worker*/, std::size_t c) {
+            const std::size_t k = c / scenario_count;
+            const std::size_t s = c % scenario_count;
+            std::vector<double>& residual = out[k][s];
+            if (from[k] == nullptr) {
+              residual = risk::scenario_capacities(index, base_capacity, scenarios[s]);
+            } else {
+              const auto slice = from[k]->residuals.begin() +
+                                 static_cast<std::ptrdiff_t>(s * link_count);
+              residual.assign(slice, slice + static_cast<std::ptrdiff_t>(link_count));
+            }
+            replay_cell(history[k], start[k], writes[k], s, residual);
+          });
+  replay_stats_.placements += placements;
+  replay_stats_.largest = std::max<std::uint64_t>(replay_stats_.largest, placements);
+  metrics().replayed_placements.add(placements);
+  return placements;
+}
+
+void AdmissionController::settle_snapshots(bool committed) {
+  if (!committed) {
+    for (std::size_t k = 0; k < provisional_.size(); ++k) {
+      for (Snapshot& snapshot : snapshots_[k]) {
+        if (snapshot.position > provisional_[k]) snapshot.position = 0;
+      }
+    }
+  }
+  provisional_.clear();
+}
+
+std::vector<AdmissionController::SnapshotWrite> AdmissionController::plan_snapshots(
+    std::size_t k, std::size_t kept, std::size_t length) {
+  // The smallest power of two leaving at most kSnapshots positions in
+  // (0, length]: the kept snapshots and the claimed ones sit on distinct
+  // multiples of it, so the slots never run out.
+  std::size_t stride = 1;
+  while (length / stride > kSnapshots) stride *= 2;
+  std::array<Snapshot, kSnapshots>& slots = snapshots_[k];
+  for (Snapshot& snapshot : slots) {
+    if (snapshot.position > kept || snapshot.position % stride != 0) snapshot.position = 0;
+  }
+  const std::size_t size = engine_.scenarios().size() * router_.full_capacities().size();
+  std::vector<SnapshotWrite> writes;
+  auto free_slot = slots.begin();
+  for (std::size_t position = (kept / stride + 1) * stride; position <= length;
+       position += stride) {
+    free_slot = std::find_if(free_slot, slots.end(),
+                             [](const Snapshot& snapshot) { return snapshot.position == 0; });
+    NETENT_ENSURES(free_slot != slots.end());
+    free_slot->position = position;
+    free_slot->residuals.resize(size);
+    writes.push_back({position, &*free_slot});
+  }
+  return writes;
+}
+
+void AdmissionController::replay_cell(std::span<const TaggedDemand> demands, std::size_t start,
+                                      std::span<const SnapshotWrite> writes, std::size_t s,
+                                      std::vector<double>& residual) const {
+  for (const SnapshotWrite& write : writes) {
+    place(demands.subspan(start, write.position - start), residual);
+    store_snapshot(residual, write.slot->residuals.data() + s * residual.size());
+    start = write.position;
+  }
+  place(demands.subspan(start), residual);
+}
+
+void AdmissionController::commit(const History& batch) {
+  const std::size_t scenario_count = engine_.scenarios().size();
+  NETENT_EXPECTS(provisional_.empty());
+  std::vector<std::size_t> start(batch.size());
+  std::vector<std::vector<SnapshotWrite>> writes(batch.size());
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    start[k] = history_[k].size();
+    history_[k].insert(history_[k].end(), batch[k].begin(), batch[k].end());
+    writes[k] = plan_snapshots(k, start[k], history_[k].size());
+  }
+  provisional_ = start;
+  fan_out(threads_, batch.size() * scenario_count, scenario_count * demand_count(batch),
+          [&](std::size_t /*worker*/, std::size_t c) {
+            const std::size_t k = c / scenario_count;
+            const std::size_t s = c % scenario_count;
+            replay_cell(history_[k], start[k], writes[k], s, residual_[k][s]);
+          });
+  settle_snapshots(true);
+}
+
+std::vector<std::size_t> AdmissionController::prune(History& history,
+                                                    const std::set<ContractId>& owners) {
+  std::vector<std::size_t> same(history.size());
+  for (std::size_t k = 0; k < history.size(); ++k) {
+    std::vector<TaggedDemand>& demands = history[k];
+    const auto owned = [&](const TaggedDemand& tagged) { return owners.count(tagged.owner) != 0; };
+    same[k] = static_cast<std::size_t>(
+        std::find_if(demands.begin(), demands.end(), owned) - demands.begin());
+    std::erase_if(demands, owned);
+  }
+  return same;
 }
 
 std::size_t AdmissionController::demand_count(const History& history) {
@@ -897,14 +1069,32 @@ std::size_t AdmissionController::rebuild_placements() const {
   return engine_.scenarios().size() * demand_count(history_);
 }
 
+AdmissionController::ReplayStats AdmissionController::replay_stats() const {
+  const std::lock_guard<std::mutex> lock(state_mutex_);
+  return replay_stats_;
+}
+
+std::vector<std::vector<std::size_t>> AdmissionController::snapshot_positions() const {
+  const std::lock_guard<std::mutex> lock(state_mutex_);
+  std::vector<std::vector<std::size_t>> positions(snapshots_.size());
+  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
+    for (const Snapshot& snapshot : snapshots_[k]) {
+      if (snapshot.position != 0) positions[k].push_back(snapshot.position);
+    }
+    std::sort(positions[k].begin(), positions[k].end());
+  }
+  return positions;
+}
+
 void AdmissionController::rebuild_fastpath() {
   if (!config_.approval.fastpath.enabled) return;
-  fast_.clear();
-  fast_.reserve(config_.approval.realizations);
-  for (std::size_t k = 0; k < config_.approval.realizations; ++k) {
-    fast_.emplace_back(router_.topo(), engine_.scenarios());
-    fast_.back().rebuild(residual_[k]);
+  if (fast_.empty()) {
+    fast_.reserve(config_.approval.realizations);
+    for (std::size_t k = 0; k < config_.approval.realizations; ++k) {
+      fast_.emplace_back(router_.topo(), engine_.scenarios());
+    }
   }
+  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residual_[k]);
 }
 
 void AdmissionController::refresh_fastpath(const History& batch) {
@@ -922,7 +1112,7 @@ bool AdmissionController::audit_one() {
     const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
     if (audit_queue_.empty()) return false;
     record = std::move(audit_queue_.front());
-    audit_queue_.erase(audit_queue_.begin());
+    audit_queue_.pop_front();
   }
   // state_mutex_ excludes concurrent path-cache warms; the replay itself is
   // the read-only warmed sweep.

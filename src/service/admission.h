@@ -28,15 +28,23 @@
 // rebuild bit-for-bit after any admit/resize/release sequence, at any
 // thread count (also pinned in tests). The commit history is flat: per
 // realization, every committed demand tagged with its owning contract, in
-// commit order. Releases and accepted resizes remove demands from the middle
-// of it, where no cheaper exact delta exists (water-filling is
-// order-sensitive), so those windows rebuild the residuals from the pruned
-// history; pure-admit windows — the streaming hot path — only append.
+// commit order. Releases, accepted resizes and topology re-verification
+// edit the middle of it, where no cheaper exact delta exists (water-filling
+// is order-sensitive). Those edits replay only the suffix behind the first
+// edited demand: per realization the controller keeps at most kSnapshots
+// residual states of the history's prefixes, at multiples of a power-of-two
+// stride sized to the history, and an edit restores from the newest one at
+// or before its first edited position. Snapshots an evaluation writes stay
+// provisional until its edit is committed; a rejected resize or a throwing
+// window drops them. Pure-admit windows — the streaming hot path — only
+// append, copying a snapshot when they cross a stride position.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -217,6 +225,22 @@ class AdmissionController {
   /// (common/thread_pool.h) fan out on the shared pool.
   [[nodiscard]] std::size_t rebuild_placements() const;
 
+  /// Work of the history edits so far (releases, resizes, topology
+  /// windows; append-only commits are not edits), in placements: the suffix
+  /// demands each edit replayed behind its restore point, times the
+  /// scenario count, in total and for the largest single replay. Replays
+  /// fan out on the same cutoff as rebuilds.
+  struct ReplayStats {
+    std::uint64_t placements = 0;
+    std::uint64_t largest = 0;
+  };
+  [[nodiscard]] ReplayStats replay_stats() const;
+
+  /// Per realization, the ascending history positions (demands placed) of
+  /// the residual snapshots edits restore from; never more than kSnapshots.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> snapshot_positions() const;
+  static constexpr std::size_t kSnapshots = 8;
+
   /// Two-tier fast-path accounting (all zero when fastpath is disabled).
   /// `violations` counts audited fast admits whose bound exceeded the exact
   /// availability — the conservativeness invariant says it must stay zero.
@@ -236,6 +260,10 @@ class AdmissionController {
   /// drivers (tests, benches) call this explicitly. Returns the number of
   /// records audited. Thread-safe.
   std::size_t audit_fastpath();
+  /// Most records the audit queue holds: a window that would leave more
+  /// audits its oldest records inline (risk.fastpath.audits_inline), so an
+  /// undrained backlog stays bounded in memory.
+  static constexpr std::size_t kAuditBacklog = 512;
 
   /// The enumerated failure scenarios backing every assessment (shared with
   /// tests that rebuild summaries / exact sweeps out-of-band).
@@ -288,9 +316,11 @@ class AdmissionController {
   /// (router, approval engine, residuals, fast-path summaries) and
   /// re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
-  /// Builds the per-realization headroom summaries from residual_ afresh
-  /// (no-op when fastpath is disabled): after construction, a history
-  /// rebuild, or a topology window.
+  /// Re-summarizes every link of the per-realization headroom summaries
+  /// from residual_ (no-op when fastpath is disabled): after construction, a
+  /// history edit, or a topology window. The estimators are built only when
+  /// fast_ is empty; topology windows clear it, since they may change the
+  /// scenario set and the links the estimators index.
   void rebuild_fastpath();
   /// Re-summarizes only the links on the candidate paths of `batch`'s
   /// demands — all a pure-admit commit of `batch` can have moved.
@@ -308,16 +338,59 @@ class AdmissionController {
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
       const ResidualState& residuals, std::size_t k, std::span<const topology::Demand> demands);
   /// Replays `demands` into `residual` through water_fill_demand — the same
-  /// call sequence for commit and rebuild, which is what keeps the two
-  /// bit-identical.
+  /// call sequence for commit, edit replay and rebuild, which is what keeps
+  /// them bit-identical.
   void place(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
+  /// The from-scratch rebuild: the oracle behind
+  /// rebuild_residuals_from_scratch().
   [[nodiscard]] ResidualState residuals_of(const History& history) const;
-  /// Places `batch` into residual_ and appends it to history_ (the
-  /// incremental hot path).
+
+  /// One residual snapshot: the flat [scenario * links + link] residuals
+  /// after the first `position` demands of a realization's history.
+  /// Position 0 marks a free slot (the empty prefix is the scenario
+  /// capacities themselves); a free slot keeps its buffer for reuse.
+  struct Snapshot {
+    std::size_t position = 0;
+    std::vector<double> residuals;
+  };
+  /// A snapshot a replay fills as it passes `position`.
+  struct SnapshotWrite {
+    std::size_t position = 0;
+    Snapshot* slot = nullptr;
+  };
+  /// The one history-edit path. Sets `out` to the residuals of `history`,
+  /// which agrees with the history the snapshots describe on each
+  /// realization's first `same[k]` demands: every cell restores from the
+  /// newest snapshot at or before same[k] (or the scenario capacities) and
+  /// replays only the suffix through place(), so `out` is bit-identical to
+  /// residuals_of(history). With `rewrite`, the replay also rewrites the
+  /// snapshots past each restore point to describe `history`; they stay
+  /// provisional until settle_snapshots(). Returns the placements replayed.
+  std::size_t replay_edit(const History& history, std::span<const std::size_t> same,
+                          ResidualState& out, bool rewrite);
+  /// Ends the pending rewrite: keeps its snapshots when its edit was
+  /// committed, otherwise frees every snapshot past its restore points, so
+  /// none describes an uncommitted history.
+  void settle_snapshots(bool committed);
+  /// Re-lays realization k's snapshots for a history of `length` demands
+  /// whose first `kept` match the snapshotted one: frees every snapshot past
+  /// `kept` or off the stride for `length`, and claims a slot for each
+  /// stride position in (kept, length], returned in ascending order.
+  std::vector<SnapshotWrite> plan_snapshots(std::size_t k, std::size_t kept,
+                                            std::size_t length);
+  /// Places demands[start..] into `residual`, scenario s's cell, copying it
+  /// into each write's slice of its snapshot as it passes the write.
+  void replay_cell(std::span<const TaggedDemand> demands, std::size_t start,
+                   std::span<const SnapshotWrite> writes, std::size_t s,
+                   std::vector<double>& residual) const;
+
+  /// Appends `batch` to history_ and places it into residual_ (the
+  /// incremental hot path), extending the snapshots.
   void commit(const History& batch);
   /// Removes `owners`' demands from `history`, keeping the rest in order,
-  /// and returns the removed ones ([realization], commit order).
-  static History prune(History& history, const std::set<ContractId>& owners);
+  /// and returns per realization how many leading demands it left in place
+  /// (the first edited position).
+  static std::vector<std::size_t> prune(History& history, const std::set<ContractId>& owners);
   /// Demands in `history`, summed over realizations.
   [[nodiscard]] static std::size_t demand_count(const History& history);
 
@@ -334,7 +407,14 @@ class AdmissionController {
   /// time; the parallel fan-outs inside a window are internal).
   mutable std::mutex state_mutex_;
   ResidualState residual_;
+  /// Output of the window evaluations' and topology re-verification's edit
+  /// replays; a committed evaluation swaps it with residual_.
+  ResidualState scratch_;
   History history_;
+  std::vector<std::array<Snapshot, kSnapshots>> snapshots_;  ///< [realization]
+  /// Restore points of the pending rewrite, per realization (empty: none).
+  std::vector<std::size_t> provisional_;
+  ReplayStats replay_stats_;
   core::ContractDb db_;  ///< the in-force contracts, runtime ids populated
   Rng rng_;
   ContractId next_contract_id_ = 1;
@@ -348,7 +428,7 @@ class AdmissionController {
   /// audit_mutex_ while acquiring state_mutex_ (enqueue takes audit under
   /// state; the drain pops under audit alone, then computes under state).
   std::mutex audit_mutex_;
-  std::vector<AuditRecord> audit_queue_;
+  std::deque<AuditRecord> audit_queue_;
 
   /// Submission queue, guarded by queue_mutex_.
   std::mutex queue_mutex_;

@@ -156,7 +156,8 @@ struct ChurnResult {
   std::vector<double> approved;
   std::string contracts;
   AdmissionController::FastPathStats fast;
-  std::size_t max_rebuild_placements = 0;  ///< largest rebuild seen along the way
+  std::size_t rebuild_placements = 0;  ///< a from-scratch rebuild of the final history
+  std::uint64_t largest_replay = 0;    ///< placements of the largest history-edit replay
 
   bool operator==(const ChurnResult& other) const {
     return residuals == other.residuals && statuses == other.statuses &&
@@ -244,8 +245,6 @@ ChurnResult churn(const topology::Topology& topo, const ChurnParams& params) {
         result.approved.push_back(approval.approved.value());
       }
     }
-    result.max_rebuild_placements =
-        std::max(result.max_rebuild_placements, controller.rebuild_placements());
     // The delta-replay equivalence the service is built on: the maintained
     // residuals match a from-scratch rebuild of the commit history exactly.
     EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch())
@@ -253,6 +252,7 @@ ChurnResult churn(const topology::Topology& topo, const ChurnParams& params) {
   }
   (void)controller.audit_fastpath();  // drain the deferred exact audit queue
   result.fast = controller.fastpath_stats();
+  result.largest_replay = controller.replay_stats().largest;
   result.residuals = controller.residual_snapshot();
   result.contracts = fingerprint(controller.contracts_snapshot());
   return result;
@@ -361,11 +361,45 @@ TEST(AdmissionService, FastPathSummariesStayFreshAcrossChurnEdgeCases) {
   EXPECT_EQ(controller.fastpath_stats().violations, 0u);
 }
 
+// An undrained audit queue is bounded: a window that would leave more than
+// kAuditBacklog records audits the oldest ones itself, so audits happen
+// before anyone drains, and the final audited and violation counts equal
+// those of a run drained often enough never to reach the cap.
+TEST(AdmissionService, AuditBacklogPastTheCapIsAuditedInline) {
+  const topology::Topology topo = topology::figure6_topology();
+  AdmissionConfig config = small_config(37);
+  config.approval.fastpath.enabled = true;
+  config.approval.slo_availability = 0.995;  // clearable by the bound
+  constexpr std::uint32_t kAdmits = 240;      // up to 3 records each
+  const auto run = [&](std::uint32_t drain_every) {
+    AdmissionController controller(topo, config);
+    for (std::uint32_t npg = 1; npg <= kAdmits; ++npg) {
+      const auto outcome = controller.admit(
+          NpgId(npg), "a", hose_pair(npg, QosClass::c2_low, npg % 5, (npg + 2) % 5, 0.5));
+      EXPECT_EQ(outcome.status, AdmissionStatus::admitted);
+      if (drain_every != 0 && npg % drain_every == 0) (void)controller.audit_fastpath();
+    }
+    const AdmissionController::FastPathStats before_drain = controller.fastpath_stats();
+    (void)controller.audit_fastpath();
+    return std::pair{before_drain, controller.fastpath_stats()};
+  };
+  const auto [capped_early, capped] = run(0);
+  const AdmissionController::FastPathStats drained = run(64).second;
+  // Every admit is a fast hit, and each hit queues one record.
+  EXPECT_GT(capped.hits, AdmissionController::kAuditBacklog);
+  EXPECT_GT(capped_early.audited, 0u);  // audited inline, before any drain
+  EXPECT_EQ(capped.audited, capped.hits);
+  EXPECT_EQ(capped.audited, drained.audited);
+  EXPECT_EQ(capped.violations, drained.violations);
+  EXPECT_EQ(capped.violations, 0u);
+  EXPECT_EQ(capped.hits, drained.hits);
+}
+
 // A release and a rejected resize in one window: the evaluation dropped the
 // resize target's old grant, which the rejection keeps, so the commit cannot
-// reuse the evaluation's residuals and must rebuild from the history. An
-// accepted resize beside a release takes the reuse path; both must match a
-// from-scratch rebuild.
+// reuse the evaluation's residuals and must replay the history pruned of the
+// release alone. An accepted resize beside a release takes the reuse path;
+// both must match a from-scratch rebuild.
 TEST(AdmissionService, ReleaseBesideRejectedResizeRebuildsFromHistory) {
   const topology::Topology topo = topology::figure6_topology();
   AdmissionConfig config = small_config(29);
@@ -422,6 +456,278 @@ TEST(AdmissionService, ReleaseBesideRejectedResizeRebuildsFromHistory) {
   EXPECT_EQ(reused[1].status, AdmissionStatus::resized);
   EXPECT_EQ(controller.admitted_count(), 1u);
   EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
+}
+
+/// The snapshot stride the controller uses for a history of `n` demands:
+/// the smallest power of two leaving at most kSnapshots positions in (0, n].
+std::size_t snapshot_stride(std::size_t n) {
+  std::size_t stride = 1;
+  while (n / stride > AdmissionController::kSnapshots) stride *= 2;
+  return stride;
+}
+
+/// Everything a snapshot-churn run decided, plus its replay accounting.
+struct SnapshotChurnResult {
+  std::vector<AdmissionStatus> statuses;
+  std::vector<double> approved;
+  std::vector<ContractVerdict> verdicts;
+  AdmissionController::ResidualState residuals;
+  std::string contracts;
+  AdmissionController::ReplayStats replay;
+  /// Release and resize windows only: the placements their edits replayed,
+  /// and what a full rebuild of each window's final history places.
+  std::uint64_t replayed = 0;
+  std::size_t rebuilt = 0;
+  std::size_t doublings = 0;
+  std::size_t halvings = 0;
+
+  bool operator==(const SnapshotChurnResult& other) const {
+    const auto same_verdicts = [&] {
+      if (verdicts.size() != other.verdicts.size()) return false;
+      for (std::size_t i = 0; i < verdicts.size(); ++i) {
+        if (verdicts[i].contract != other.verdicts[i].contract ||
+            verdicts[i].kind != other.verdicts[i].kind ||
+            verdicts[i].fraction != other.verdicts[i].fraction) {
+          return false;
+        }
+      }
+      return true;
+    };
+    return statuses == other.statuses && approved == other.approved && same_verdicts() &&
+           residuals == other.residuals && contracts == other.contracts &&
+           replay.placements == other.replay.placements && replay.largest == other.replay.largest;
+  }
+};
+
+/// A stream that grows the history past several snapshot-stride doublings
+/// and shrinks it back through the halvings. Releases target contracts whose
+/// one demand per realization sits exactly at a snapshot position, one
+/// before it and one after it; windows release several contracts at once;
+/// one window puts a rejected resize before a release with a snapshot in
+/// between; topology windows squeeze and then restore one region's fibers,
+/// shrinking and revoking contracts mid-stream. After every window the
+/// residuals must equal a from-scratch rebuild and the fast-path summaries a
+/// fresh one.
+SnapshotChurnResult snapshot_churn(std::size_t threads) {
+  topology::Topology topo = topology::figure6_topology();
+  AdmissionConfig config = small_config(61);
+  config.exec.threads = threads;
+  config.approval.fastpath.enabled = true;
+  config.approval.slo_availability = 0.995;  // clearable by the bound
+  // 37 scenarios: the larger replays outgrow the fan-out cutoff.
+  config.approval.scenarios.max_simultaneous = 2;
+  config.admit_min_fraction = 1.0;  // an oversized resize is rejected
+  AdmissionController controller(topo, config);
+  const std::size_t realizations = config.approval.realizations;
+  const auto regions = static_cast<std::uint32_t>(topo.region_count());
+
+  SnapshotChurnResult result;
+  // The live contracts in commit order, with their NPGs. Every contract
+  // holds one demand per realization (one egress and one ingress hose), so
+  // order[i]'s demand sits at history position i in every realization.
+  std::vector<std::pair<ContractId, std::uint32_t>> order;
+  std::uint32_t next_npg = 1;
+  Rng rng(8080);
+  std::size_t window_index = 0;
+  std::size_t stride = 1;
+
+  const auto check = [&] {
+    const std::string where = "after window " + std::to_string(window_index++);
+    ASSERT_TRUE(controller.residual_snapshot() == controller.rebuild_residuals_from_scratch())
+        << where << ": maintained residuals diverged from a from-scratch rebuild";
+    ASSERT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo))
+        << where;
+    ASSERT_EQ(controller.rebuild_placements(),
+              controller.scenarios().size() * realizations * order.size())
+        << where << ": the history no longer holds one demand per contract and realization";
+    for (const std::vector<std::size_t>& positions : controller.snapshot_positions()) {
+      ASSERT_LE(positions.size(), AdmissionController::kSnapshots) << where;
+      for (const std::size_t position : positions) ASSERT_LE(position, order.size()) << where;
+    }
+    const std::size_t now = snapshot_stride(order.size());
+    if (now > stride) ++result.doublings;
+    if (now < stride) ++result.halvings;
+    stride = now;
+  };
+  const auto run = [&](std::vector<AdmissionRequest> requests, bool edit) {
+    const std::uint64_t replayed_before = controller.replay_stats().placements;
+    const std::vector<AdmissionOutcome> outcomes = run_window(controller, std::move(requests));
+    for (const AdmissionOutcome& outcome : outcomes) {
+      result.statuses.push_back(outcome.status);
+      for (const auto& approval : outcome.approvals) {
+        result.approved.push_back(approval.approved.value());
+      }
+    }
+    if (edit) {
+      result.replayed += controller.replay_stats().placements - replayed_before;
+      result.rebuilt += controller.rebuild_placements();
+    }
+    return outcomes;
+  };
+  const auto admit = [&] {
+    const std::uint32_t npg = next_npg++;
+    const auto src = static_cast<std::uint32_t>(rng.uniform_int(regions));
+    const auto dst =
+        (src + 1 + static_cast<std::uint32_t>(rng.uniform_int(regions - 1))) % regions;
+    const AdmissionOutcome outcome = run(
+        {admit_request(npg, hose_pair(npg, QosClass::c2_low, src, dst, rng.uniform(1.0, 6.0)))},
+        false).front();
+    if (outcome.status == AdmissionStatus::admitted) order.emplace_back(outcome.contract, npg);
+  };
+  const auto release_request = [](ContractId id) {
+    AdmissionRequest request;
+    request.kind = RequestKind::release;
+    request.contract = id;
+    return request;
+  };
+  // A history index `offset` away from a snapshot position of realization
+  // 0 (every realization holds the same positions), or none.
+  const auto near_snapshot = [&](int offset) -> std::optional<std::size_t> {
+    std::vector<std::size_t> candidates;
+    const std::vector<std::vector<std::size_t>> positions = controller.snapshot_positions();
+    for (const std::size_t position : positions[0]) {
+      const auto index = static_cast<std::ptrdiff_t>(position) + offset;
+      if (index >= 0 && static_cast<std::size_t>(index) < order.size()) {
+        candidates.push_back(static_cast<std::size_t>(index));
+      }
+    }
+    if (candidates.empty()) return std::nullopt;
+    return candidates[rng.uniform_int(candidates.size())];
+  };
+  // Releases the contracts at `indices` (distinct) in one window.
+  const auto release_at = [&](std::vector<std::size_t> indices) {
+    std::sort(indices.begin(), indices.end());
+    indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+    std::vector<AdmissionRequest> window;
+    for (const std::size_t i : indices) window.push_back(release_request(order[i].first));
+    for (const AdmissionOutcome& outcome : run(std::move(window), true)) {
+      EXPECT_EQ(outcome.status, AdmissionStatus::released);
+    }
+    for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
+      order.erase(order.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+  };
+  // Resizes every fiber touching region B to `gbps` per direction.
+  const auto squeeze_region_b = [&](double gbps) {
+    std::vector<topology::Mutation> batch;
+    for (const topology::Link& link : topo.links()) {
+      if (link.src != RegionId(1)) continue;
+      topology::Mutation mutation;
+      mutation.kind = topology::MutationKind::resize_fiber;
+      mutation.link = link.id;
+      mutation.capacity = Gbps(gbps);
+      batch.push_back(mutation);
+    }
+    AdmissionRequest request;
+    request.kind = RequestKind::topology;
+    request.mutations = std::move(batch);
+    const AdmissionOutcome outcome = run({request}, false).front();
+    EXPECT_EQ(outcome.status, AdmissionStatus::topology_applied);
+    for (const ContractVerdict& verdict : outcome.reverified) {
+      result.verdicts.push_back(verdict);
+      if (verdict.kind == VerdictKind::revoked) {
+        std::erase_if(order, [&](const auto& entry) { return entry.first == verdict.contract; });
+      }
+    }
+  };
+
+  // --- Grow to 150 contracts: strides 1 -> 32, with targeted releases and
+  // the odd accepted resize (which moves its demand to the history's tail).
+  int offset = -1;
+  for (std::size_t step = 1; order.size() < 150; ++step) {
+    if (step % 7 == 0) {
+      if (const auto index = near_snapshot(offset)) release_at({*index});
+      offset = offset == 1 ? -1 : offset + 1;
+    } else if (step % 23 == 0 && !order.empty()) {
+      const std::size_t i = rng.uniform_int(order.size());
+      AdmissionRequest resize;
+      resize.kind = RequestKind::resize;
+      resize.contract = order[i].first;
+      resize.hoses = hose_pair(order[i].second, QosClass::c2_low, 0, 3, 2.0);
+      if (run({resize}, true).front().status == AdmissionStatus::resized) {
+        std::rotate(order.begin() + static_cast<std::ptrdiff_t>(i),
+                    order.begin() + static_cast<std::ptrdiff_t>(i) + 1, order.end());
+      }
+    } else {
+      admit();
+    }
+    check();
+    if (testing::Test::HasFatalFailure()) return result;
+  }
+
+  // --- A rejected resize before a release, a snapshot position between
+  // them: the evaluation (without both) rewrites that snapshot, the commit
+  // (without the release only) must not restore from it.
+  {
+    const std::vector<std::size_t> positions = controller.snapshot_positions()[0];
+    const std::size_t at = positions[positions.size() / 2];
+    if (at < 2 || at + 1 >= order.size()) {
+      ADD_FAILURE() << "no snapshot position with room around it: " << at;
+      return result;
+    }
+    AdmissionRequest greedy;
+    greedy.kind = RequestKind::resize;
+    greedy.contract = order[at - 2].first;
+    greedy.hoses = hose_pair(order[at - 2].second, QosClass::c2_low, 0, 3, 1e6);
+    const std::vector<AdmissionOutcome> outcomes =
+        run({greedy, release_request(order[at + 1].first)}, true);
+    EXPECT_EQ(outcomes[0].status, AdmissionStatus::rejected);
+    EXPECT_EQ(outcomes[1].status, AdmissionStatus::released);
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(at) + 1);
+    check();
+    if (testing::Test::HasFatalFailure()) return result;
+  }
+
+  // --- Shrink to 6 contracts: windows of one to three targeted releases,
+  // some beside an admit; region B is squeezed (shrinking and revoking its
+  // contracts) and later restored.
+  for (std::size_t step = 1; order.size() > 6; ++step) {
+    if (step == 5) {
+      squeeze_region_b(12.0);
+    } else if (step == 20) {
+      squeeze_region_b(1000.0);
+    } else {
+      std::vector<std::size_t> indices;
+      const std::size_t releases = 1 + rng.uniform_int(3);
+      for (std::size_t r = 0; r < releases && indices.size() + 1 < order.size(); ++r) {
+        if (const auto index = near_snapshot(offset)) indices.push_back(*index);
+        offset = offset == 1 ? -1 : offset + 1;
+      }
+      if (indices.empty()) indices.push_back(rng.uniform_int(order.size()));
+      release_at(indices);
+      if (step % 4 == 0) admit();
+    }
+    check();
+    if (testing::Test::HasFatalFailure()) return result;
+  }
+
+  (void)controller.audit_fastpath();
+  EXPECT_EQ(controller.fastpath_stats().violations, 0u);
+  result.replay = controller.replay_stats();
+  result.residuals = controller.residual_snapshot();
+  result.contracts = fingerprint(controller.contracts_snapshot());
+  return result;
+}
+
+TEST(AdmissionService, SnapshotReplayMatchesFromScratchAcrossStrides) {
+  const SnapshotChurnResult serial = snapshot_churn(1);
+  if (HasFatalFailure()) return;
+  const SnapshotChurnResult parallel = snapshot_churn(4);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(serial, parallel);
+
+  EXPECT_GE(serial.doublings, 5u);
+  EXPECT_GE(serial.halvings, 4u);
+  const auto count = [&](VerdictKind kind) {
+    return std::count_if(serial.verdicts.begin(), serial.verdicts.end(),
+                         [&](const ContractVerdict& verdict) { return verdict.kind == kind; });
+  };
+  EXPECT_GT(count(VerdictKind::shrunk), 0);
+  EXPECT_GT(count(VerdictKind::revoked), 0);
+  // Edits replay suffixes, not whole histories (0.58 of the full rebuilds'
+  // placements on this stream), and the largest still reaches the pool.
+  EXPECT_LE(static_cast<double>(serial.replayed), 0.8 * static_cast<double>(serial.rebuilt));
+  EXPECT_GE(serial.replay.largest, kFanOutCutoffPlacements);
 }
 
 TEST(AdmissionService, RejectionAttachesCounterProposals) {
@@ -680,8 +986,8 @@ TEST(AdmissionService, MetricsRecordedWhenObsEnabled) {
 // --- Thread-count torture ------------------------------------------------
 // The SAME request streams replayed at 1/2/4/8 threads must produce
 // bit-identical verdicts, approved rates, residual state, contract databases
-// and fast-path accounting. Every stream's residual rebuilds exceed the
-// fan-out cutoff, so the shared pool really runs them at > 1 thread.
+// and fast-path accounting. Every churn stream has an edit replay at or over
+// the fan-out cutoff, so the shared pool really runs it at > 1 thread.
 
 void expect_same_fast_stats(const AdmissionController::FastPathStats& a,
                             const AdmissionController::FastPathStats& b) {
@@ -697,7 +1003,9 @@ TEST(AdmissionThreadCounts, ChurnTortureEquivalence) {
   const topology::Topology topo = topology::figure6_topology();
   const ChurnResult reference = churn(topo, {.threads = 1, .total_requests = 512});
   ASSERT_FALSE(reference.statuses.empty());
-  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  // Edits replay only the suffix behind them, so it is the largest replay,
+  // not a full rebuild, that has to reach the pool.
+  EXPECT_GE(reference.largest_replay, kFanOutCutoffPlacements);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     EXPECT_EQ(churn(topo, {.threads = threads, .total_requests = 512}), reference)
         << "divergence at " << threads << " threads";
@@ -713,7 +1021,7 @@ TEST(AdmissionThreadCounts, FastPathChurnEquivalence) {
       churn(topo, {.threads = 1, .fastpath = true, .total_requests = 384});
   EXPECT_GT(reference.fast.hits, 0u);  // the tier is actually exercised
   EXPECT_EQ(reference.fast.violations, 0u);
-  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  EXPECT_GE(reference.largest_replay, kFanOutCutoffPlacements);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     const ChurnResult run =
         churn(topo, {.threads = threads, .fastpath = true, .total_requests = 384});
@@ -753,7 +1061,7 @@ TEST(AdmissionThreadCounts, BurstWindowEquivalence) {
         result.approved.push_back(approval.approved.value());
       }
     }
-    result.max_rebuild_placements = controller.rebuild_placements();
+    result.rebuild_placements = controller.rebuild_placements();
     result.residuals = controller.residual_snapshot();
     result.contracts = fingerprint(controller.contracts_snapshot());
     EXPECT_EQ(result.residuals, controller.rebuild_residuals_from_scratch());
@@ -762,7 +1070,7 @@ TEST(AdmissionThreadCounts, BurstWindowEquivalence) {
   const ChurnResult reference = burst_run(1);
   ASSERT_EQ(reference.statuses.size(), 32u);
   // The burst's commit places as many demands as a rebuild would.
-  EXPECT_GT(reference.max_rebuild_placements, kFanOutCutoffPlacements);
+  EXPECT_GT(reference.rebuild_placements, kFanOutCutoffPlacements);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     EXPECT_EQ(burst_run(threads), reference) << "divergence at " << threads << " threads";
   }

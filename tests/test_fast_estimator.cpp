@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -342,6 +343,92 @@ TEST(FastEstimator, PristineRebuildMatchesScenarioCapacityRebuild) {
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
     EXPECT_EQ(pristine.headroom()[l], exact.headroom()[l]) << "link " << l;
   }
+}
+
+/// The per-link scan rebuild() ran before it went scenario-major, kept as
+/// its reference: per link, std::min over the scenarios leaving the link
+/// alive, in ascending scenario order, starting from +inf.
+std::vector<double> per_link_headroom(const Topology& topo,
+                                      std::span<const FailureScenario> scenarios,
+                                      std::span<const std::vector<double>> residuals) {
+  std::vector<double> headroom(topo.link_count());
+  for (std::size_t l = 0; l < headroom.size(); ++l) {
+    const SrlgId srlg = topo.link(LinkId(static_cast<std::uint32_t>(l))).srlg;
+    double min = std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      const std::vector<SrlgId>& down = scenarios[s].down;
+      if (std::find(down.begin(), down.end(), srlg) != down.end()) continue;
+      min = std::min(min, residuals[s][l]);
+    }
+    headroom[l] = min;
+  }
+  return headroom;
+}
+
+// The scenario-major rebuild() must reproduce the per-link scan bit for bit
+// (signed zeros included, so the fold order is pinned too): over random
+// residual families on multi-SRLG scenario sets, with one SRLG down in
+// every scenario (its links keep +inf), and across repeated rebuilds of one
+// estimator.
+TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t dead_everywhere = 0;
+  std::size_t multi_srlg = 0;
+  for (std::uint64_t t = 0; t < 12; ++t) {
+    Rng rng(0xfeed0000 + t);
+    topology::GeneratorConfig config;
+    config.region_count = 4 + rng.uniform_int(4);
+    config.base_capacity = Gbps(rng.uniform(150.0, 400.0));
+    config.max_parallel_fibers = 1 + rng.uniform_int(2);
+    const Topology topo = topology::generate_backbone(config, rng);
+    ScenarioConfig scenario_config;
+    scenario_config.max_simultaneous = 2 + rng.uniform_int(2);
+    std::vector<FailureScenario> scenarios = enumerate_scenarios(topo, scenario_config);
+    const SrlgId always = topo.link(LinkId(static_cast<std::uint32_t>(
+                                        rng.uniform_int(topo.link_count()))))
+                              .srlg;
+    for (FailureScenario& scenario : scenarios) {
+      const auto at = std::lower_bound(scenario.down.begin(), scenario.down.end(), always);
+      if (at == scenario.down.end() || *at != always) scenario.down.insert(at, always);
+      if (scenario.down.size() > 2) ++multi_srlg;
+    }
+    const topology::SrlgIndex index(topo);
+    const Router router(topo, 1);
+    const std::span<const double> caps = router.full_capacities();
+
+    FastEstimator estimator(topo, scenarios);
+    for (int rebuild = 0; rebuild < 3; ++rebuild) {
+      SCOPED_TRACE("topology " + std::to_string(t) + " rebuild " + std::to_string(rebuild));
+      std::vector<std::vector<double>> residuals;
+      for (const FailureScenario& scenario : scenarios) {
+        std::vector<double> residual = scenario_capacities(index, caps, scenario);
+        for (double& r : residual) {
+          // Arbitrary consumption, with exhausted links of both zero signs
+          // and repeated values, so a reordered fold would show.
+          const std::uint64_t roll = rng.uniform_int(8);
+          if (roll == 0) r = 0.0;
+          if (roll == 1) r = -0.0;
+          if (roll == 2) r = 25.0;
+          if (roll > 2) r *= rng.uniform(0.1, 1.0);
+        }
+        residuals.push_back(std::move(residual));
+      }
+      estimator.rebuild(residuals);
+      const std::vector<double> reference = per_link_headroom(topo, scenarios, residuals);
+      ASSERT_EQ(estimator.headroom().size(), reference.size());
+      for (std::size_t l = 0; l < reference.size(); ++l) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.headroom()[l]),
+                  std::bit_cast<std::uint64_t>(reference[l]))
+            << "link " << l << ": " << estimator.headroom()[l] << " vs " << reference[l];
+        if (topo.link(LinkId(static_cast<std::uint32_t>(l))).srlg == always) {
+          EXPECT_EQ(estimator.headroom()[l], kInf) << "link " << l;
+          ++dead_everywhere;
+        }
+      }
+    }
+  }
+  EXPECT_GT(dead_everywhere, 0u);
+  EXPECT_GT(multi_srlg, 0u);
 }
 
 // Tiny rates sit below the routing epsilon and must always fall back.
