@@ -89,26 +89,27 @@ BENCHMARK(BM_SwitchTransmit);
 
 void BM_EventQueuePeriodic(benchmark::State& state) {
   // The drill's event spine without its world: 500 agents' publish timers
-  // at jittered phases, each publish a delivery 10 s later through a
-  // constant-delay channel. One iteration is one 5-s period (500 timer
-  // fires plus ~500 deliveries); events_per_s is the spine's own throughput.
+  // at jittered phases, each publish scheduling its own delivery 10 s later,
+  // as the drill schedules its arrivals. One iteration is one 5-s period
+  // (500 timer fires plus ~500 deliveries); events_per_s is the spine's own
+  // throughput.
   constexpr std::size_t kTimers = 500;
   constexpr double kPeriod = 5.0;
   sim::EventQueue queue;
   std::uint64_t delivered = 0;
-  sim::DelayLine<std::uint64_t> deliveries(queue, 2.0 * kPeriod, sim::kDeliveryStratum,
-                                           [&delivered](const std::uint64_t& host) {
-                                             delivered += host;
-                                           });
+  const auto publish = [&queue, &delivered](std::uint64_t host) {
+    queue.schedule_in(2.0 * kPeriod, sim::kDeliveryStratum,
+                      [&delivered, host] { delivered += host; });
+  };
   std::vector<std::unique_ptr<sim::PeriodicTimer>> timers;
   Rng rng(17);
   for (std::uint64_t host = 0; host < kTimers; ++host) {
     timers.push_back(std::make_unique<sim::PeriodicTimer>(
-        queue, kPeriod, sim::kAgentStratum, [&deliveries, host] { deliveries.send(host); }));
+        queue, kPeriod, sim::kAgentStratum, [&publish, host] { publish(host); }));
     timers.back()->start_at(rng.uniform(0.0, kPeriod));
   }
   double horizon = 4.0 * kPeriod;
-  queue.run_until(horizon);  // warm-up: the heap, slots and channel ring grow
+  queue.run_until(horizon);  // warm-up: the heap and slots grow
   const std::uint64_t executed_before = queue.executed_count();
   for (auto _ : state) {
     horizon += kPeriod;

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "common/placement_arena.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 
@@ -212,9 +211,7 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_with(
   if (fast != nullptr && config_.fastpath.enabled) {
     router_.warm(demands);  // fast hits still commit/audit via cached paths
     const double need = config_.slo_availability + config_.fastpath.slo_margin;
-    auto consumed_loan = common::PlacementArena::local().doubles();
-    std::vector<double>& consumed = *consumed_loan;
-    consumed.assign(fast->link_count(), 0.0);
+    std::vector<double> consumed(fast->link_count(), 0.0);
     std::vector<double> bounds;
     bounds.reserve(demands.size());
     bool cleared = true;
@@ -320,6 +317,8 @@ ApprovalEngine::RealizationPipes ApprovalEngine::draw_realizations(
   std::map<std::pair<std::uint32_t, QosClass>, Group> groups;
   for (const HoseRequest& hose : hoses) {
     NETENT_EXPECTS(hose.region.value() < n);
+    NETENT_EXPECTS(static_cast<std::size_t>(hose.qos) < kQosClassCount);
+    NETENT_EXPECTS(hose.direction == Direction::egress || hose.direction == Direction::ingress);
     auto& group = groups[{hose.npg.value(), hose.qos}];
     if (group.egress.empty()) {
       group.npg = hose.npg;

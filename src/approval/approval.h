@@ -188,7 +188,7 @@ class ApprovalEngine {
   /// stream hose_approval would — realization 0 samples, later ones take
   /// extreme points. The assessment MUST NOT consume engine RNG state, so
   /// drawing everything up front is stream-identical to the interleaved
-  /// loop.
+  /// loop. Every hose's region, QoS class and direction must be in range.
   [[nodiscard]] RealizationPipes draw_realizations(std::span<const hose::HoseRequest> hoses,
                                                    std::span<const GroupSegments> segments,
                                                    Rng& rng) const;

@@ -224,8 +224,8 @@ class ScenarioPlacer {
       if (stats.short_circuited) m.scenarios_short_circuited.add();
       return slot.placed;
     }
-    // The worker's RouteResult (and arena residual scratch inside) is
-    // reused, so steady-state scenarios never touch the heap.
+    // The worker's RouteResult (residual scratch included) is reused, so
+    // steady-state scenarios never touch the heap.
     router_.route_warmed_into(demands_, slot.capacity->apply(scenarios_[s]), slot.route);
     NETENT_ENSURES(slot.route.placed_per_demand.size() == demands_.size());
     return slot.route.placed_per_demand;

@@ -7,9 +7,6 @@
 #include <iterator>
 #include <map>
 #include <utility>
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -49,8 +46,6 @@ struct ServiceMetrics {
   obs::Counter& contracts_revoked = reg.counter("service.admission.contracts_revoked");
   obs::Counter& windows = reg.counter("service.admission.windows");
   obs::Counter& rebuilds = reg.counter("service.admission.rebuilds");
-  /// Placements the history edits replayed behind their restore points.
-  obs::Counter& replayed_placements = reg.counter("service.admission.replayed_placements");
   obs::Counter& counter_proposals = reg.counter("service.admission.counter_proposals");
   obs::Counter& committed_demands = reg.counter("service.admission.committed_demands");
   obs::Counter& fastpath_audited = reg.counter("risk.fastpath.audited");
@@ -82,6 +77,48 @@ AdmissionOutcome failed_outcome(ErrorCode code, std::string message) {
   return outcome;
 }
 
+/// Request-shape validation, Expected-style (common/expected.h taxonomy):
+/// every failure is invalid_argument naming the offending hose field, so a
+/// spec-compiled or hand-built request fails identically.
+Expected<void> validate_hoses(const AdmissionRequest& request, NpgId npg,
+                              std::size_t region_count) {
+  if (request.hoses.empty()) {
+    return Error{ErrorCode::invalid_argument, "request has no hoses"};
+  }
+  double total = 0.0;
+  for (std::size_t h = 0; h < request.hoses.size(); ++h) {
+    const HoseRequest& hose = request.hoses[h];
+    const std::string field = "hoses[" + std::to_string(h) + "]";
+    if (hose.npg != npg) {
+      return Error{ErrorCode::invalid_argument, field + ".npg: differs from the request's NPG"};
+    }
+    if (hose.region.value() >= region_count) {
+      return Error{ErrorCode::invalid_argument,
+                   field + ".region: region " + std::to_string(hose.region.value()) +
+                       " out of range (topology has " + std::to_string(region_count) +
+                       " regions)"};
+    }
+    if (static_cast<std::size_t>(hose.qos) >= kQosClassCount) {
+      return Error{ErrorCode::invalid_argument,
+                   field + ".qos: class " + std::to_string(static_cast<int>(hose.qos)) +
+                       " out of range (" + std::to_string(kQosClassCount) + " classes)"};
+    }
+    if (hose.direction != hose::Direction::egress && hose.direction != hose::Direction::ingress) {
+      return Error{ErrorCode::invalid_argument,
+                   field + ".direction: " + std::to_string(static_cast<int>(hose.direction)) +
+                       " is neither egress nor ingress"};
+    }
+    if (!std::isfinite(hose.rate.value()) || hose.rate < Gbps(0)) {
+      return Error{ErrorCode::invalid_argument, field + ".rate: must be finite and >= 0"};
+    }
+    total += hose.rate.value();
+  }
+  if (total <= kEps) {
+    return Error{ErrorCode::invalid_argument, "request asks for zero bandwidth"};
+  }
+  return {};
+}
+
 /// The sorted, deduplicated links on the cached candidate paths of
 /// `demands` (elements carry a topology::Demand in `.demand`): every link a
 /// water-fill of those demands can read or write.
@@ -100,29 +137,6 @@ std::vector<LinkId> candidate_links(const topology::Router& router, const Demand
   return links;
 }
 
-/// Copies one cell's residuals into its snapshot slice. Where SSE2 is
-/// available the stores stream past the caches: an edit rewrites megabytes
-/// of snapshots that nothing reads until a later edit restores from them,
-/// and cached stores would evict the residual state the next window reads.
-/// The fence orders the streamed stores before the fan-out's completion
-/// publishes the snapshot.
-void store_snapshot(std::span<const double> residual, double* slice) {
-#if defined(__SSE2__)
-  std::size_t i = 0;
-  if (reinterpret_cast<std::uintptr_t>(slice) % 16 != 0 && !residual.empty()) {
-    slice[0] = residual[0];  // align the streamed pairs
-    i = 1;
-  }
-  for (; i + 2 <= residual.size(); i += 2) {
-    _mm_stream_pd(slice + i, _mm_loadu_pd(residual.data() + i));
-  }
-  if (i < residual.size()) slice[i] = residual[i];
-  _mm_sfence();
-#else
-  std::copy(residual.begin(), residual.end(), slice);
-#endif
-}
-
 }  // namespace
 
 AdmissionController::AdmissionController(const topology::Topology& topo, AdmissionConfig config)
@@ -131,14 +145,11 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
       router_(topo, config_.router_paths),
       engine_(router_, with_threads(config_.approval, threads_)),
       negotiator_(engine_, config_.negotiation),
+      residuals_(router_, engine_.simulator(), config_.approval.realizations, threads_),
       rng_(config_.seed) {
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
   config_.approval.exec.threads = threads_;  // config() reflects the resolution
-  history_.resize(config_.approval.realizations);
-  snapshots_.resize(config_.approval.realizations);
-  (void)replay_edit(history_, std::vector<std::size_t>(history_.size(), 0), residual_,
-                    /*rewrite=*/false);
   rebuild_fastpath();
   if (config_.background) {
     worker_ = std::thread(&AdmissionController::worker_loop, this);
@@ -296,9 +307,7 @@ void AdmissionController::process_window(std::vector<Pending> window) {
       outcomes = evaluate_window(window);
     } catch (const std::exception& e) {
       // State mutations happen after evaluation succeeds, so a throwing
-      // window leaves the admitted set untouched, and the snapshots its
-      // evaluation wrote are dropped; fail the whole window.
-      settle_snapshots(false);
+      // window leaves the admitted set untouched; fail the whole window.
       outcomes.clear();
       for (std::size_t i = 0; i < window.size(); ++i) {
         outcomes.push_back(failed_outcome(ErrorCode::invalid_argument,
@@ -324,254 +333,224 @@ void AdmissionController::process_window(std::vector<Pending> window) {
   }
 }
 
-std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<Pending>& window) {
-  ++window_seq_;
-  ServiceMetrics& m = metrics();
-  const std::size_t realizations = config_.approval.realizations;
-  const std::size_t region_count = router_.topo().region_count();
-  std::vector<AdmissionOutcome> outcomes(window.size());
-
-  // --- Phase 0: topology windows. Mutation batches are serialized ahead of
-  // the window's contract requests (in submission order among themselves),
-  // so the admits / resizes below evaluate against the evolved network.
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    if (window[i].request.kind == RequestKind::topology) {
-      outcomes[i] = evaluate_topology_window(window[i].request);
-    }
-  }
-
-  // --- Phase 1: validate and classify, in submission order. ---------------
-  struct EvalEntry {
+struct AdmissionController::Window {
+  /// An admit or resize under evaluation.
+  struct Entry {
     std::size_t index = 0;  ///< window position
     bool is_resize = false;
     ContractId id = 0;  ///< resize: the existing contract
     NpgId npg;
     std::string name;
     const std::vector<HoseRequest>* hoses = nullptr;
-    std::size_t hose_begin = 0;  ///< offset into the joint window hose list
+    std::size_t hose_begin = 0;  ///< offset into the joint hose list
     bool accepted = false;
   };
-  std::vector<EvalEntry> entries;
-  std::set<ContractId> released_ids;
+  /// A drawn demand, NPG-tagged; accepted ones become the committed batch.
+  struct Drawn {
+    Demand demand;
+    std::uint32_t npg = 0;
+  };
+
+  explicit Window(std::vector<Pending>& requests) : pending(requests), outcomes(requests.size()) {}
+
+  std::vector<Pending>& pending;
+  std::vector<AdmissionOutcome> outcomes;
+  std::vector<Entry> entries;
+  std::set<ContractId> released;
+  /// What the evaluation removes from the history: releases and resize
+  /// targets. When non-empty, `edit` holds the history without them.
+  std::set<ContractId> removed;
+  std::optional<ResidualHistory::Edit> edit;
+  std::vector<HoseRequest> hoses;  ///< the joint hose list, in entry order
+  std::vector<std::vector<Drawn>> drawn;  ///< [realization]
+  std::vector<HoseApprovalResult> results;  ///< per joint hose
+};
+
+std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<Pending>& pending) {
+  ++window_seq_;
+  Window window(pending);
+  // Topology windows: mutation batches are serialized ahead of the window's
+  // contract requests (in submission order among themselves), so the admits
+  // and resizes evaluate against the evolved network.
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (pending[i].request.kind == RequestKind::topology) {
+      window.outcomes[i] = evaluate_topology_window(pending[i].request);
+    }
+  }
+  classify(window);
+  assess(window);
+  commit(window);
+  return std::move(window.outcomes);
+}
+
+void AdmissionController::classify(Window& window) {
+  const std::size_t region_count = router_.topo().region_count();
   std::set<ContractId> touched_ids;     ///< resize/release targets seen this window
   std::set<std::uint32_t> window_npgs;  ///< NPGs claimed by this window's admits
-
-  const auto fail = [&](std::size_t i, ErrorCode code, std::string message) {
-    outcomes[i] = failed_outcome(code, std::move(message));
+  const auto fail = [&](std::size_t i, const Error& error) {
+    window.outcomes[i] = failed_outcome(error.code, error.message);
   };
-  // Request-shape validation, Expected-style (common/expected.h taxonomy):
-  // every failure is invalid_argument with the offending hose index in the
-  // message, so a spec-compiled or hand-built request fails identically.
-  const auto validate_hoses = [&](const AdmissionRequest& request,
-                                  NpgId npg) -> Expected<void> {
-    if (request.hoses.empty()) {
-      return Error{ErrorCode::invalid_argument, "request has no hoses"};
-    }
-    double total = 0.0;
-    for (std::size_t h = 0; h < request.hoses.size(); ++h) {
-      const HoseRequest& hose = request.hoses[h];
-      const std::string field = "hoses[" + std::to_string(h) + "]";
-      if (hose.npg != npg) {
-        return Error{ErrorCode::invalid_argument,
-                     field + ".npg: differs from the request's NPG"};
-      }
-      if (hose.region.value() >= region_count) {
-        return Error{ErrorCode::invalid_argument,
-                     field + ".region: region " + std::to_string(hose.region.value()) +
-                         " out of range (topology has " + std::to_string(region_count) +
-                         " regions)"};
-      }
-      if (!std::isfinite(hose.rate.value()) || hose.rate < Gbps(0)) {
-        return Error{ErrorCode::invalid_argument, field + ".rate: must be finite and >= 0"};
-      }
-      total += hose.rate.value();
-    }
-    if (total <= kEps) {
-      return Error{ErrorCode::invalid_argument, "request asks for zero bandwidth"};
-    }
-    return {};
-  };
-
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const AdmissionRequest& request = window[i].request;
+  for (std::size_t i = 0; i < window.pending.size(); ++i) {
+    const AdmissionRequest& request = window.pending[i].request;
     switch (request.kind) {
       case RequestKind::admit: {
         const core::EntitlementContract* held = db_.find(request.npg);
-        const bool live = held != nullptr && released_ids.count(held->id) == 0;
+        const bool live = held != nullptr && window.released.count(held->id) == 0;
         if (live || window_npgs.count(request.npg.value()) != 0) {
-          fail(i, ErrorCode::invalid_argument, "NPG already holds a live contract (use resize)");
+          fail(i, {ErrorCode::invalid_argument, "NPG already holds a live contract (use resize)"});
           break;
         }
-        if (auto ok = validate_hoses(request, request.npg); !ok) {
-          fail(i, ok.error().code, ok.error().message);
+        if (auto ok = validate_hoses(request, request.npg, region_count); !ok) {
+          fail(i, ok.error());
           break;
         }
         window_npgs.insert(request.npg.value());
-        EvalEntry entry;
-        entry.index = i;
-        entry.npg = request.npg;
-        entry.name = request.npg_name;
-        entry.hoses = &request.hoses;
-        entries.push_back(std::move(entry));
+        window.entries.push_back({.index = i, .npg = request.npg, .name = request.npg_name,
+                                  .hoses = &request.hoses});
         break;
       }
       case RequestKind::resize:
       case RequestKind::release: {
         const core::EntitlementContract* existing = db_.find_by_id(request.contract);
         if (existing == nullptr) {
-          fail(i, ErrorCode::not_found,
-               "unknown contract id " + std::to_string(request.contract));
+          fail(i,
+               {ErrorCode::not_found, "unknown contract id " + std::to_string(request.contract)});
           break;
         }
         if (!touched_ids.insert(request.contract).second) {
-          fail(i, ErrorCode::invalid_argument,
-               "contract already targeted by an earlier request in this window");
+          fail(i, {ErrorCode::invalid_argument,
+                   "contract already targeted by an earlier request in this window"});
           break;
         }
         if (request.kind == RequestKind::release) {
-          // Committed in phase 4; a throwing window fails every outcome.
-          released_ids.insert(request.contract);
-          outcomes[i].status = AdmissionStatus::released;
-          outcomes[i].contract = request.contract;
+          // Committed by commit(); a throwing window fails every outcome.
+          window.released.insert(request.contract);
+          window.outcomes[i].status = AdmissionStatus::released;
+          window.outcomes[i].contract = request.contract;
           break;
         }
-        if (auto ok = validate_hoses(request, existing->npg); !ok) {
-          fail(i, ok.error().code, ok.error().message);
+        if (auto ok = validate_hoses(request, existing->npg, region_count); !ok) {
+          fail(i, ok.error());
           break;
         }
-        EvalEntry entry;
-        entry.index = i;
-        entry.is_resize = true;
-        entry.id = request.contract;
-        entry.npg = existing->npg;
-        entry.name = existing->npg_name;
-        entry.hoses = &request.hoses;
-        entries.push_back(std::move(entry));
+        window.entries.push_back({.index = i, .is_resize = true, .id = request.contract,
+                                  .npg = existing->npg, .name = existing->npg_name,
+                                  .hoses = &request.hoses});
         break;
       }
       case RequestKind::topology:
-        break;  // handled in phase 0
+        break;  // evaluated ahead of the window
     }
   }
+}
 
-  // --- Phase 2: joint approval of the window against residual capacity. ---
+void AdmissionController::assess(Window& window) {
+  ServiceMetrics& m = metrics();
+  const std::size_t realizations = config_.approval.realizations;
   // Releases (and resize targets) free their reservations for the
-  // evaluation: their demands are dropped from the commit history and the
-  // suffix behind the first dropped one is replayed into scratch_. A
-  // rejected resize keeps its old grant (restored in phase 4), so the
+  // evaluation: the window stages the history without their demands. A
+  // rejected resize keeps its old grant (restored by commit()), so the
   // evaluation is optimistic about resizes that end up rejected — the trade
   // for keeping the window joint.
-  std::set<ContractId> eval_removed = released_ids;
-  for (const EvalEntry& entry : entries) {
-    if (entry.is_resize) eval_removed.insert(entry.id);
+  window.removed = window.released;
+  for (const Window::Entry& entry : window.entries) {
+    if (entry.is_resize) window.removed.insert(entry.id);
   }
-  History eval_history;
-  const ResidualState* eval_residual = &residual_;
-  if (!eval_removed.empty()) {
-    eval_history = history_;
-    const std::vector<std::size_t> same = prune(eval_history, eval_removed);
-    (void)replay_edit(eval_history, same, scratch_, /*rewrite=*/true);
-    eval_residual = &scratch_;
+  if (!window.removed.empty()) {
+    History edited = residuals_.history();
+    const std::vector<std::size_t> same = ResidualHistory::prune(edited, window.removed);
+    window.edit.emplace(residuals_.stage(std::move(edited), same));
     m.rebuilds.add();
   }
 
-  std::vector<HoseRequest> window_hoses;
-  for (EvalEntry& entry : entries) {
-    entry.hose_begin = window_hoses.size();
-    window_hoses.insert(window_hoses.end(), entry.hoses->begin(), entry.hoses->end());
+  for (Window::Entry& entry : window.entries) {
+    entry.hose_begin = window.hoses.size();
+    window.hoses.insert(window.hoses.end(), entry.hoses->begin(), entry.hoses->end());
   }
+  window.drawn.resize(realizations);
+  if (window.hoses.empty()) return;
 
-  // Per-realization demands in the exact placement order the evaluation
-  // used, NPG-tagged; accepted entries' demands become the committed batch.
-  struct DrawnDemand {
-    Demand demand;
-    std::uint32_t npg = 0;
-  };
-  std::vector<std::vector<DrawnDemand>> drawn(realizations);
-  std::vector<HoseApprovalResult> results;
-  if (!window_hoses.empty()) {
-    // Tier selection for the window: the fast summaries describe the
-    // COMMITTED residual state, so the analytical tier only applies when
-    // the window evaluates against exactly that state — pure-admit windows,
-    // the streaming hot path. Windows with releases/resizes evaluate
-    // against a rebuilt scratch state and always go exact.
-    const bool fast_eligible = !fast_.empty() && eval_residual == &residual_;
+  // Tier selection for the window: the fast summaries describe the
+  // COMMITTED residual state, so the analytical tier only applies when the
+  // window evaluates against exactly that state — pure-admit windows, the
+  // streaming hot path. Windows with releases/resizes evaluate against their
+  // staged edit and always go exact.
+  const bool fast_eligible = !fast_.empty() && !window.edit.has_value();
 
-    // GEN_DEMAND first, then each realization's assessment in ascending
-    // order: the assessments consume no RNG, so the stream is the one
-    // hose_approval draws.
-    const approval::ApprovalEngine::RealizationPipes drawn_pipes =
-        engine_.draw_realizations(window_hoses, {}, rng_);
+  // GEN_DEMAND first, then each realization's assessment in ascending
+  // order: the assessments consume no RNG, so the stream is the one
+  // hose_approval draws.
+  const approval::ApprovalEngine::RealizationPipes drawn_pipes =
+      engine_.draw_realizations(window.hoses, {}, rng_);
 
-    // Fast-path accounting is applied only once every realization assessed,
-    // so a throwing window leaves the stats and the audit queue untouched.
-    std::vector<std::vector<PipeApprovalResult>> assessed(realizations);
-    FastPathStats window_fast;
-    std::vector<AuditRecord> window_audits;
-    for (std::size_t k = 0; k < realizations; ++k) {
-      const std::span<const PipeRequest> pipes = drawn_pipes[k];
-      if (pipes.empty()) continue;
-      const std::vector<std::size_t> order = engine_.placement_order(pipes);
-      std::vector<DrawnDemand>& record = drawn[k];
-      record.reserve(order.size());
-      for (const std::size_t p : order) {
-        record.push_back({Demand{pipes[p].src, pipes[p].dst, pipes[p].rate}, pipes[p].npg.value()});
-      }
-      const risk::FastEstimator* fast = fast_eligible ? &fast_[k] : nullptr;
-      approval::ApprovalEngine::FastPassResult fast_pass;
-      assessed[k] = engine_.pipe_approval_with(
-          pipes,
-          [&](std::span<const Demand> demands) {
-            return curves_against_residuals(*eval_residual, k, demands);
-          },
-          fast, &fast_pass);
-      if (fast_pass.hit) {
-        ++window_fast.hits;
-      } else if (fast_pass.attempted) {
-        ++window_fast.fallbacks;
-      }
-      if (!fast_pass.hit || !config_.approval.fastpath.audit) continue;
-      // Queue the deferred exact audit with a snapshot of the state the
-      // bounds summarize — but only the links the audit replay's water-fill
-      // can read: the demands' candidate paths, warmed by the fast tier.
-      AuditRecord audit;
-      audit.demands.reserve(record.size());
-      for (const DrawnDemand& d : record) audit.demands.push_back(d.demand);
-      audit.links = candidate_links(router_, record);
-      audit.residuals.resize(residual_[k].size() * audit.links.size());
-      double* snapshot = audit.residuals.data();
-      for (const std::vector<double>& scenario_residual : residual_[k]) {
-        for (const LinkId link : audit.links) *snapshot++ = scenario_residual[link.value()];
-      }
-      audit.bounds = std::move(fast_pass.bounds);
-      window_audits.push_back(std::move(audit));
+  // Fast-path accounting is applied only once every realization assessed,
+  // so a throwing window leaves the stats and the audit queue untouched.
+  std::vector<std::vector<PipeApprovalResult>> assessed(realizations);
+  FastPathStats window_fast;
+  std::vector<AuditRecord> window_audits;
+  for (std::size_t k = 0; k < realizations; ++k) {
+    const std::span<const PipeRequest> pipes = drawn_pipes[k];
+    if (pipes.empty()) continue;
+    std::vector<Window::Drawn>& record = window.drawn[k];
+    for (const std::size_t p : engine_.placement_order(pipes)) {
+      record.push_back({Demand{pipes[p].src, pipes[p].dst, pipes[p].rate}, pipes[p].npg.value()});
     }
-    results = engine_.aggregate_realizations(window_hoses, drawn_pipes, assessed);
-    fast_stats_.hits += window_fast.hits;
-    fast_stats_.fallbacks += window_fast.fallbacks;
-    if (!window_audits.empty()) {
-      // Past the backlog cap the oldest records are audited here, under the
-      // state lock this window holds, so an undrained queue stays bounded.
-      std::vector<AuditRecord> overflow;
-      {
-        const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
-        std::move(window_audits.begin(), window_audits.end(), std::back_inserter(audit_queue_));
-        while (audit_queue_.size() > kAuditBacklog) {
-          overflow.push_back(std::move(audit_queue_.front()));
-          audit_queue_.pop_front();
-        }
-      }
-      for (const AuditRecord& record : overflow) audit_record_locked(record);
-      m.fastpath_audits_inline.add(overflow.size());
+    const ResidualHistory::Residuals& residuals =
+        window.edit ? window.edit->residuals(k) : residuals_.residuals(k);
+    approval::ApprovalEngine::FastPassResult fast_pass;
+    assessed[k] = engine_.pipe_approval_with(
+        pipes,
+        [&](std::span<const Demand> demands) {
+          return curves_against_residuals(residuals, demands);
+        },
+        fast_eligible ? &fast_[k] : nullptr, &fast_pass);
+    if (fast_pass.hit) {
+      ++window_fast.hits;
+    } else if (fast_pass.attempted) {
+      ++window_fast.fallbacks;
+    }
+    if (!fast_pass.hit || !config_.approval.fastpath.audit) continue;
+    // Queue the deferred exact audit with a copy of the state the bounds
+    // summarize — but only the links the audit replay's water-fill can read:
+    // the demands' candidate paths, warmed by the fast tier.
+    AuditRecord audit;
+    audit.demands.reserve(record.size());
+    for (const Window::Drawn& d : record) audit.demands.push_back(d.demand);
+    audit.links = candidate_links(router_, record);
+    audit.residuals.resize(residuals.size() * audit.links.size());
+    double* copy = audit.residuals.data();
+    for (const std::vector<double>& scenario_residual : residuals) {
+      for (const LinkId link : audit.links) *copy++ = scenario_residual[link.value()];
+    }
+    audit.bounds = std::move(fast_pass.bounds);
+    window_audits.push_back(std::move(audit));
+  }
+  window.results = engine_.aggregate_realizations(window.hoses, drawn_pipes, assessed);
+  fast_stats_.hits += window_fast.hits;
+  fast_stats_.fallbacks += window_fast.fallbacks;
+  if (window_audits.empty()) return;
+  // Past the backlog cap the oldest records are audited here, under the
+  // state lock this window holds, so an undrained queue stays bounded.
+  std::vector<AuditRecord> overflow;
+  {
+    const std::lock_guard<std::mutex> audit_lock(audit_mutex_);
+    std::move(window_audits.begin(), window_audits.end(), std::back_inserter(audit_queue_));
+    while (audit_queue_.size() > kAuditBacklog) {
+      overflow.push_back(std::move(audit_queue_.front()));
+      audit_queue_.pop_front();
     }
   }
+  for (const AuditRecord& record : overflow) audit_record_locked(record);
+  m.fastpath_audits_inline.add(overflow.size());
+}
 
-  // --- Phase 3: accept/reject each entry. ---------------------------------
-  std::map<std::uint32_t, ContractId> accepted_ids;  // npg -> contract
-  for (EvalEntry& entry : entries) {
+void AdmissionController::commit(Window& window) {
+  ServiceMetrics& m = metrics();
+  std::map<std::uint32_t, ContractId> accepted;  // npg -> contract
+  for (Window::Entry& entry : window.entries) {
     const std::span<const HoseApprovalResult> slice =
-        std::span<const HoseApprovalResult>(results).subspan(entry.hose_begin,
-                                                             entry.hoses->size());
+        std::span<const HoseApprovalResult>(window.results)
+            .subspan(entry.hose_begin, entry.hoses->size());
     double requested = 0.0;
     double approved = 0.0;
     for (const HoseApprovalResult& result : slice) {
@@ -579,12 +558,12 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       approved += result.approved.value();
     }
     const double fraction = requested > 0.0 ? approved / requested : 0.0;
-    AdmissionOutcome& outcome = outcomes[entry.index];
+    AdmissionOutcome& outcome = window.outcomes[entry.index];
     outcome.approvals.assign(slice.begin(), slice.end());
     if (approved > kEps && fraction + 1e-12 >= config_.admit_min_fraction) {
       entry.accepted = true;
       if (!entry.is_resize) entry.id = next_contract_id_++;
-      accepted_ids[entry.npg.value()] = entry.id;
+      accepted[entry.npg.value()] = entry.id;
       outcome.status = entry.is_resize ? AdmissionStatus::resized : AdmissionStatus::admitted;
       outcome.contract = entry.id;
     } else {
@@ -601,66 +580,57 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     }
   }
 
-  // --- Phase 4: commit. ----------------------------------------------------
-  History batch(realizations);
+  History batch(config_.approval.realizations);
   std::size_t committed = 0;
-  for (std::size_t k = 0; k < realizations; ++k) {
-    for (const DrawnDemand& d : drawn[k]) {
-      const auto it = accepted_ids.find(d.npg);
-      if (it == accepted_ids.end()) continue;
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    for (const Window::Drawn& d : window.drawn[k]) {
+      const auto it = accepted.find(d.npg);
+      if (it == accepted.end()) continue;
       batch[k].push_back({d.demand, it->second});
       ++committed;
     }
   }
 
-  std::set<ContractId> final_removed = released_ids;
-  for (const EvalEntry& entry : entries) {
-    if (entry.is_resize && entry.accepted) final_removed.insert(entry.id);
+  std::set<ContractId> removed = window.released;
+  for (const Window::Entry& entry : window.entries) {
+    if (entry.is_resize && entry.accepted) removed.insert(entry.id);
   }
-  if (!final_removed.empty()) {
-    // Releases / accepted resizes remove demands from the middle of the
-    // placement history, where no cheaper exact delta exists (water-filling
-    // is order-sensitive): the residuals are those of the pruned history,
-    // with the window's batch appended on top — the same water_fill_demand
-    // sequence a full rebuild would run.
-    if (final_removed == eval_removed) {
-      // The evaluation already replayed exactly this pruned history.
-      history_ = std::move(eval_history);
-      std::swap(residual_, scratch_);
-      settle_snapshots(true);
+  if (!removed.empty()) {
+    // Releases and accepted resizes edit the middle of the history; the
+    // window's batch is appended on top of the edited one.
+    if (removed == window.removed) {
+      window.edit->commit();  // the evaluation staged exactly this edit
     } else {
       // A rejected resize keeps its old grant, which the evaluation dropped:
-      // drop the evaluation's snapshots, then replay the pruned history.
-      settle_snapshots(false);
-      const std::vector<std::size_t> same = prune(history_, final_removed);
-      (void)replay_edit(history_, same, residual_, /*rewrite=*/true);
-      settle_snapshots(true);
+      // drop the evaluation's edit and stage the one the verdicts made.
+      window.edit.reset();
+      History edited = residuals_.history();
+      const std::vector<std::size_t> same = ResidualHistory::prune(edited, removed);
+      residuals_.stage(std::move(edited), same).commit();
       m.rebuilds.add();
     }
-    if (committed > 0) commit(batch);
+    if (committed > 0) residuals_.append(batch);
     rebuild_fastpath();
   } else {
-    // Every resize was rejected: the evaluation's edit is not committed.
-    if (!eval_removed.empty()) settle_snapshots(false);
+    window.edit.reset();  // every resize was rejected: the edit is dropped
     if (committed > 0) {
-      // Pure-admit hot path: append-only, so the residuals advance with the
-      // same water_fill_demand sequence a from-scratch replay would run.
-      commit(batch);
+      // Pure-admit hot path: append-only.
+      residuals_.append(batch);
       refresh_fastpath(batch);  // only the batch's links moved
     }
   }
   m.committed_demands.add(committed);
 
   // Contract database updates.
-  for (const ContractId id : released_ids) db_.remove(id);
-  for (EvalEntry& entry : entries) {
+  for (const ContractId id : window.released) db_.remove(id);
+  for (const Window::Entry& entry : window.entries) {
     if (!entry.accepted) continue;
     core::EntitlementContract contract;
     contract.npg = entry.npg;
     contract.npg_name = entry.name;
     contract.slo_availability = config_.approval.slo_availability;
     contract.id = entry.id;
-    for (const HoseApprovalResult& result : outcomes[entry.index].approvals) {
+    for (const HoseApprovalResult& result : window.outcomes[entry.index].approvals) {
       contract.entitlements.push_back(core::Entitlement{
           result.request.npg, result.request.qos, result.request.region,
           result.request.direction, result.approved, config_.period});
@@ -668,7 +638,6 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     if (entry.is_resize) db_.remove(entry.id);
     db_.add(std::move(contract));
   }
-  return outcomes;
 }
 
 AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRequest& request) {
@@ -704,24 +673,54 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 
   // --- Apply, then resync every topology-derived cache in dependency
   // order: router (path store + effective capacities), then approval engine
-  // (scenarios + simulator + pristine fast summaries). The residual
-  // snapshots describe the old network: free them first, so none survives
-  // the mutation even if a later step throws.
-  for (auto& slots : snapshots_) {
-    for (Snapshot& snapshot : slots) snapshot.position = 0;
-  }
+  // (scenarios + simulator + pristine fast summaries), then the residuals.
+  residuals_.network_changing();
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
   m.mutations_applied.add(request.mutations.size());
 
-  topology::TopologyResyncStats resync_stats;
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
-  router_.resync_topology(&resync_stats, &changed_pairs);
+  router_.resync_topology(nullptr, &changed_pairs);
   const bool scenarios_changed = engine_.resync_topology();
+  const std::set<ContractId> affected =
+      affected_contracts(from_epoch, changed_pairs, scenarios_changed);
 
-  // --- The links whose effective capacity (or existence) the delta moved,
-  // both directions; with `changed_pairs` these bound which contracts the
-  // delta can possibly affect.
+  // --- The residual state (the scenario set and link count may both have
+  // changed shape) and its snapshots on the mutated network: one full
+  // replay, which every re-verification edit restores from.
+  residuals_.replay_all();
+  m.rebuilds.add();
+
+  // --- Re-verify each affected contract in ascending id order, applying
+  // each verdict before judging the next (deterministic: no RNG, and every
+  // step is bit-identical at any thread count).
+  std::vector<ContractVerdict> verdicts;
+  for (const ContractId id : affected) verdicts.push_back(reverify(id));
+
+  // --- Fast-path estimators and summaries on the resynced engine state.
+  fast_.clear();
+  rebuild_fastpath();
+
+  AdmissionOutcome outcome;
+  outcome.status = AdmissionStatus::topology_applied;
+  outcome.reverified = std::move(verdicts);
+  return outcome;
+}
+
+std::set<ContractId> AdmissionController::affected_contracts(
+    std::uint64_t from_epoch, std::span<const std::pair<RegionId, RegionId>> changed_pairs,
+    bool scenarios_changed) const {
+  // A contract needs re-verification when the scenario set itself changed
+  // (every availability curve's probability masses move) or any committed
+  // demand routes over a changed pair / touches a changed link.
+  std::set<ContractId> affected;
+  if (scenarios_changed) {
+    for (const core::EntitlementContract& contract : db_.contracts()) affected.insert(contract.id);
+    return affected;
+  }
+  // The links whose effective capacity (or existence) the delta moved, both
+  // directions.
+  const topology::Topology& topo = *mutable_topo_;
   std::vector<char> link_changed(topo.link_count(), 0);
   const auto mark_fiber = [&](LinkId id) {
     link_changed[id.value()] = 1;
@@ -751,115 +750,77 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   }
   std::set<std::pair<std::uint32_t, std::uint32_t>> dirty_pairs;
   for (const auto& [src, dst] : changed_pairs) dirty_pairs.insert({src.value(), dst.value()});
-
-  // A contract needs re-verification when the scenario set itself changed
-  // (every availability curve's probability masses move) or any committed
-  // demand routes over a changed pair / touches a changed link.
-  std::set<ContractId> affected;  // ascending id order
-  if (scenarios_changed) {
-    for (const core::EntitlementContract& contract : db_.contracts()) affected.insert(contract.id);
-  } else {
-    for (const auto& per_realization : history_) {
-      for (const TaggedDemand& tagged : per_realization) {
-        if (affected.count(tagged.owner) != 0) continue;
-        const std::vector<LinkId> links = candidate_links(router_, std::span(&tagged, 1));
-        if (dirty_pairs.count({tagged.demand.src.value(), tagged.demand.dst.value()}) != 0 ||
-            std::any_of(links.begin(), links.end(),
-                        [&](LinkId link) { return link_changed[link.value()] != 0; })) {
-          affected.insert(tagged.owner);
-        }
+  for (const auto& per_realization : residuals_.history()) {
+    for (const ResidualHistory::TaggedDemand& tagged : per_realization) {
+      if (affected.count(tagged.owner) != 0) continue;
+      const std::vector<LinkId> links = candidate_links(router_, std::span(&tagged, 1));
+      if (dirty_pairs.count({tagged.demand.src.value(), tagged.demand.dst.value()}) != 0 ||
+          std::any_of(links.begin(), links.end(),
+                      [&](LinkId link) { return link_changed[link.value()] != 0; })) {
+        affected.insert(tagged.owner);
       }
     }
   }
+  return affected;
+}
 
-  // --- The residual state (the scenario set and link count may both have
-  // changed shape) and its snapshots on the mutated network: one full
-  // replay, which every edit below restores from.
-  const std::size_t realizations = config_.approval.realizations;
-  (void)replay_edit(history_, std::vector<std::size_t>(realizations, 0), residual_,
-                    /*rewrite=*/true);
-  settle_snapshots(true);
-  m.rebuilds.add();
-
-  // --- Re-verify each affected contract in ascending id order, applying
-  // each verdict before judging the next (deterministic: no RNG, and every
-  // step below is bit-identical at any thread count). A contract is
-  // judged by re-placing its committed demands LAST: against residuals with
-  // every other in-force grant placed, the fraction of each demand that
-  // still clears the SLO target bounds what the evolved network supports.
-  // Those residuals, and the shrink / revoke edits, replay only the history
-  // behind the contract's first demand.
+ContractVerdict AdmissionController::reverify(ContractId id) {
+  // A contract is judged by re-placing its committed demands LAST: against
+  // residuals with every other in-force grant placed, the fraction of each
+  // demand that still clears the SLO target bounds what the evolved network
+  // supports. Those residuals, and the shrink / revoke edits, replay only
+  // the history behind the contract's first demand.
+  ServiceMetrics& m = metrics();
+  const History& history = residuals_.history();
+  History others = history;
+  const std::vector<std::size_t> first = ResidualHistory::prune(others, {id});
+  const ResidualHistory::ResidualState& without = residuals_.probe(others, first);
   const double slo = config_.approval.slo_availability;
-  std::vector<ContractVerdict> verdicts;
-  for (const ContractId id : affected) {
-    History others = history_;
-    const std::vector<std::size_t> first = prune(others, {id});
-    (void)replay_edit(others, first, scratch_, /*rewrite=*/false);
-    double worst = 1.0;
-    for (std::size_t k = 0; k < realizations; ++k) {
-      std::vector<Demand> demands;
-      for (std::size_t i = first[k]; i < history_[k].size(); ++i) {
-        if (history_[k][i].owner == id) demands.push_back(history_[k][i].demand);
-      }
-      if (demands.empty()) continue;
-      const std::vector<risk::AvailabilityCurve> curves =
-          curves_against_residuals(scratch_, k, demands);
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        const double amount = demands[i].amount.value();
-        if (amount <= kEps) continue;
-        const double supported = curves[i].bandwidth_at(slo).value();
-        worst = std::min(worst, supported + 1e-9 >= amount ? 1.0 : supported / amount);
-      }
+  double worst = 1.0;
+  for (std::size_t k = 0; k < history.size(); ++k) {
+    std::vector<Demand> demands;
+    for (std::size_t i = first[k]; i < history[k].size(); ++i) {
+      if (history[k][i].owner == id) demands.push_back(history[k][i].demand);
     }
-    ContractVerdict verdict;
-    verdict.contract = id;
-    m.contracts_reverified.add();
-    if (worst >= 1.0) {
-      verdict.kind = VerdictKind::reaffirmed;
-      verdict.fraction = 1.0;
-    } else if (worst <= kEps) {
-      verdict.kind = VerdictKind::revoked;
-      verdict.fraction = 0.0;
-      history_ = std::move(others);
-      (void)replay_edit(history_, first, residual_, /*rewrite=*/true);
-      settle_snapshots(true);
-      db_.remove(id);
-      m.contracts_revoked.add();
-    } else {
-      verdict.kind = VerdictKind::shrunk;
-      verdict.fraction = worst;
-      for (auto& per_realization : history_) {
-        for (TaggedDemand& tagged : per_realization) {
-          if (tagged.owner == id) tagged.demand.amount = Gbps(tagged.demand.amount.value() * worst);
-        }
-      }
-      (void)replay_edit(history_, first, residual_, /*rewrite=*/true);
-      settle_snapshots(true);
-      const core::EntitlementContract* existing = db_.find_by_id(id);
-      NETENT_EXPECTS(existing != nullptr);
-      core::EntitlementContract updated = *existing;
-      for (core::Entitlement& entitlement : updated.entitlements) {
-        entitlement.entitled_rate = Gbps(entitlement.entitled_rate.value() * worst);
-      }
-      db_.remove(id);
-      db_.add(std::move(updated));
-      m.contracts_shrunk.add();
+    if (demands.empty()) continue;
+    const std::vector<risk::AvailabilityCurve> curves =
+        curves_against_residuals(without[k], demands);
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      const double amount = demands[i].amount.value();
+      if (amount <= kEps) continue;
+      const double supported = curves[i].bandwidth_at(slo).value();
+      worst = std::min(worst, supported + 1e-9 >= amount ? 1.0 : supported / amount);
     }
-    verdicts.push_back(verdict);
   }
-
-  // --- Fast-path estimators and summaries on the resynced engine state.
-  fast_.clear();
-  rebuild_fastpath();
-
-  AdmissionOutcome outcome;
-  outcome.status = AdmissionStatus::topology_applied;
-  outcome.reverified = std::move(verdicts);
-  return outcome;
+  m.contracts_reverified.add();
+  if (worst >= 1.0) return ContractVerdict{id, VerdictKind::reaffirmed, 1.0};
+  if (worst <= kEps) {
+    residuals_.stage(std::move(others), first).commit();
+    db_.remove(id);
+    m.contracts_revoked.add();
+    return ContractVerdict{id, VerdictKind::revoked, 0.0};
+  }
+  History shrunk = history;
+  for (auto& per_realization : shrunk) {
+    for (ResidualHistory::TaggedDemand& tagged : per_realization) {
+      if (tagged.owner == id) tagged.demand.amount = Gbps(tagged.demand.amount.value() * worst);
+    }
+  }
+  residuals_.stage(std::move(shrunk), first).commit();
+  const core::EntitlementContract* existing = db_.find_by_id(id);
+  NETENT_EXPECTS(existing != nullptr);
+  core::EntitlementContract updated = *existing;
+  for (core::Entitlement& entitlement : updated.entitlements) {
+    entitlement.entitled_rate = Gbps(entitlement.entitled_rate.value() * worst);
+  }
+  db_.remove(id);
+  db_.add(std::move(updated));
+  m.contracts_shrunk.add();
+  return ContractVerdict{id, VerdictKind::shrunk, worst};
 }
 
 std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residuals(
-    const ResidualState& residuals, std::size_t k, std::span<const Demand> demands) {
+    const ResidualHistory::Residuals& residuals, std::span<const Demand> demands) {
   router_.warm(demands);
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
   const topology::Router::SweepGuard guard(router_);
@@ -871,177 +832,9 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
   return risk::curves_from_sweep(scenarios, demands.size(), threads_,
                                  [&](std::size_t worker, std::size_t s) {
                                    topology::RouteResult& result = scratch[worker].value;
-                                   router_.route_warmed_into(demands, residuals[k][s], result);
+                                   router_.route_warmed_into(demands, residuals[s], result);
                                    return std::span<const double>(result.placed_per_demand);
                                  });
-}
-
-void AdmissionController::place(std::span<const TaggedDemand> demands,
-                                std::vector<double>& residual) const {
-  for (const TaggedDemand& tagged : demands) {
-    const topology::PathList paths = router_.cached_paths(tagged.demand.src, tagged.demand.dst);
-    NETENT_EXPECTS(paths.valid());
-    (void)topology::water_fill_demand(tagged.demand.amount.value(), paths, residual, {});
-  }
-}
-
-AdmissionController::ResidualState AdmissionController::residuals_of(
-    const History& history) const {
-  const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
-  const std::size_t scenario_count = scenarios.size();
-  const std::size_t realizations = config_.approval.realizations;
-  const topology::SrlgIndex& index = engine_.simulator().srlg_index();
-  const std::span<const double> base_capacity = router_.full_capacities();
-  ResidualState state(realizations);
-  for (auto& per_scenario : state) per_scenario.resize(scenario_count);
-  fan_out(threads_, realizations * scenario_count, scenario_count * demand_count(history),
-          [&](std::size_t /*worker*/, std::size_t c) {
-            const std::size_t k = c / scenario_count;
-            const std::size_t s = c % scenario_count;
-            std::vector<double>& residual = state[k][s];
-            residual = risk::scenario_capacities(index, base_capacity, scenarios[s]);
-            place(history[k], residual);
-          });
-  return state;
-}
-
-std::size_t AdmissionController::replay_edit(const History& history,
-                                             std::span<const std::size_t> same,
-                                             ResidualState& out, bool rewrite) {
-  const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
-  const std::size_t scenario_count = scenarios.size();
-  const std::size_t link_count = router_.full_capacities().size();
-  const std::size_t realizations = history.size();
-  // Per realization: the restore point (null: the scenario capacities) and
-  // the snapshots the replay rewrites behind it.
-  std::vector<const Snapshot*> from(realizations, nullptr);
-  std::vector<std::size_t> start(realizations, 0);
-  std::vector<std::vector<SnapshotWrite>> writes(realizations);
-  std::size_t placements = 0;
-  NETENT_EXPECTS(provisional_.empty());
-  for (std::size_t k = 0; k < realizations; ++k) {
-    for (const Snapshot& snapshot : snapshots_[k]) {
-      if (snapshot.position > start[k] && snapshot.position <= same[k]) {
-        start[k] = snapshot.position;
-        from[k] = &snapshot;
-      }
-    }
-    placements += scenario_count * (history[k].size() - start[k]);
-    // The restore snapshot may be freed and claimed again here: each cell
-    // reads its own slice of it before writing any slice of the rewrites.
-    if (rewrite) writes[k] = plan_snapshots(k, start[k], history[k].size());
-  }
-  if (rewrite) provisional_ = start;
-
-  out.resize(realizations);
-  for (auto& per_scenario : out) per_scenario.resize(scenario_count);
-  const topology::SrlgIndex& index = engine_.simulator().srlg_index();
-  const std::span<const double> base_capacity = router_.full_capacities();
-  fan_out(threads_, realizations * scenario_count, placements,
-          [&](std::size_t /*worker*/, std::size_t c) {
-            const std::size_t k = c / scenario_count;
-            const std::size_t s = c % scenario_count;
-            std::vector<double>& residual = out[k][s];
-            if (from[k] == nullptr) {
-              residual = risk::scenario_capacities(index, base_capacity, scenarios[s]);
-            } else {
-              const auto slice = from[k]->residuals.begin() +
-                                 static_cast<std::ptrdiff_t>(s * link_count);
-              residual.assign(slice, slice + static_cast<std::ptrdiff_t>(link_count));
-            }
-            replay_cell(history[k], start[k], writes[k], s, residual);
-          });
-  replay_stats_.placements += placements;
-  replay_stats_.largest = std::max<std::uint64_t>(replay_stats_.largest, placements);
-  metrics().replayed_placements.add(placements);
-  return placements;
-}
-
-void AdmissionController::settle_snapshots(bool committed) {
-  if (!committed) {
-    for (std::size_t k = 0; k < provisional_.size(); ++k) {
-      for (Snapshot& snapshot : snapshots_[k]) {
-        if (snapshot.position > provisional_[k]) snapshot.position = 0;
-      }
-    }
-  }
-  provisional_.clear();
-}
-
-std::vector<AdmissionController::SnapshotWrite> AdmissionController::plan_snapshots(
-    std::size_t k, std::size_t kept, std::size_t length) {
-  // The smallest power of two leaving at most kSnapshots positions in
-  // (0, length]: the kept snapshots and the claimed ones sit on distinct
-  // multiples of it, so the slots never run out.
-  std::size_t stride = 1;
-  while (length / stride > kSnapshots) stride *= 2;
-  std::array<Snapshot, kSnapshots>& slots = snapshots_[k];
-  for (Snapshot& snapshot : slots) {
-    if (snapshot.position > kept || snapshot.position % stride != 0) snapshot.position = 0;
-  }
-  const std::size_t size = engine_.scenarios().size() * router_.full_capacities().size();
-  std::vector<SnapshotWrite> writes;
-  auto free_slot = slots.begin();
-  for (std::size_t position = (kept / stride + 1) * stride; position <= length;
-       position += stride) {
-    free_slot = std::find_if(free_slot, slots.end(),
-                             [](const Snapshot& snapshot) { return snapshot.position == 0; });
-    NETENT_ENSURES(free_slot != slots.end());
-    free_slot->position = position;
-    free_slot->residuals.resize(size);
-    writes.push_back({position, &*free_slot});
-  }
-  return writes;
-}
-
-void AdmissionController::replay_cell(std::span<const TaggedDemand> demands, std::size_t start,
-                                      std::span<const SnapshotWrite> writes, std::size_t s,
-                                      std::vector<double>& residual) const {
-  for (const SnapshotWrite& write : writes) {
-    place(demands.subspan(start, write.position - start), residual);
-    store_snapshot(residual, write.slot->residuals.data() + s * residual.size());
-    start = write.position;
-  }
-  place(demands.subspan(start), residual);
-}
-
-void AdmissionController::commit(const History& batch) {
-  const std::size_t scenario_count = engine_.scenarios().size();
-  NETENT_EXPECTS(provisional_.empty());
-  std::vector<std::size_t> start(batch.size());
-  std::vector<std::vector<SnapshotWrite>> writes(batch.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    start[k] = history_[k].size();
-    history_[k].insert(history_[k].end(), batch[k].begin(), batch[k].end());
-    writes[k] = plan_snapshots(k, start[k], history_[k].size());
-  }
-  provisional_ = start;
-  fan_out(threads_, batch.size() * scenario_count, scenario_count * demand_count(batch),
-          [&](std::size_t /*worker*/, std::size_t c) {
-            const std::size_t k = c / scenario_count;
-            const std::size_t s = c % scenario_count;
-            replay_cell(history_[k], start[k], writes[k], s, residual_[k][s]);
-          });
-  settle_snapshots(true);
-}
-
-std::vector<std::size_t> AdmissionController::prune(History& history,
-                                                    const std::set<ContractId>& owners) {
-  std::vector<std::size_t> same(history.size());
-  for (std::size_t k = 0; k < history.size(); ++k) {
-    std::vector<TaggedDemand>& demands = history[k];
-    const auto owned = [&](const TaggedDemand& tagged) { return owners.count(tagged.owner) != 0; };
-    same[k] = static_cast<std::size_t>(
-        std::find_if(demands.begin(), demands.end(), owned) - demands.begin());
-    std::erase_if(demands, owned);
-  }
-  return same;
-}
-
-std::size_t AdmissionController::demand_count(const History& history) {
-  std::size_t count = 0;
-  for (const auto& per_realization : history) count += per_realization.size();
-  return count;
 }
 
 std::size_t AdmissionController::admitted_count() const {
@@ -1056,34 +849,29 @@ core::ContractDb AdmissionController::contracts_snapshot() const {
 
 AdmissionController::ResidualState AdmissionController::residual_snapshot() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  return residual_;
+  return residuals_.residuals();
 }
 
 AdmissionController::ResidualState AdmissionController::rebuild_residuals_from_scratch() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  return residuals_of(history_);
+  return residuals_.rebuild_from_scratch();
 }
 
 std::size_t AdmissionController::rebuild_placements() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  return engine_.scenarios().size() * demand_count(history_);
+  std::size_t demands = 0;
+  for (const auto& per_realization : residuals_.history()) demands += per_realization.size();
+  return engine_.scenarios().size() * demands;
 }
 
 AdmissionController::ReplayStats AdmissionController::replay_stats() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  return replay_stats_;
+  return residuals_.replay_stats();
 }
 
 std::vector<std::vector<std::size_t>> AdmissionController::snapshot_positions() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  std::vector<std::vector<std::size_t>> positions(snapshots_.size());
-  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
-    for (const Snapshot& snapshot : snapshots_[k]) {
-      if (snapshot.position != 0) positions[k].push_back(snapshot.position);
-    }
-    std::sort(positions[k].begin(), positions[k].end());
-  }
-  return positions;
+  return residuals_.snapshot_positions();
 }
 
 void AdmissionController::rebuild_fastpath() {
@@ -1094,7 +882,7 @@ void AdmissionController::rebuild_fastpath() {
       fast_.emplace_back(router_.topo(), engine_.scenarios());
     }
   }
-  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residual_[k]);
+  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residuals_.residuals(k));
 }
 
 void AdmissionController::refresh_fastpath(const History& batch) {
@@ -1102,7 +890,7 @@ void AdmissionController::refresh_fastpath(const History& batch) {
   // demands' candidate paths — re-summarize exactly those links per
   // realization (realizations draw different demand sets).
   for (std::size_t k = 0; k < fast_.size(); ++k) {
-    fast_[k].refresh_links(candidate_links(router_, batch[k]), residual_[k]);
+    fast_[k].refresh_links(candidate_links(router_, batch[k]), residuals_.residuals(k));
   }
 }
 

@@ -15,32 +15,13 @@
 // evaluated against an empty service is bit-identical to a single
 // hose_approval call on the same set (pinned in tests/test_admission.cpp).
 //
-// Incrementality. Instead of re-approving the whole admitted set per
-// request, the controller maintains RESIDUAL capacity state: for every
-// (realization k, failure scenario s) it keeps the per-link residual
-// capacities left after placing all committed grants' realization-k demands
-// under scenario s (placed in commit order through water_fill_demand — the
-// one placement arithmetic). A new window only places its own pipes against
-// those residuals (O(window pipes × scenarios) instead of O(admitted set)),
-// and accepted grants are committed into the residuals with the exact same
-// water_fill_demand call sequence a from-scratch replay of the commit
-// history would execute — so the maintained state matches a from-scratch
-// rebuild bit-for-bit after any admit/resize/release sequence, at any
-// thread count (also pinned in tests). The commit history is flat: per
-// realization, every committed demand tagged with its owning contract, in
-// commit order. Releases, accepted resizes and topology re-verification
-// edit the middle of it, where no cheaper exact delta exists (water-filling
-// is order-sensitive). Those edits replay only the suffix behind the first
-// edited demand: per realization the controller keeps at most kSnapshots
-// residual states of the history's prefixes, at multiples of a power-of-two
-// stride sized to the history, and an edit restores from the newest one at
-// or before its first edited position. Snapshots an evaluation writes stay
-// provisional until its edit is committed; a rejected resize or a throwing
-// window drops them. Pure-admit windows — the streaming hot path — only
-// append, copying a snapshot when they cross a stride position.
+// Incrementality. A window assesses only its own pipes, against the
+// residual capacities the committed grants leave per (realization, failure
+// scenario), which a ResidualHistory (residual_history.h) keeps exact:
+// grants are appended to it, and releases, resizes and topology
+// re-verification stage edits of its history that the window commits.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -62,14 +43,11 @@
 #include "core/contract_db.h"
 #include "hose/requests.h"
 #include "risk/fast_estimator.h"
+#include "service/residual_history.h"
 #include "topology/routing.h"
 #include "topology/topology.h"
 
 namespace netent::service {
-
-/// Runtime handle of an admitted contract (also stored on the contract in
-/// the database as EntitlementContract::id).
-using ContractId = std::uint64_t;
 
 enum class RequestKind : std::uint8_t { admit, resize, release, topology };
 
@@ -215,7 +193,7 @@ class AdmissionController {
   /// `rebuild_residuals_from_scratch` recomputes the same state from the
   /// recorded commit history. The two are bit-identical after every window —
   /// the delta-replay equivalence the tests pin.
-  using ResidualState = std::vector<std::vector<std::vector<double>>>;
+  using ResidualState = ResidualHistory::ResidualState;
   [[nodiscard]] ResidualState residual_snapshot() const;
   [[nodiscard]] ResidualState rebuild_residuals_from_scratch() const;
 
@@ -226,20 +204,15 @@ class AdmissionController {
   [[nodiscard]] std::size_t rebuild_placements() const;
 
   /// Work of the history edits so far (releases, resizes, topology
-  /// windows; append-only commits are not edits), in placements: the suffix
-  /// demands each edit replayed behind its restore point, times the
-  /// scenario count, in total and for the largest single replay. Replays
-  /// fan out on the same cutoff as rebuilds.
-  struct ReplayStats {
-    std::uint64_t placements = 0;
-    std::uint64_t largest = 0;
-  };
+  /// windows), in placements; see ResidualHistory::ReplayStats. Replays fan
+  /// out on the same cutoff as rebuilds.
+  using ReplayStats = ResidualHistory::ReplayStats;
   [[nodiscard]] ReplayStats replay_stats() const;
 
   /// Per realization, the ascending history positions (demands placed) of
   /// the residual snapshots edits restore from; never more than kSnapshots.
   [[nodiscard]] std::vector<std::vector<std::size_t>> snapshot_positions() const;
-  static constexpr std::size_t kSnapshots = 8;
+  static constexpr std::size_t kSnapshots = ResidualHistory::kSnapshots;
 
   /// Two-tier fast-path accounting (all zero when fastpath is disabled).
   /// `violations` counts audited fast admits whose bound exceeded the exact
@@ -275,15 +248,7 @@ class AdmissionController {
   [[nodiscard]] std::vector<std::vector<double>> fastpath_headroom_snapshot() const;
 
  private:
-  /// One committed demand: what was placed and for whom (releases prune the
-  /// history by owner).
-  struct TaggedDemand {
-    topology::Demand demand;
-    ContractId owner = 0;
-  };
-  /// Per realization, committed demands in commit order: the exact
-  /// water_fill_demand sequence a from-scratch rebuild replays.
-  using History = std::vector<std::vector<TaggedDemand>>;  ///< [realization]
+  using History = ResidualHistory::History;
 
   struct Pending {
     AdmissionRequest request;
@@ -291,15 +256,13 @@ class AdmissionController {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// One fast-admitted realization queued for the deferred exact audit: the
-  /// placement-ordered demands, the bounds claimed for them, and a snapshot
-  /// of the per-scenario residuals the bounds were computed against (copied
-  /// at decision time, since the live state advances with every commit).
-  /// A fast-admitted window queued for its deferred exact replay. The
-  /// replay's water-fill only ever reads links on the demands' candidate
-  /// paths, so the decision-time residual snapshot covers exactly those
-  /// `links` — O(scenarios x touched links) gathered on the admission hot
-  /// path instead of a full O(scenarios x links) state clone.
+  /// One fast-admitted realization queued for its deferred exact audit: the
+  /// placement-ordered demands, the bounds claimed for them, and the
+  /// residuals the bounds were computed against, copied at decision time
+  /// since the live state advances with every commit. The audit's water-fill
+  /// only reads links on the demands' candidate paths, so the copy covers
+  /// exactly those `links`: O(scenarios x touched links) on the admission
+  /// hot path instead of a full O(scenarios x links) clone.
   struct AuditRecord {
     std::vector<topology::Demand> demands;
     std::vector<double> bounds;
@@ -307,20 +270,34 @@ class AdmissionController {
     /// Flat [scenario * links.size() + i] residuals for links[i].
     std::vector<double> residuals;
   };
+  struct Window;
 
   void worker_loop();
   void process_window(std::vector<Pending> window);
-  [[nodiscard]] std::vector<AdmissionOutcome> evaluate_window(std::vector<Pending>& window);
+  [[nodiscard]] std::vector<AdmissionOutcome> evaluate_window(std::vector<Pending>& pending);
+  /// evaluate_window's phases: classify the requests; stage the releases'
+  /// and resizes' edit, then draw and assess; accept or reject, and commit.
+  /// A window that throws before its commit changes nothing, since its
+  /// staged edit drops itself.
+  void classify(Window& window);
+  void assess(Window& window);
+  void commit(Window& window);
   /// Processes one RequestKind::topology request: validate the whole batch,
   /// apply it to *mutable_topo_, resync every topology-derived cache
   /// (router, approval engine, residuals, fast-path summaries) and
   /// re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
+  /// The in-force contracts the delta applied since `from_epoch` can affect.
+  [[nodiscard]] std::set<ContractId> affected_contracts(
+      std::uint64_t from_epoch, std::span<const std::pair<RegionId, RegionId>> changed_pairs,
+      bool scenarios_changed) const;
+  /// Judges one in-force contract on the mutated network; applies the verdict.
+  ContractVerdict reverify(ContractId id);
   /// Re-summarizes every link of the per-realization headroom summaries
-  /// from residual_ (no-op when fastpath is disabled): after construction, a
-  /// history edit, or a topology window. The estimators are built only when
-  /// fast_ is empty; topology windows clear it, since they may change the
-  /// scenario set and the links the estimators index.
+  /// from the live residuals (no-op when fastpath is disabled): after
+  /// construction, a history edit, or a topology window. The estimators are
+  /// built only when fast_ is empty; topology windows clear it, since they
+  /// may change the scenario set and the links the estimators index.
   void rebuild_fastpath();
   /// Re-summarizes only the links on the candidate paths of `batch`'s
   /// demands — all a pure-admit commit of `batch` can have moved.
@@ -332,67 +309,11 @@ class AdmissionController {
   /// snapshot PRE-mutation residual state over the pre-mutation scenarios).
   void audit_record_locked(const AuditRecord& record);
 
-  /// Availability curves for placement-ordered demands of realization `k`
-  /// against `residuals` (the incremental ASSESS_RISK). Warms router_ for
-  /// the demand pairs, then sweeps the scenarios read-only.
+  /// Availability curves for placement-ordered demands against one
+  /// realization's `residuals` (the incremental ASSESS_RISK). Warms router_
+  /// for the demand pairs, then sweeps the scenarios read-only.
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
-      const ResidualState& residuals, std::size_t k, std::span<const topology::Demand> demands);
-  /// Replays `demands` into `residual` through water_fill_demand — the same
-  /// call sequence for commit, edit replay and rebuild, which is what keeps
-  /// them bit-identical.
-  void place(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
-  /// The from-scratch rebuild: the oracle behind
-  /// rebuild_residuals_from_scratch().
-  [[nodiscard]] ResidualState residuals_of(const History& history) const;
-
-  /// One residual snapshot: the flat [scenario * links + link] residuals
-  /// after the first `position` demands of a realization's history.
-  /// Position 0 marks a free slot (the empty prefix is the scenario
-  /// capacities themselves); a free slot keeps its buffer for reuse.
-  struct Snapshot {
-    std::size_t position = 0;
-    std::vector<double> residuals;
-  };
-  /// A snapshot a replay fills as it passes `position`.
-  struct SnapshotWrite {
-    std::size_t position = 0;
-    Snapshot* slot = nullptr;
-  };
-  /// The one history-edit path. Sets `out` to the residuals of `history`,
-  /// which agrees with the history the snapshots describe on each
-  /// realization's first `same[k]` demands: every cell restores from the
-  /// newest snapshot at or before same[k] (or the scenario capacities) and
-  /// replays only the suffix through place(), so `out` is bit-identical to
-  /// residuals_of(history). With `rewrite`, the replay also rewrites the
-  /// snapshots past each restore point to describe `history`; they stay
-  /// provisional until settle_snapshots(). Returns the placements replayed.
-  std::size_t replay_edit(const History& history, std::span<const std::size_t> same,
-                          ResidualState& out, bool rewrite);
-  /// Ends the pending rewrite: keeps its snapshots when its edit was
-  /// committed, otherwise frees every snapshot past its restore points, so
-  /// none describes an uncommitted history.
-  void settle_snapshots(bool committed);
-  /// Re-lays realization k's snapshots for a history of `length` demands
-  /// whose first `kept` match the snapshotted one: frees every snapshot past
-  /// `kept` or off the stride for `length`, and claims a slot for each
-  /// stride position in (kept, length], returned in ascending order.
-  std::vector<SnapshotWrite> plan_snapshots(std::size_t k, std::size_t kept,
-                                            std::size_t length);
-  /// Places demands[start..] into `residual`, scenario s's cell, copying it
-  /// into each write's slice of its snapshot as it passes the write.
-  void replay_cell(std::span<const TaggedDemand> demands, std::size_t start,
-                   std::span<const SnapshotWrite> writes, std::size_t s,
-                   std::vector<double>& residual) const;
-
-  /// Appends `batch` to history_ and places it into residual_ (the
-  /// incremental hot path), extending the snapshots.
-  void commit(const History& batch);
-  /// Removes `owners`' demands from `history`, keeping the rest in order,
-  /// and returns per realization how many leading demands it left in place
-  /// (the first edited position).
-  static std::vector<std::size_t> prune(History& history, const std::set<ContractId>& owners);
-  /// Demands in `history`, summed over realizations.
-  [[nodiscard]] static std::size_t demand_count(const History& history);
+      const ResidualHistory::Residuals& residuals, std::span<const topology::Demand> demands);
 
   AdmissionConfig config_;
   std::size_t threads_ = 1;
@@ -406,20 +327,12 @@ class AdmissionController {
   /// Service state, guarded by state_mutex_ (windows are processed one at a
   /// time; the parallel fan-outs inside a window are internal).
   mutable std::mutex state_mutex_;
-  ResidualState residual_;
-  /// Output of the window evaluations' and topology re-verification's edit
-  /// replays; a committed evaluation swaps it with residual_.
-  ResidualState scratch_;
-  History history_;
-  std::vector<std::array<Snapshot, kSnapshots>> snapshots_;  ///< [realization]
-  /// Restore points of the pending rewrite, per realization (empty: none).
-  std::vector<std::size_t> provisional_;
-  ReplayStats replay_stats_;
+  ResidualHistory residuals_;
   core::ContractDb db_;  ///< the in-force contracts, runtime ids populated
   Rng rng_;
   ContractId next_contract_id_ = 1;
   std::uint64_t window_seq_ = 0;
-  /// Tier-1 estimators, one per realization, summarizing residual_[k]
+  /// Tier-1 estimators, one per realization, summarizing its live residuals
   /// (empty when fastpath is disabled). Guarded by state_mutex_.
   std::vector<risk::FastEstimator> fast_;
   FastPathStats fast_stats_;  ///< guarded by state_mutex_

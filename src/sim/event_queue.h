@@ -30,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
-
 namespace netent::sim {
 
 /// Execution-priority class for events sharing a timestamp (lower runs
@@ -129,62 +127,6 @@ class EventQueue {
   std::priority_queue<Entry, std::vector<Entry>, Later> events_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-};
-
-/// Constant-delay channel on an EventQueue: send(message) hands `message`
-/// to the receiver `delay_seconds` later, in `stratum`. The clock never runs
-/// backwards and t + delay is monotone in t, so with one delay messages fall
-/// due in send order; in-flight messages therefore wait in a FIFO ring, and
-/// each send schedules an event that captures only the channel. Every
-/// message still gets its own event, sequence and receiver call, exactly as
-/// if the event had carried the message. The ring grows to the most messages
-/// ever in flight at once and is reused after that.
-///
-/// The channel must outlive any queue run in which it has a message in flight.
-template <typename Message>
-class DelayLine {
- public:
-  using Receiver = std::function<void(const Message&)>;
-
-  DelayLine(EventQueue& queue, double delay_seconds, EventStratum stratum, Receiver receive)
-      : queue_(queue), delay_(delay_seconds), stratum_(stratum), receive_(std::move(receive)) {
-    NETENT_EXPECTS(delay_seconds >= 0.0);
-    NETENT_EXPECTS(receive_ != nullptr);
-  }
-
-  DelayLine(const DelayLine&) = delete;
-  DelayLine& operator=(const DelayLine&) = delete;
-
-  void send(const Message& message) {
-    if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) & (ring_.size() - 1)] = message;
-    ++count_;
-    queue_.schedule_in(delay_, stratum_, [this] { arrive(); });
-  }
-
- private:
-  void arrive() {
-    // Copied out first: the receiver may send, which can grow the ring.
-    const Message message = ring_[head_];
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --count_;
-    receive_(message);
-  }
-
-  void grow() {
-    std::vector<Message> bigger(ring_.empty() ? 8 : 2 * ring_.size());
-    for (std::size_t i = 0; i < count_; ++i) bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-    ring_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  EventQueue& queue_;
-  double delay_;
-  EventStratum stratum_;
-  Receiver receive_;
-  std::vector<Message> ring_;  // power-of-two capacity
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
 };
 
 /// Self-rescheduling fixed-period event, the idiom behind agent metering /

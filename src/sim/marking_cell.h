@@ -64,22 +64,18 @@ inline void run_marking_cell(enforce::Meter& meter, const MarkingCellConfig& con
   double observed_total = config.demand_gbps;
   double observed_conform = config.demand_gbps;
   int cycle = 0;
-  struct Observation {
-    double total = 0.0;
-    double conform = 0.0;
-  };
-  DelayLine<Observation> observations(queue, config.observation_delay_cycles, kDeliveryStratum,
-                                      [&](const Observation& arrived) {
-                                        observed_total = arrived.total;
-                                        observed_conform = arrived.conform;
-                                      });
 
   PeriodicTimer traffic(queue, 1.0, kWorldStratum, [&] {
     const double conform = config.demand_gbps * meter.conform_ratio();
     const double nonconf = config.demand_gbps * meter.non_conform_ratio();
     const double sent = nonconf * std::max(1.0 - config.loss, config.retry_floor);
     if (on_cycle) on_cycle(MarkingCycle{cycle, conform, nonconf, sent});
-    observations.send(Observation{conform + sent, conform});
+    // The sample arrives as its own delivery event, carrying its rates.
+    queue.schedule_in(config.observation_delay_cycles, kDeliveryStratum,
+                      [&observed_total, &observed_conform, total = conform + sent, conform] {
+                        observed_total = total;
+                        observed_conform = conform;
+                      });
     ++cycle;
   });
   PeriodicTimer metering(queue, 1.0, kAgentStratum, [&] {

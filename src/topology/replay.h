@@ -90,11 +90,44 @@
 #include <span>
 #include <vector>
 
-#include "common/placement_arena.h"
 #include "topology/routing.h"
 #include "topology/srlg_index.h"
 
 namespace netent::topology {
+
+/// Word-packed bitmap with epoch-stamped O(1) clear: a word whose stamp is
+/// stale reads as zero, so reset() never touches the payload. Used for the
+/// incremental replay's per-demand affected mask (one bit per demand,
+/// cleared once per scenario).
+class EpochWords {
+ public:
+  /// Logically zeroes all `words` words. O(1) except when the bitmap grows.
+  void reset(std::size_t words) {
+    if (words_.size() < words) {
+      words_.resize(words, 0);
+      stamp_.resize(words, 0);
+    }
+    ++epoch_;
+  }
+
+  [[nodiscard]] std::uint64_t read(std::size_t w) const {
+    return stamp_[w] == epoch_ ? words_[w] : 0;
+  }
+
+  void set_bit(std::size_t index) {
+    const std::size_t w = index >> 6;
+    if (stamp_[w] != epoch_) {
+      stamp_[w] = epoch_;
+      words_[w] = 0;
+    }
+    words_[w] |= std::uint64_t{1} << (index & 63);
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t epoch_ = 0;
+};
 
 /// Immutable-after-construction replay engine for one (demand batch, base
 /// capacity) pair. `replay()` is const and safe to call from many threads at
@@ -133,7 +166,7 @@ class ScenarioSweeper {
     /// Per demand, one bit: some scanned link is/was diverged. Word-packed
     /// so the replay walk skips 64 untouched demands per load; epoch-stamped
     /// so clearing it per scenario is O(1), not O(demands / 64).
-    common::EpochWords affected_words_;
+    EpochWords affected_words_;
   };
 
   /// Runs the baseline placement and precomputes the SRLG index, per-demand

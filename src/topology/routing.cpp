@@ -3,7 +3,6 @@
 #include <limits>
 #include <queue>
 
-#include "common/placement_arena.h"
 
 namespace netent::topology {
 
@@ -57,8 +56,7 @@ void Router::route_warmed_into(std::span<const Demand> demands,
   out.placed_per_demand.reserve(demands.size());
   out.link_load.assign(capacity_gbps.size(), 0.0);
 
-  auto residual_loan = common::PlacementArena::local().doubles();
-  std::vector<double>& residual = *residual_loan;
+  std::vector<double>& residual = out.residual;
   residual.assign(capacity_gbps.begin(), capacity_gbps.end());
 
   for (const Demand& demand : demands) {

@@ -6,9 +6,8 @@
 //
 // Data layout: candidate path sets live in a CSR `PathStore`
 // (path_store.h) — dense (src, dst) pair table, one flat LinkId array —
-// and placement scratch comes from the thread-local `PlacementArena`
-// (common/placement_arena.h), so the steady-state hot path does no tree
-// lookups and no heap allocations.
+// and placement scratch lives in the caller's reused RouteResult, so the
+// steady-state hot path does no tree lookups and no heap allocations.
 #pragma once
 
 #include <atomic>
@@ -40,6 +39,9 @@ struct RouteResult {
   std::vector<double> link_load;  ///< Gbps load per LinkId
   std::vector<double> placed_per_demand;  ///< Gbps placed for each input demand
   bool fully_placed = false;    ///< placed_total == demand_total (within epsilon)
+  /// Per-link capacity left after the placement: the call's scratch, so a
+  /// reused result places without allocating.
+  std::vector<double> residual;
 };
 
 /// Placement epsilon: remainders and bottlenecks at or below this many Gbps
@@ -128,8 +130,7 @@ struct TopologyResyncStats {
 /// / the non-const `route()` overloads (single-threaded use). For concurrent
 /// use, `warm()` the cache with every (src, dst) pair of the demand set up
 /// front; `route_warmed()` is then const, reads only the immutable store,
-/// and keeps all per-placement mutable state in thread-confined arena
-/// scratch.
+/// and keeps all per-placement mutable state in the caller's RouteResult.
 ///
 /// Topology lifecycle: the Router snapshots the topology's epoch at
 /// construction; after the topology mutates, call `resync_topology()` (no
@@ -191,10 +192,9 @@ class Router {
                                          std::span<const double> capacity_gbps) const;
 
   /// Allocation-free variant for hot loops: places into `out`, reusing its
-  /// vectors' capacity, and borrows residual scratch from the calling
-  /// thread's PlacementArena. After the first call at a given topology size
-  /// the steady state performs zero heap allocations. Same bits as
-  /// route_warmed().
+  /// vectors' capacity (residual scratch included). After the first call at
+  /// a given topology size the steady state performs zero heap allocations.
+  /// Same bits as route_warmed().
   void route_warmed_into(std::span<const Demand> demands,
                          std::span<const double> capacity_gbps, RouteResult& out) const;
 

@@ -820,6 +820,26 @@ TEST(AdmissionService, MalformedRequestsFailWithoutStateChanges) {
     EXPECT_NE(non_finite.error->message.find("hoses[0].rate"), std::string::npos)
         << non_finite.error->message;
   }
+  // An out-of-range QoS class or direction on the ingress hose.
+  const auto out_of_range = [](std::uint32_t npg, bool bad_qos) {
+    std::vector<HoseRequest> hoses = hose_pair(npg, QosClass::c1_low, 0, 2, 10.0);
+    if (bad_qos) {
+      hoses[1].qos = static_cast<QosClass>(kQosClassCount);
+    } else {
+      hoses[1].direction = static_cast<Direction>(2);
+    }
+    return hoses;
+  };
+  const auto expect_field = [](const AdmissionOutcome& outcome, const std::string& field) {
+    EXPECT_EQ(outcome.status, AdmissionStatus::failed) << field;
+    ASSERT_TRUE(outcome.error.has_value()) << field;
+    EXPECT_EQ(outcome.error->code, ErrorCode::invalid_argument) << field;
+    EXPECT_NE(outcome.error->message.find(field), std::string::npos) << outcome.error->message;
+  };
+  for (const bool bad_qos : {true, false}) {
+    expect_field(controller.admit(NpgId(1), "x", out_of_range(1, bad_qos)),
+                 bad_qos ? "hoses[1].qos" : "hoses[1].direction");
+  }
 
   EXPECT_EQ(controller.admitted_count(), 0u);
   EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
@@ -841,7 +861,18 @@ TEST(AdmissionService, MalformedRequestsFailWithoutStateChanges) {
         << outcomes[0].error->message;
     EXPECT_EQ(outcomes[1].status, AdmissionStatus::admitted) << rate;
   }
-  EXPECT_EQ(controller.admitted_count(), 2u);
+  // So does an out-of-range QoS class or direction.
+  for (const bool bad_qos : {true, false}) {
+    const std::uint32_t npg = bad_qos ? 4 : 5;
+    std::vector<AdmissionRequest> window;
+    window.push_back(admit_request(1, out_of_range(1, bad_qos)));
+    window.push_back(admit_request(npg, hose_pair(npg, QosClass::c1_low, 1, 3, 5.0)));
+    const auto outcomes = run_window(controller, std::move(window));
+    ASSERT_EQ(outcomes.size(), 2u);
+    expect_field(outcomes[0], bad_qos ? "hoses[1].qos" : "hoses[1].direction");
+    EXPECT_EQ(outcomes[1].status, AdmissionStatus::admitted) << bad_qos;
+  }
+  EXPECT_EQ(controller.admitted_count(), 4u);
   EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
 }
 

@@ -417,74 +417,6 @@ TEST(EventQueue, SteadyStateCaptureThisSchedulingAllocatesNothing) {
   EXPECT_GT(tickers[0]->fires, 390u);
 }
 
-// --- DelayLine --------------------------------------------------------------
-
-TEST(DelayLine, DeliversEachMessageAsItsOwnEventInSendOrder) {
-  EventQueue queue;
-  std::vector<std::pair<double, int>> arrived;
-  DelayLine<int> line(queue, 2.5, kDeliveryStratum,
-                      [&](const int& m) { arrived.emplace_back(queue.now(), m); });
-  for (int i = 0; i < 100; ++i) {  // grows the ring several times
-    queue.run_until(0.25 * i);
-    line.send(i);
-    EXPECT_EQ(queue.scheduled_count(), static_cast<std::uint64_t>(i + 1));
-  }
-  queue.run_until(100.0);
-  ASSERT_EQ(arrived.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(arrived[i], std::make_pair(0.25 * i + 2.5, i));
-  }
-}
-
-TEST(DelayLine, OrderMatchesPerMessageCaptureUnderRandomInterleaving) {
-  // The same random mix of sends, other events and receiver-triggered sends,
-  // once with the message captured in each event and once through a
-  // DelayLine: the execution logs must be identical, event counts included.
-  const auto run = [](bool through_line) {
-    EventQueue queue;
-    std::vector<std::pair<double, int>> log;
-    std::unique_ptr<DelayLine<int>> line;
-    std::function<void(int)> send;
-    const auto receive = [&](int m) {
-      log.emplace_back(queue.now(), m);
-      if (m % 5 == 0 && m < 100000) send(m + 100000);  // a delivery that publishes again
-    };
-    if (through_line) {
-      line = std::make_unique<DelayLine<int>>(queue, 1.5, kDeliveryStratum,
-                                              [&](const int& m) { receive(m); });
-      send = [&](int m) { line->send(m); };
-    } else {
-      send = [&](int m) {
-        queue.schedule_in(1.5, kDeliveryStratum, [&receive, m] { receive(m); });
-      };
-    }
-    Rng rng(7);
-    for (int i = 0; i < 3000; ++i) {
-      const double when = std::floor(rng.uniform(0.0, 400.0)) * 0.5;
-      const auto stratum = static_cast<EventStratum>(rng.uniform_int(4));
-      queue.schedule(when, stratum, [&, i] {
-        log.emplace_back(queue.now(), -i - 1);
-        send(i);
-      });
-    }
-    queue.run_until(1000.0);
-    return std::make_pair(log, queue.scheduled_count());
-  };
-  const auto direct = run(false);
-  const auto channel = run(true);
-  EXPECT_EQ(direct.first, channel.first);
-  EXPECT_EQ(direct.second, channel.second);
-  EXPECT_GT(direct.first.size(), 6000u);
-}
-
-TEST(DelayLine, InvalidConstructionRejected) {
-  EventQueue queue;
-  const auto sink = [](const int&) {};
-  EXPECT_THROW(DelayLine<int>(queue, -1.0, kDeliveryStratum, sink), ContractViolation);
-  EXPECT_THROW(DelayLine<int>(queue, std::nan(""), kDeliveryStratum, sink), ContractViolation);
-  EXPECT_THROW(DelayLine<int>(queue, 1.0, kDeliveryStratum, nullptr), ContractViolation);
-}
-
 // --- The drill's store path -------------------------------------------------
 
 TEST(DrillStorePath, PublishArrivalMeteringAllocatesNothing) {

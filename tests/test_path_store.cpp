@@ -3,9 +3,9 @@
 // to heap-allocated std::vector<Path> — is reconstructed here as a reference
 // implementation, and the CSR PathStore layout must reproduce its
 // RouteResults, water-fill op-logs and ScenarioSweeper outputs BIT for BIT
-// across hundreds of randomized topologies. The suite also pins the arena
-// discipline: steady-state placements perform ZERO heap allocations,
-// verified through a counting global operator new/delete hook.
+// across hundreds of randomized topologies. The suite also pins that
+// steady-state placements perform ZERO heap allocations, verified through a
+// counting global operator new/delete hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/placement_arena.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "risk/failure.h"
@@ -342,7 +341,8 @@ TEST(PathStore, SweepGuardStillBlocksLazyInsertion) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-allocation guarantees (the PlacementArena contract).
+// Zero-allocation guarantees: reused RouteResults and sweeper workspaces.
+// (The suite name is what the CI zero-allocation step filters on.)
 // ---------------------------------------------------------------------------
 
 TEST(PlacementArenaSteadyState, RouteWarmedIntoAllocatesNothing) {
@@ -352,7 +352,7 @@ TEST(PlacementArenaSteadyState, RouteWarmedIntoAllocatesNothing) {
   const std::span<const double> caps = router.full_capacities();
 
   RouteResult scratch;
-  // Warm-up: grows the result vectors and the thread's arena pool.
+  // Warm-up: grows the result vectors, residual scratch included.
   router.route_warmed_into(world.demands, caps, scratch);
   const RouteResult expected = scratch;
 
@@ -392,24 +392,9 @@ TEST(PlacementArenaSteadyState, ScenarioReplayAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << "steady-state replay touched the heap";
 }
 
-TEST(PlacementArena, LoansReuseBuffersAfterWarmup) {
-  common::PlacementArena& arena = common::PlacementArena::local();
-  {
-    auto a = arena.doubles();
-    a->assign(256, 1.0);
-  }
-  const auto before = arena.stats();
-  for (int i = 0; i < 50; ++i) {
-    auto loan = arena.doubles();
-    loan->assign(256, 2.0);  // within the recycled capacity
-  }
-  const auto& after = arena.stats();
-  EXPECT_EQ(after.loans, before.loans + 50);
-  EXPECT_EQ(after.pool_misses, before.pool_misses);  // every borrow was a hit
-}
-
 // Concurrent warmed placements share the immutable CSR store but never the
-// arena scratch (one arena per thread). Run under TSan via the tsan label.
+// placement scratch (one RouteResult per thread). Run under TSan via the
+// tsan label.
 TEST(PathStoreConcurrency, ParallelRouteWarmedIntoIsRaceFreeAndIdentical) {
   const RandomWorld world = make_world(0xfa57);
   Router router(world.topo, 3);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "service/admission.h"
 #include "topology/generator.h"
 
@@ -35,7 +36,8 @@ FleetConfig small_fleet(std::size_t regions) {
 }
 
 FleetReport run_fleet(const topology::Topology& topo, const FleetConfig& fleet_config,
-                      std::size_t threads) {
+                      std::size_t threads,
+                      service::AdmissionController::ReplayStats* replay = nullptr) {
   service::AdmissionConfig config;
   config.approval.realizations = 2;
   config.approval.slo_availability = 0.99;
@@ -47,15 +49,24 @@ FleetReport run_fleet(const topology::Topology& topo, const FleetConfig& fleet_c
   config.attach_counter_proposals = true;
   service::AdmissionController controller(topo, config);
   TenantFleet fleet(controller, fleet_config);
-  return fleet.run();
+  const FleetReport report = fleet.run();
+  if (replay != nullptr) *replay = controller.replay_stats();
+  return report;
 }
 
 TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadCounts) {
   const topology::Topology topo = fleet_backbone();
-  const FleetConfig config = small_fleet(topo.region_count());
-  const FleetReport reference = run_fleet(topo, config, 1);
+  // Grown past small_fleet, with fewer heavies (still coprime to 4), until
+  // an edit's replay crosses the fan-out cutoff: the 2- and 4-thread runs
+  // then really fan out on the pool. small_fleet's own replays stay under it.
+  FleetConfig config = small_fleet(topo.region_count());
+  config.tenants = 256;
+  config.heavy_every = 11;
+  service::AdmissionController::ReplayStats replay;
+  const FleetReport reference = run_fleet(topo, config, 1, &replay);
   ASSERT_GT(reference.decisions, 0u);
   ASSERT_GT(reference.rejected, 0u) << "fleet must contend for negotiation to be exercised";
+  EXPECT_GE(replay.largest, kFanOutCutoffPlacements);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     const FleetReport report = run_fleet(topo, config, threads);
