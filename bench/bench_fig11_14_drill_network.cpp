@@ -21,7 +21,9 @@
 // --metrics-json dumps the sim.events.* / sim.faults.* obs counters.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "drill_flags.h"
 #include "sim/drill.h"
@@ -40,6 +42,11 @@ double timed_run_ms(const sim::DrillConfig& config, sim::DrillEngineStats& stats
   const auto elapsed = std::chrono::steady_clock::now() - start;
   stats = engine.stats();
   return std::chrono::duration<double, std::milli>(elapsed).count();
+}
+
+/// Wall nanoseconds per host per recorded tick of one timed run.
+double per_host_tick_ns(double ms, std::size_t hosts, const sim::DrillEngineStats& stats) {
+  return ms * 1e6 / (static_cast<double>(hosts) * static_cast<double>(stats.ticks_recorded));
 }
 
 }  // namespace
@@ -91,32 +98,59 @@ int main(int argc, char** argv) {
     baseline.host_count = 200;
     baseline.phase_jitter_seconds = 0.0;
     baseline.faults.clear();
-    sim::DrillEngineStats stats;
-    const double baseline_ms = timed_run_ms(baseline, stats);
-    const double baseline_host_tick_ns = baseline_ms * 1e6 /
-                                         (static_cast<double>(baseline.host_count) *
-                                          static_cast<double>(stats.ticks_recorded));
-    json.add("lockstep200_wall_ms", baseline_ms);
-    json.add("lockstep200_events_executed", stats.events_executed);
-    json.add("lockstep200_per_host_tick_ns", baseline_host_tick_ns);
+    const auto jittered = [&](std::size_t hosts) {
+      sim::DrillConfig run = baseline;
+      run.host_count = hosts;
+      run.phase_jitter_seconds = run.tick_seconds;
+      return run;
+    };
+    // The gate's two sides run back to back in kGatePairs pairs, the first
+    // side alternating, and the gate reads the pair with the median ratio.
+    // The host's speed drifts by up to ~50% from one 2000-host run to the
+    // next (4.5-7.0 s on one 4-core VM), which a pair largely shares: a
+    // single pair per run read ratios of 1.44-2.41, and each side's fastest
+    // of 3 or 5 runs up to 2.05.
+    constexpr std::size_t kGatePairs = 5;
+    struct GatePair {
+      double baseline_ms = 0.0;
+      double jitter2000_ms = 0.0;
+      sim::DrillEngineStats baseline;
+      sim::DrillEngineStats jitter2000;
+      [[nodiscard]] double ratio() const {
+        return per_host_tick_ns(jitter2000_ms, 2000, jitter2000) /
+               per_host_tick_ns(baseline_ms, 200, baseline);
+      }
+    };
+    std::vector<GatePair> pairs(kGatePairs);
+    for (std::size_t i = 0; i < kGatePairs; ++i) {
+      GatePair& pair = pairs[i];
+      if (i % 2 == 0) pair.baseline_ms = timed_run_ms(baseline, pair.baseline);
+      pair.jitter2000_ms = timed_run_ms(jittered(2000), pair.jitter2000);
+      if (i % 2 != 0) pair.baseline_ms = timed_run_ms(baseline, pair.baseline);
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const GatePair& a, const GatePair& b) { return a.ratio() < b.ratio(); });
+    const GatePair& gate = pairs[kGatePairs / 2];
+    json.add("lockstep200_wall_ms", gate.baseline_ms);
+    json.add("lockstep200_events_executed", gate.baseline.events_executed);
+    json.add("lockstep200_per_host_tick_ns",
+             per_host_tick_ns(gate.baseline_ms, 200, gate.baseline));
 
-    double jitter2000_host_tick_ns = 0.0;
-    for (const std::size_t hosts : {std::size_t{200}, std::size_t{1000}, std::size_t{2000}}) {
-      sim::DrillConfig jittered = baseline;
-      jittered.host_count = hosts;
-      jittered.phase_jitter_seconds = jittered.tick_seconds;
-      const double ms = timed_run_ms(jittered, stats);
-      const double per_host_tick_ns =
-          ms * 1e6 /
-          (static_cast<double>(hosts) * static_cast<double>(stats.ticks_recorded));
-      if (hosts == 2000) jitter2000_host_tick_ns = per_host_tick_ns;
+    // Adds one jittered run's keys.
+    const auto report = [&](std::size_t hosts, double ms, const sim::DrillEngineStats& run) {
       const std::string prefix = "jitter" + std::to_string(hosts) + "_";
       json.add(prefix + "wall_ms", ms);
-      json.add(prefix + "events_executed", stats.events_executed);
-      json.add(prefix + "events_per_sec", static_cast<double>(stats.events_executed) / ms * 1e3);
-      json.add(prefix + "per_host_tick_ns", per_host_tick_ns);
+      json.add(prefix + "events_executed", run.events_executed);
+      json.add(prefix + "events_per_sec", static_cast<double>(run.events_executed) / ms * 1e3);
+      json.add(prefix + "per_host_tick_ns", per_host_tick_ns(ms, hosts, run));
+    };
+    for (const std::size_t hosts : {std::size_t{200}, std::size_t{1000}}) {
+      sim::DrillEngineStats stats;
+      const double ms = timed_run_ms(jittered(hosts), stats);
+      report(hosts, ms, stats);
     }
-    const double ratio = jitter2000_host_tick_ns / baseline_host_tick_ns;
+    report(2000, gate.jitter2000_ms, gate.jitter2000);
+    const double ratio = gate.ratio();
     json.add("per_host_cost_ratio_2000_vs_200_lockstep", ratio);
     json.add("within_2x", ratio <= 2.0);
     maybe_write_bench_json(argc, argv, json);

@@ -20,9 +20,6 @@ constexpr double kEps = kRateEpsGbps;  ///< local alias for brevity
 
 struct ApprovalMetrics {
   obs::Registry& reg = obs::Registry::global();
-  obs::Counter& fastpath_hits = reg.counter("risk.fastpath.hits");
-  obs::Counter& fastpath_fallbacks = reg.counter("risk.fastpath.fallbacks");
-  obs::Counter& fastpath_demands_cleared = reg.counter("risk.fastpath.demands_cleared");
   obs::Counter& pipe_requests = reg.counter("approval.pipe.requests");
   obs::Counter& pipe_approved_full = reg.counter("approval.pipe.approved_full");
   obs::Counter& pipe_downgraded = reg.counter("approval.pipe.downgraded");
@@ -87,23 +84,11 @@ ApprovalEngine::ApprovalEngine(topology::Router& router, ApprovalConfig config)
                  router_.full_capacities()) {
   NETENT_EXPECTS(config_.slo_availability > 0.0 && config_.slo_availability <= 1.0);
   NETENT_EXPECTS(config_.realizations >= 1);
-  NETENT_EXPECTS(config_.fastpath.slo_margin >= 0.0);
-  rebuild_fast_tier();
-}
-
-void ApprovalEngine::rebuild_fast_tier() {
-  if (!config_.fastpath.enabled) return;
-  // The engine assesses every batch against the pristine base capacities,
-  // so its headroom summary is the base capacity itself.
-  fast_.emplace(router_.topo(), simulator_.scenarios());
-  fast_->rebuild_pristine(router_.full_capacities());
 }
 
 bool ApprovalEngine::resync_topology() {
-  const bool scenarios_changed = simulator_.resync(
-      risk::enumerate_scenarios(router_.topo(), config_.scenarios), router_.full_capacities());
-  rebuild_fast_tier();
-  return scenarios_changed;
+  return simulator_.resync(risk::enumerate_scenarios(router_.topo(), config_.scenarios),
+                           router_.full_capacities());
 }
 
 std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval(
@@ -111,12 +96,9 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval(
   // ASSESS_RISK over the full capacity; priority is encoded in the order.
   // The simulator (and the router's warmed path cache) is shared across
   // calls — hose_approval's realizations never rebuild it.
-  return pipe_approval_with(
-      pipes,
-      [this](std::span<const Demand> demands) {
-        return simulator_.availability_curves(demands, config_.sweep_threads());
-      },
-      fast_.has_value() ? &*fast_ : nullptr);
+  return pipe_approval_with(pipes, [this](std::span<const Demand> demands) {
+    return simulator_.availability_curves(demands, config_.sweep_threads());
+  });
 }
 
 std::vector<std::size_t> ApprovalEngine::placement_order(
@@ -185,11 +167,9 @@ std::vector<PipeAttainment> ApprovalEngine::verify(std::span<const PipeApprovalR
 }
 
 std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_with(
-    std::span<const PipeRequest> pipes, const CurveProvider& curves_for,
-    const risk::FastEstimator* fast, FastPassResult* fast_out) const {
+    std::span<const PipeRequest> pipes, const CurveProvider& curves_for) const {
   std::vector<PipeApprovalResult> results(pipes.size());
   for (std::size_t i = 0; i < pipes.size(); ++i) results[i].request = pipes[i];
-  if (fast_out != nullptr) *fast_out = {};
   if (pipes.empty()) return results;
 
   ApprovalMetrics& m = metrics();
@@ -204,54 +184,6 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval_with(
     demands.push_back({pipes[i].src, pipes[i].dst, pipes[i].rate});
   }
 
-  // --- Tier 1: the analytical bound. A hit approves every pipe at its full
-  // requested rate — bit-identical to what the exact sweep would return,
-  // since each bound is a lower bound on the exact availability at that
-  // rate — and skips the sweep entirely.
-  if (fast != nullptr && config_.fastpath.enabled) {
-    router_.warm(demands);  // fast hits still commit/audit via cached paths
-    const double need = config_.slo_availability + config_.fastpath.slo_margin;
-    std::vector<double> consumed(fast->link_count(), 0.0);
-    std::vector<double> bounds;
-    bounds.reserve(demands.size());
-    bool cleared = true;
-    for (const Demand& demand : demands) {
-      const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
-      const double bound =
-          paths.valid() ? fast->bound(demand.amount.value(), paths, consumed) : 0.0;
-      if (bound < need) {
-        cleared = false;
-        break;
-      }
-      bounds.push_back(bound);
-      risk::FastEstimator::charge(demand.amount.value(), paths, consumed);
-    }
-    if (fast_out != nullptr) fast_out->attempted = true;
-    if (cleared) {
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        PipeApprovalResult& result = results[order[k]];
-        result.approved = result.request.rate;
-        result.availability_at_request = bounds[k];
-      }
-      m.fastpath_hits.add();
-      m.fastpath_demands_cleared.add(demands.size());
-      if (fast_out != nullptr) {
-        fast_out->hit = true;
-        fast_out->bounds = std::move(bounds);
-      }
-      // strict_batch needs no pass: every pipe is fully approved.
-      for (const PipeApprovalResult& result : results) {
-        count_verdict(result.request.rate, result.approved, m.pipe_approved_full,
-                      m.pipe_downgraded, m.pipe_denied);
-        m.pipe_requested_mgbps.add(mgbps(result.request.rate));
-        m.pipe_approved_mgbps.add(mgbps(result.approved));
-      }
-      return results;
-    }
-    m.fastpath_fallbacks.add();
-  }
-
-  // --- Tier 2: the exact scenario sweep.
   const auto curves = curves_for(demands);
   NETENT_ENSURES(curves.size() == demands.size());
 

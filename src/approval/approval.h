@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,12 +47,12 @@ struct ApprovalConfig {
   /// is approved at the largest rate meeting the SLO (partial approvals,
   /// §4.3's under-approval discussion).
   bool strict_batch = false;
-  /// Two-tier risk verification (risk/fast_estimator.h): when enabled, pipe
-  /// approvals first try the conservative analytical bound and only fall
-  /// back to the exact scenario sweep when it cannot clear the SLO (plus
-  /// `fastpath.slo_margin`). Approved rates are bit-identical either way —
-  /// the bound is never optimistic, so a fast admit is exactly the full
-  /// approval the sweep would have produced. Default: exact-only.
+  /// Two-tier risk verification (risk/fast_estimator.h), read by the
+  /// admission service only (service/admission.h), whose curve provider
+  /// tries the conservative analytical bound before the exact residual
+  /// sweep. The engine's own approvals always sweep exactly; the rates they
+  /// approve are the same, the bound never being optimistic. Default:
+  /// exact-only.
   risk::FastPathConfig fastpath;
 };
 
@@ -118,38 +117,20 @@ class ApprovalEngine {
   /// Risk backend extension point: maps placement-ordered demands to one
   /// availability curve per demand (same order). pipe_approval uses the
   /// engine's own RiskSimulator; the admission service substitutes a
-  /// residual-capacity sweep. The provider must not consume engine RNG state
-  /// so the surrounding approval stays bit-identical across backends.
+  /// residual-capacity sweep, or its fast tier's bounds. The provider must
+  /// not consume engine RNG state so the surrounding approval stays
+  /// bit-identical across backends. A provider may return a curve below the
+  /// exact one only when that curve approves every demand in full: the
+  /// approvals are then the exact ones, and only `availability_at_request`
+  /// reads the lower curve.
   using CurveProvider =
       std::function<std::vector<risk::AvailabilityCurve>(std::span<const topology::Demand>)>;
-
-  /// What the fast tier did for one pipe_approval_with call.
-  struct FastPassResult {
-    bool attempted = false;  ///< a fast estimator was consulted
-    bool hit = false;        ///< every pipe cleared; the exact sweep was skipped
-    /// On a hit: the conservative bound per placement-ordered demand (the
-    /// admission service's audit replays these against the exact sweep).
-    std::vector<double> bounds;
-  };
 
   /// PIPE_APPROVAL with a caller-supplied risk backend. Ordering, SLO
   /// lookup, strict-batch handling and verdict metrics are identical to
   /// pipe_approval; only ASSESS_RISK is delegated.
-  ///
-  /// When `fast` is non-null and `config().fastpath.enabled`, the call first
-  /// tries the analytical tier: if every placement-ordered demand's bound
-  /// clears slo_availability + fastpath.slo_margin (accounting earlier
-  /// window demands via worst-case link charges), all pipes are approved at
-  /// their full requested rates WITHOUT invoking `curves_for` — which is
-  /// exactly what the exact tier would have approved, the bound being a
-  /// lower bound on the exact availability. `fast` must summarize the same
-  /// residual state `curves_for` assesses against (the caller owns that
-  /// contract); `fast_out`, when given, reports the tier taken. On fast hits
-  /// `availability_at_request` carries the conservative bound rather than
-  /// the exact availability.
   [[nodiscard]] std::vector<PipeApprovalResult> pipe_approval_with(
-      std::span<const hose::PipeRequest> pipes, const CurveProvider& curves_for,
-      const risk::FastEstimator* fast = nullptr, FastPassResult* fast_out = nullptr) const;
+      std::span<const hose::PipeRequest> pipes, const CurveProvider& curves_for) const;
 
   /// Segment constraints (from the segmented-hose algorithm) to apply to one
   /// (NPG, QoS) group's realizations: tighter realizations mean fewer wild
@@ -219,15 +200,14 @@ class ApprovalEngine {
   [[nodiscard]] const risk::RiskSimulator& simulator() const { return simulator_; }
 
   /// Catches the engine up after a topology mutation (the router must have
-  /// resync_topology()'d first): re-enumerates the failure scenarios,
-  /// re-binds the simulator to the new base capacities, and rebuilds the
-  /// engine's pristine fast-tier summary. When the enumerated scenario set
-  /// is value-identical to the old one (capacity-only deltas rarely move
-  /// MTBF/MTTR) RiskSimulator::resync leaves it physically in place, so
-  /// spans from scenarios() taken by outside estimators stay valid. Returns
-  /// whether the scenario set changed — callers holding scenario spans or
-  /// per-scenario state must reconstruct it when true (and when the link
-  /// count grew, regardless).
+  /// resync_topology()'d first): re-enumerates the failure scenarios and
+  /// re-binds the simulator to the new base capacities. When the enumerated
+  /// scenario set is value-identical to the old one (capacity-only deltas
+  /// rarely move MTBF/MTTR) RiskSimulator::resync leaves it physically in
+  /// place, so spans from scenarios() taken by outside estimators stay
+  /// valid. Returns whether the scenario set changed — callers holding
+  /// scenario spans or per-scenario state must reconstruct it when true (and
+  /// when the link count grew, regardless).
   bool resync_topology();
 
  private:
@@ -239,13 +219,6 @@ class ApprovalEngine {
   /// pipe_approval call and verify reuse it and the router's warmed path
   /// cache instead of rebuilding per call.
   risk::RiskSimulator simulator_;
-  /// Fast tier over the engine's own assessment state (every pipe_approval
-  /// batch starts from the pristine base capacities). Populated only when
-  /// config_.fastpath.enabled; pipe_approval passes it through.
-  std::optional<risk::FastEstimator> fast_;
-
-  /// (Re)builds fast_ over the current scenarios and base capacities.
-  void rebuild_fast_tier();
 };
 
 /// Total approved / total requested, the Figure 22 metric.

@@ -88,20 +88,6 @@ void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residu
   }
 }
 
-void FastEstimator::rebuild_pristine(std::span<const double> base_capacity) {
-  // scenario_capacities() only zeroes DEAD links, so for every scenario in
-  // which a link is alive its residual equals the base capacity — the
-  // alive-scenario min is the base capacity itself. (Links alive in no
-  // scenario keep +inf, matching rebuild(); a path through one is dead in
-  // every scenario, so the bound's scenario scan never counts it.)
-  NETENT_EXPECTS(base_capacity.size() == headroom_.size());
-  for (std::size_t l = 0; l < headroom_.size(); ++l) {
-    const bool alive_somewhere =
-        srlg_scenarios_[link_srlg_[l].value()].size() < scenarios_.size();
-    headroom_[l] = alive_somewhere ? base_capacity[l] : kInf;
-  }
-}
-
 void FastEstimator::refresh_links(std::span<const LinkId> links,
                                   std::span<const std::vector<double>> scenario_residuals) {
   NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());

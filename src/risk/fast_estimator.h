@@ -2,8 +2,8 @@
 // bound that answers the common admission case without replaying a single
 // failure scenario.
 //
-// The exact tier (risk::sweep_scenario_placements / the admission service's
-// residual sweep) water-fills every demand under every enumerated scenario —
+// The exact tier (risk::curves_from_sweep over the admission service's
+// residuals) water-fills every demand under every enumerated scenario —
 // O(scenarios x demands x paths) per assessment. The paper's SLO guarantee
 // (§4.3) only needs a CONSERVATIVE answer at admission time: it is always
 // sound to under-promise. The FastEstimator exploits that by precomputing,
@@ -35,9 +35,9 @@
 // high-unavailability fiber can still clear a tight SLO through a reliable
 // backup path. The bound is NEVER above the exact per-pipe availability
 // (the property suite in tests/test_fast_estimator.cpp pins this across
-// >= 1k randomized draws), so a bound clearing the SLO (plus a
-// configurable margin) admits immediately and bit-identically to the exact
-// tier; anything borderline falls back to the exact sweep.
+// >= 1k randomized draws), so a bound clearing the SLO admits immediately
+// and bit-identically to the exact tier; anything borderline falls back to
+// the exact sweep.
 // `window_consumed` accounts for earlier demands of the same
 // jointly-evaluated window: each fast-admitted demand is charged at its
 // full rate against every link of every candidate path it could spill
@@ -61,24 +61,20 @@
 
 namespace netent::risk {
 
-/// Knob for the two-tier fast path (`ApprovalConfig::fastpath`). The
-/// compatibility default is exact-only: nothing changes unless enabled.
+/// Knob for the admission service's two-tier fast path
+/// (`ApprovalConfig::fastpath`). The compatibility default is exact-only:
+/// nothing changes unless enabled.
 struct FastPathConfig {
   bool enabled = false;  ///< try the analytical bound before the exact sweep
-  /// Extra availability the bound must clear on top of the SLO target.
-  /// Conservativeness never needs it (the bound is already a lower bound);
-  /// it only trades fast-path hits for distance from the SLO boundary.
-  double slo_margin = 0.0;
-  /// Admission service only: record fast-admitted windows for the deferred
-  /// exact audit pass (risk.fastpath.audited / .audit_violations counters).
+  /// Record fast-admitted windows for the deferred exact audit pass
+  /// (risk.fastpath.audited / .audit_violations counters).
   bool audit = true;
 };
 
 /// Conservative per-pipe availability bounds over one family of
-/// per-scenario residual capacities (one admission-service realization, or
-/// the approval engine's pristine base capacities). The `scenarios` span
-/// must outlive the estimator and match the residual families passed to
-/// rebuild()/refresh_links() index-for-index.
+/// per-scenario residual capacities (one admission-service realization).
+/// The `scenarios` span must outlive the estimator and match the residual
+/// families passed to rebuild()/refresh_links() index-for-index.
 class FastEstimator {
  public:
   FastEstimator(const topology::Topology& topo, std::span<const FailureScenario> scenarios);
@@ -87,11 +83,6 @@ class FastEstimator {
   /// [scenario][link], aligned with the constructor's scenario span). One
   /// estimator can be rebuilt any number of times over the same scenarios.
   void rebuild(std::span<const std::vector<double>> scenario_residuals);
-
-  /// Headroom of the placement-free state: every alive link keeps its base
-  /// capacity, so the summary IS the base capacity vector (the approval
-  /// engine's batch assessments start from exactly this state).
-  void rebuild_pristine(std::span<const double> base_capacity);
 
   /// Re-summarizes only `links` (duplicates allowed) from
   /// `scenario_residuals`. Exact — each link's min is recomputed from
@@ -121,8 +112,6 @@ class FastEstimator {
   [[nodiscard]] std::size_t link_count() const { return headroom_.size(); }
   /// The maintained summary (tests compare it against a fresh rebuild()).
   [[nodiscard]] std::span<const double> headroom() const { return headroom_; }
-  /// Total enumerated scenario probability mass (the bound's ceiling).
-  [[nodiscard]] double total_mass() const { return total_mass_; }
 
   /// Minimum rate the fast tier will reason about. Below this the routing
   /// epsilon (water_fill_demand skips remainders <= 1e-6 Gbps) could place
@@ -155,7 +144,7 @@ class FastEstimator {
   std::vector<std::size_t> dead_begin_;
   std::vector<std::uint32_t> dead_links_;
   std::vector<double> headroom_;   ///< min alive-scenario residual, by LinkId
-  double total_mass_ = 0.0;
+  double total_mass_ = 0.0;  ///< total enumerated scenario mass (the bound's ceiling)
 };
 
 }  // namespace netent::risk

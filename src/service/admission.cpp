@@ -48,6 +48,11 @@ struct ServiceMetrics {
   obs::Counter& rebuilds = reg.counter("service.admission.rebuilds");
   obs::Counter& counter_proposals = reg.counter("service.admission.counter_proposals");
   obs::Counter& committed_demands = reg.counter("service.admission.committed_demands");
+  /// Fast-tier choices: realizations whose bounds all cleared the SLO, the
+  /// demands they cleared, and realizations that fell back to the sweep.
+  obs::Counter& fastpath_hits = reg.counter("risk.fastpath.hits");
+  obs::Counter& fastpath_demands_cleared = reg.counter("risk.fastpath.demands_cleared");
+  obs::Counter& fastpath_fallbacks = reg.counter("risk.fastpath.fallbacks");
   obs::Counter& fastpath_audited = reg.counter("risk.fastpath.audited");
   obs::Counter& fastpath_audit_violations = reg.counter("risk.fastpath.audit_violations");
   /// Audits a window ran itself because the queue was past kAuditBacklog.
@@ -497,19 +502,30 @@ void AdmissionController::assess(Window& window) {
     }
     const ResidualHistory::Residuals& residuals =
         window.edit ? window.edit->residuals(k) : residuals_.residuals(k);
-    approval::ApprovalEngine::FastPassResult fast_pass;
-    assessed[k] = engine_.pipe_approval_with(
-        pipes,
-        [&](std::span<const Demand> demands) {
-          return curves_against_residuals(residuals, demands);
-        },
-        fast_eligible ? &fast_[k] : nullptr, &fast_pass);
-    if (fast_pass.hit) {
+    std::vector<double> bounds;  // tier 1's, when it cleared every demand
+    assessed[k] = engine_.pipe_approval_with(pipes, [&](std::span<const Demand> demands) {
+      if (!fast_eligible) return curves_against_residuals(residuals, demands);
+      bounds = fast_bounds(fast_[k], demands);
+      if (bounds.empty()) {
+        ++window_fast.fallbacks;
+        m.fastpath_fallbacks.add();
+        return curves_against_residuals(residuals, demands);
+      }
       ++window_fast.hits;
-    } else if (fast_pass.attempted) {
-      ++window_fast.fallbacks;
-    }
-    if (!fast_pass.hit || !config_.approval.fastpath.audit) continue;
+      m.fastpath_hits.add();
+      m.fastpath_demands_cleared.add(demands.size());
+      // One breakpoint per demand: the full rate at the bound's mass. It is
+      // at or below the exact curve (a fill never places more than the
+      // rate), and approves the full rate since the bound clears the SLO.
+      std::vector<risk::AvailabilityCurve> curves;
+      curves.reserve(demands.size());
+      for (std::size_t i = 0; i < demands.size(); ++i) {
+        curves.emplace_back(
+            std::vector<std::pair<double, double>>{{demands[i].amount.value(), bounds[i]}});
+      }
+      return curves;
+    });
+    if (bounds.empty() || !config_.approval.fastpath.audit) continue;
     // Queue the deferred exact audit with a copy of the state the bounds
     // summarize — but only the links the audit replay's water-fill can read:
     // the demands' candidate paths, warmed by the fast tier.
@@ -522,7 +538,7 @@ void AdmissionController::assess(Window& window) {
     for (const std::vector<double>& scenario_residual : residuals) {
       for (const LinkId link : audit.links) *copy++ = scenario_residual[link.value()];
     }
-    audit.bounds = std::move(fast_pass.bounds);
+    audit.bounds = std::move(bounds);
     window_audits.push_back(std::move(audit));
   }
   window.results = engine_.aggregate_realizations(window.hoses, drawn_pipes, assessed);
@@ -673,7 +689,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 
   // --- Apply, then resync every topology-derived cache in dependency
   // order: router (path store + effective capacities), then approval engine
-  // (scenarios + simulator + pristine fast summaries), then the residuals.
+  // (scenarios + simulator), then the residuals.
   residuals_.network_changing();
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
@@ -835,6 +851,22 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
                                    router_.route_warmed_into(demands, residuals[s], result);
                                    return std::span<const double>(result.placed_per_demand);
                                  });
+}
+
+std::vector<double> AdmissionController::fast_bounds(const risk::FastEstimator& fast,
+                                                     std::span<const Demand> demands) {
+  router_.warm(demands);  // fast hits still commit and audit via cached paths
+  std::vector<double> consumed(fast.link_count(), 0.0);
+  std::vector<double> bounds;
+  bounds.reserve(demands.size());
+  for (const Demand& demand : demands) {
+    const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
+    const double bound = paths.valid() ? fast.bound(demand.amount.value(), paths, consumed) : 0.0;
+    if (bound < config_.approval.slo_availability) return {};
+    bounds.push_back(bound);
+    risk::FastEstimator::charge(demand.amount.value(), paths, consumed);
+  }
+  return bounds;
 }
 
 std::size_t AdmissionController::admitted_count() const {

@@ -14,6 +14,9 @@
 // aggregate_realizations — the three steps hose_approval runs — so a window
 // evaluated against an empty service is bit-identical to a single
 // hose_approval call on the same set (pinned in tests/test_admission.cpp).
+// The service supplies pipe_approval_with's curves: the fast tier's bounds
+// when they clear the SLO (risk/fast_estimator.h), the exact residual sweep
+// otherwise.
 //
 // Incrementality. A window assesses only its own pipes, against the
 // residual capacities the committed grants leave per (realization, failure
@@ -113,7 +116,7 @@ struct AdmissionConfig {
   /// two-tier risk verification: when enabled, each pure-admit window's
   /// realizations are first assessed by the analytical FastEstimator bound
   /// over per-realization residual-headroom summaries, falling back to the
-  /// exact residual sweep when the bound cannot clear the SLO (plus margin).
+  /// exact residual sweep when the bound cannot clear the SLO.
   /// Verdicts and residual state are bit-identical to exact-only; fast
   /// admits are recorded for a deferred exact audit (`audit_fastpath`) when
   /// `approval.fastpath.audit` is set.
@@ -314,6 +317,11 @@ class AdmissionController {
   /// for the demand pairs, then sweeps the scenarios read-only.
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
       const ResidualHistory::Residuals& residuals, std::span<const topology::Demand> demands);
+  /// Tier 1 for one realization's non-empty placement-ordered demands:
+  /// `fast`'s bound per demand, each charged against the window for the
+  /// demands after it. Empty unless every bound reaches the SLO target.
+  [[nodiscard]] std::vector<double> fast_bounds(const risk::FastEstimator& fast,
+                                                std::span<const topology::Demand> demands);
 
   AdmissionConfig config_;
   std::size_t threads_ = 1;

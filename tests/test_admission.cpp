@@ -730,6 +730,32 @@ TEST(AdmissionService, SnapshotReplayMatchesFromScratchAcrossStrides) {
   EXPECT_GE(serial.replay.largest, kFanOutCutoffPlacements);
 }
 
+/// Every approval and counter-proposal field of `outcome`, full precision:
+/// two outcomes agree iff these strings do.
+std::string describe(const AdmissionOutcome& outcome) {
+  std::ostringstream out;
+  out.precision(17);
+  out << static_cast<int>(outcome.status) << '|' << outcome.contract << '\n';
+  for (const approval::HoseApprovalResult& result : outcome.approvals) {
+    out << result.request.region.value() << ',' << static_cast<int>(result.request.direction)
+        << ',' << result.request.rate.value() << ',' << result.approved.value() << '\n';
+  }
+  for (const approval::CounterProposal& proposal : outcome.proposals) {
+    out << proposal.original.region.value() << ','
+        << static_cast<int>(proposal.original.direction) << ',' << proposal.guaranteed.value()
+        << ',' << proposal.residual.value() << " |";
+    for (const approval::RegionAlternative& option : proposal.region_options) {
+      out << ' ' << option.region.value() << ':' << option.guaranteed.value();
+    }
+    out << " |";
+    for (const approval::QosAlternative& option : proposal.qos_options) {
+      out << ' ' << static_cast<int>(option.qos) << ':' << option.guaranteed.value();
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
 TEST(AdmissionService, RejectionAttachesCounterProposals) {
   const topology::Topology topo = topology::figure6_topology();
   AdmissionConfig config = small_config();
@@ -746,6 +772,30 @@ TEST(AdmissionService, RejectionAttachesCounterProposals) {
   // The counter-proposal names the admittable volume (option (a), §8).
   EXPECT_LT(outcome.proposals[0].guaranteed.value(), 1e6);
   EXPECT_FALSE(outcome.proposals[0].fully_approved());
+
+  // The fast tier changes no negotiation. A -> B carries 2000 Gbps at the
+  // SLO (two 1000-Gbps paths survive any one fiber cut), so a 1995-Gbps
+  // contract leaves a 10-Gbps request 5 Gbps short. The bound would clear
+  // its 5-Gbps probes on the empty network they price, and the outcome and
+  // every proposal must be the same with the tier on and off.
+  const auto rejected_on_loaded_network = [&](bool fastpath) {
+    AdmissionConfig tiered = config;
+    tiered.approval.fastpath.enabled = fastpath;
+    AdmissionController loaded(topo, tiered);
+    const auto bulk = loaded.admit(NpgId(2), "bulk", hose_pair(2, QosClass::c1_low, 0, 1, 1995.0));
+    EXPECT_EQ(bulk.status, AdmissionStatus::admitted);
+    return loaded.admit(NpgId(3), "late", hose_pair(3, QosClass::c1_low, 0, 1, 10.0));
+  };
+  const AdmissionOutcome exact = rejected_on_loaded_network(false);
+  const AdmissionOutcome tiered = rejected_on_loaded_network(true);
+  EXPECT_EQ(exact.status, AdmissionStatus::rejected);
+  ASSERT_EQ(exact.proposals.size(), 2u);
+  for (const approval::CounterProposal& proposal : exact.proposals) {
+    EXPECT_NEAR(proposal.residual.value(), 5.0, 1e-6);
+    EXPECT_FALSE(proposal.region_options.empty());
+    EXPECT_FALSE(proposal.qos_options.empty());
+  }
+  EXPECT_EQ(describe(tiered), describe(exact));
 }
 
 TEST(AdmissionService, ReleaseFreesTheNpgAndItsCapacity) {

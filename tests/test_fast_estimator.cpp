@@ -74,22 +74,31 @@ std::vector<Demand> draw_demands(const Topology& topo, std::size_t count, double
   return demands;
 }
 
+/// The placement-free residual family: every scenario's capacities.
+std::vector<std::vector<double>> pristine_residuals(const topology::SrlgIndex& index,
+                                                    std::span<const double> caps,
+                                                    std::span<const FailureScenario> scenarios) {
+  std::vector<std::vector<double>> residuals;
+  for (const FailureScenario& scenario : scenarios) {
+    residuals.push_back(scenario_capacities(index, caps, scenario));
+  }
+  return residuals;
+}
+
 /// The per-scenario residual state after placing `preload` — the state the
 /// estimator summarizes. Built with the same water_fill_demand arithmetic
 /// the exact sweep uses, so residuals match the sweep's post-preload state
 /// bit for bit.
 std::vector<std::vector<double>> preloaded_residuals(const Router& router, const World& world,
                                                      std::span<const Demand> preload) {
-  std::vector<std::vector<double>> residuals;
-  residuals.reserve(world.scenarios.size());
-  for (const FailureScenario& scenario : world.scenarios) {
-    std::vector<double> residual = scenario_capacities(world.index, world.caps, scenario);
+  std::vector<std::vector<double>> residuals =
+      pristine_residuals(world.index, world.caps, world.scenarios);
+  for (std::vector<double>& residual : residuals) {
     for (const Demand& demand : preload) {
       const topology::PathList paths = router.cached_paths(demand.src, demand.dst);
       if (!paths.valid()) continue;  // warmed by the caller; never happens
       (void)topology::water_fill_demand(demand.amount.value(), paths, residual, {});
     }
-    residuals.push_back(std::move(residual));
   }
   return residuals;
 }
@@ -201,11 +210,8 @@ TEST(FastEstimator, RefreshLinksMatchesFreshRebuild) {
   const std::vector<Demand> demands = draw_demands(world.topo, 6, 100.0, rng);
   router.warm(demands);
 
-  std::vector<std::vector<double>> residuals;
-  residuals.reserve(world.scenarios.size());
-  for (const FailureScenario& scenario : world.scenarios) {
-    residuals.push_back(scenario_capacities(world.index, world.caps, scenario));
-  }
+  std::vector<std::vector<double>> residuals =
+      pristine_residuals(world.index, world.caps, world.scenarios);
 
   FastEstimator maintained(world.topo, world.scenarios);
   maintained.rebuild(residuals);
@@ -310,39 +316,11 @@ TEST(FastEstimator, HeadroomIsTheMinimumOverScenariosLeavingTheLinkAlive) {
   rebuilt.rebuild(residuals);
   FastEstimator refreshed(world.topo, scenarios);
   refreshed.refresh_links(all_links, residuals);
-  FastEstimator pristine(world.topo, scenarios);
-  pristine.rebuild_pristine(world.caps);
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
     EXPECT_EQ(rebuilt.headroom()[l], expected[l]) << "link " << l;
     EXPECT_EQ(refreshed.headroom()[l], expected[l]) << "link " << l;
-    const bool always_down = world.topo.link(all_links[l]).srlg == always;
-    EXPECT_EQ(pristine.headroom()[l],
-              always_down ? std::numeric_limits<double>::infinity() : world.caps[l])
-        << "link " << l;
   }
   EXPECT_EQ(rebuilt.headroom()[0], std::numeric_limits<double>::infinity());
-}
-
-// Pristine summaries (the approval engine's state) must match rebuild()
-// from untouched scenario capacities: headroom IS the base capacity for
-// every link that is alive in some scenario.
-TEST(FastEstimator, PristineRebuildMatchesScenarioCapacityRebuild) {
-  Rng rng(13);
-  const World world = make_world(rng);
-
-  std::vector<std::vector<double>> residuals;
-  for (const FailureScenario& scenario : world.scenarios) {
-    residuals.push_back(scenario_capacities(world.index, world.caps, scenario));
-  }
-
-  FastEstimator pristine(world.topo, world.scenarios);
-  pristine.rebuild_pristine(world.caps);
-  FastEstimator exact(world.topo, world.scenarios);
-  exact.rebuild(residuals);
-
-  for (std::size_t l = 0; l < world.caps.size(); ++l) {
-    EXPECT_EQ(pristine.headroom()[l], exact.headroom()[l]) << "link " << l;
-  }
 }
 
 /// The per-link scan rebuild() ran before it went scenario-major, kept as
@@ -440,7 +418,7 @@ TEST(FastEstimator, RatesBelowMinimumAlwaysDecline) {
   router.warm(demands);
 
   FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild_pristine(world.caps);
+  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
   const topology::PathList paths = router.cached_paths(demands[0].src, demands[0].dst);
   ASSERT_TRUE(paths.valid());
   const std::vector<double> consumed(fast.link_count(), 0.0);
@@ -471,7 +449,7 @@ TEST(FastEstimator, ChargeReservesEveryCandidatePath) {
   }
 
   FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild_pristine(world.caps);
+  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
   double bottleneck = std::numeric_limits<double>::infinity();
   for (const LinkId link : paths[0].links) {
     bottleneck = std::min(bottleneck, fast.headroom()[link.value()]);
@@ -517,7 +495,7 @@ TEST(FastEstimator, MultiPathBoundClearsWhereFirstPathOnlyFails) {
   ASSERT_EQ(paths[0].links.size(), 1u);
 
   FastEstimator fast(topo, scenarios);
-  fast.rebuild_pristine(caps);
+  fast.rebuild(pristine_residuals(index, caps, scenarios));
   const std::vector<double> consumed(fast.link_count(), 0.0);
   const double bound = fast.bound(demand.amount.value(), paths, consumed);
 
@@ -559,7 +537,7 @@ TEST(FastEstimator, EmptyPathsDecline) {
   Rng rng(3);
   const World world = make_world(rng);
   FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild_pristine(world.caps);
+  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
   const std::vector<double> consumed(fast.link_count(), 0.0);
 
   EXPECT_EQ(fast.bound(10.0, topology::PathList(), consumed), 0.0);

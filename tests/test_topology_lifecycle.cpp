@@ -10,7 +10,8 @@
 //  * SrlgIndex::resync == fresh index after fiber adds.
 //  * The mutation-churn TORTURE: one interleaved stream of topology deltas
 //    (resize / drain / storm / add / retire) and admit / resize / release
-//    requests replayed at 1/4 threads, fastpath on and off.
+//    requests replayed at 1/4 threads, fastpath on and off, behind an admit
+//    prefill that makes the 4-thread replays fan out on the shared pool.
 //    After every mutation window the maintained residuals, fast-path
 //    summaries and (mirror-router) PathStore contents must equal from-
 //    scratch rebuilds, and the full decision transcript (statuses, approved
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/contract_db.h"
 #include "risk/failure.h"
 #include "risk/fast_estimator.h"
@@ -494,6 +496,7 @@ struct LifecycleResult {
   std::string log;  ///< full-precision transcript of every decision
   AdmissionController::ResidualState final_residuals;
   std::string final_contracts;
+  std::uint64_t largest_replay = 0;  ///< placements of the largest history replay
 };
 
 /// One valid-by-construction mutation against the CURRENT topology state.
@@ -587,6 +590,10 @@ Mutation next_mutation(Rng& rng, const Topology& topo, std::vector<LinkId>& adde
 
 LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
   constexpr std::size_t kTargetMutations = 204;
+  /// Admits ahead of the churn: enough in-force demands that a topology
+  /// window's full replay reaches kFanOutCutoffPlacements, so the 4-thread
+  /// runs replay on the shared pool.
+  constexpr std::size_t kPrefillAdmits = 200;
   Topology topo = seed_topology();
   AdmissionController controller(topo, lifecycle_config(params.threads, params.fastpath));
   std::optional<Router> mirror;
@@ -630,6 +637,22 @@ LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
     }
   };
 
+  const auto admit = [&](double min_rate, double max_rate) {
+    const std::uint32_t npg = next_npg++;
+    const std::uint32_t src = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
+    std::uint32_t dst = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
+    if (dst == src) dst = (dst + 1) % static_cast<std::uint32_t>(topo.region_count());
+    const double rate = rng.uniform(min_rate, max_rate);
+    const AdmissionOutcome outcome = controller.admit(
+        NpgId(npg), "npg" + std::to_string(npg), hose_pair(npg, src, dst, rate));
+    log << "admit " << npg << " -> " << static_cast<int>(outcome.status) << ' '
+        << total_approved(outcome) << '\n';
+    if (outcome.status == AdmissionStatus::admitted) live.emplace_back(outcome.contract, npg);
+  };
+  for (std::size_t i = 0; i < kPrefillAdmits; ++i) admit(0.5, 2.0);  // leaves room for the churn
+  check_invariants("prefill");
+  if (testing::Test::HasFatalFailure()) return {};
+
   std::size_t mutations_applied = 0;
   std::size_t step = 0;
   while (mutations_applied < kTargetMutations) {
@@ -638,18 +661,7 @@ LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
       // --- contract op: admit / resize / release -------------------------
       const std::uint64_t pick = rng.uniform_int(3);
       if (pick == 0 || live.empty()) {
-        const std::uint32_t npg = next_npg++;
-        const std::uint32_t src = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
-        std::uint32_t dst = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
-        if (dst == src) dst = (dst + 1) % static_cast<std::uint32_t>(topo.region_count());
-        const double rate = rng.uniform(4.0, 16.0);
-        const AdmissionOutcome outcome = controller.admit(
-            NpgId(npg), "npg" + std::to_string(npg), hose_pair(npg, src, dst, rate));
-        log << "admit " << npg << " -> " << static_cast<int>(outcome.status) << ' '
-            << total_approved(outcome) << '\n';
-        if (outcome.status == AdmissionStatus::admitted) {
-          live.emplace_back(outcome.contract, npg);
-        }
+        admit(4.0, 16.0);
       } else if (pick == 1) {
         const auto& [id, npg] = live[rng.uniform_int(live.size())];
         const std::uint32_t src = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
@@ -727,6 +739,7 @@ LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
   result.log = log.str();
   result.final_residuals = controller.residual_snapshot();
   result.final_contracts = fingerprint(controller.contracts_snapshot());
+  result.largest_replay = controller.replay_stats().largest;
   return result;
 }
 
@@ -762,6 +775,10 @@ TEST(TopologyLifecycle, MutationChurnTortureBitIdenticalAcrossConfigs) {
     EXPECT_EQ(result.log, base.log) << label;
     EXPECT_TRUE(result.final_residuals == base.final_residuals) << label;
     EXPECT_EQ(result.final_contracts, base.final_contracts) << label;
+    // The thread axis compares a replay on the pool with an inline one.
+    if (params.threads > 1) {
+      EXPECT_GE(result.largest_replay, kFanOutCutoffPlacements) << label;
+    }
   }
 }
 
