@@ -6,8 +6,9 @@
 // this bench quantifies (and the perf-smoke CI gates at >= 2x for 1000
 // admitted contracts). Two more sections compare the two-tier fast path
 // with exact-only, and the default exec config with serial on a
-// release-heavy stream (CI gates default >= 0.95x serial, and that releases
-// replay at most 0.8 of a full rebuild's placements).
+// release-heavy stream (CI gates default >= 0.95x serial, that releases
+// replay at most 0.8 of a full rebuild's placements, and that they make at
+// most kReleaseCellFractionBound of the placements they replay).
 //
 // Usage: ./bench_admission [--smoke] [--bench-json=PATH] [--metrics-json]
 #include "bench_util.h"
@@ -26,6 +27,10 @@
 namespace {
 
 using namespace netent;
+
+/// 1.5x the smoke stream's release cell fraction (placements made over
+/// placements replayed, a count on a seeded stream: 0.0426).
+constexpr double kReleaseCellFractionBound = 0.064;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -306,6 +311,7 @@ int main(int argc, char** argv) {
     double release_ms = 0.0;  ///< median per-release latency
     double admit_ms = 0.0;    ///< median per-admit latency (same stream)
     std::uint64_t replayed = 0;   ///< placements the releases replayed
+    std::uint64_t cells = 0;      ///< of which they actually made
     std::uint64_t rebuilt = 0;    ///< placements full rebuilds would have run
     std::vector<double> approved;  // per admitted hose, stream order
     service::AdmissionController::ResidualState residuals;
@@ -336,11 +342,12 @@ int main(int argc, char** argv) {
     std::vector<double> release_ms;
     for (std::size_t i = 0; i < exec_releases; ++i) {
       const std::size_t victim = stream_rng.uniform_int(live.size());
-      const std::uint64_t replayed_before = ctl.replay_stats().placements;
+      const service::AdmissionController::ReplayStats before = ctl.replay_stats();
       const auto start = std::chrono::steady_clock::now();
       (void)ctl.release(live[victim]);
       release_ms.push_back(ms_since(start));
-      result.replayed += ctl.replay_stats().placements - replayed_before;
+      result.replayed += ctl.replay_stats().placements - before.placements;
+      result.cells += ctl.replay_stats().cells - before.cells;
       result.rebuilt += ctl.rebuild_placements();  // the pruned history, from scratch
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       admit(true);
@@ -371,6 +378,14 @@ int main(int argc, char** argv) {
                                     static_cast<double>(exec_serial.rebuilt)
                               : 0.0;
   const bool replay_fraction_ok = replay_fraction <= 0.8;
+  // The share of those placements the releases actually made: only the
+  // scenarios that differ from scenario 0 on the links its fill scanned.
+  // Another count on the seeded stream; placing every scenario reads 1.
+  const double cell_fraction =
+      exec_serial.replayed > 0 ? static_cast<double>(exec_serial.cells) /
+                                     static_cast<double>(exec_serial.replayed)
+                               : 0.0;
+  const bool cell_fraction_ok = cell_fraction <= kReleaseCellFractionBound;
 
   Table exec_table({"exec", "release_p50_ms", "admit_p50_ms", "release_speedup"}, 3);
   exec_table.add_row({std::string("serial"), exec_serial.release_ms, exec_serial.admit_ms, 1.0});
@@ -385,6 +400,8 @@ int main(int argc, char** argv) {
             << (default_vs_serial_ok ? "true" : "false")
             << "\nrelease replay fraction (replayed / full-rebuild placements): "
             << replay_fraction << ", <= 0.8: " << (replay_fraction_ok ? "true" : "false")
+            << "\nrelease cell fraction (placements made / replayed): " << cell_fraction
+            << ", <= " << kReleaseCellFractionBound << ": " << (cell_fraction_ok ? "true" : "false")
             << '\n';
 
   json.add("exec_cores", static_cast<std::uint64_t>(cores));
@@ -400,11 +417,14 @@ int main(int argc, char** argv) {
   json.add("exec_decisions_identical", exec_identical);
   json.add("release_replay_fraction", replay_fraction);
   json.add("release_replay_fraction_ok", replay_fraction_ok);
+  json.add("release_cell_fraction", cell_fraction);
+  json.add("release_cell_fraction_ok", cell_fraction_ok);
 
   maybe_write_bench_json(argc, argv, json);
   maybe_dump_metrics(argc, argv);
   const bool tier_ok = tier_speedup >= tier_speedup_floor && hit_rate >= 0.70 &&
                        two_tier.stats.violations == 0 && decisions_identical;
-  const bool exec_ok = exec_identical && default_vs_serial_ok && replay_fraction_ok;
+  const bool exec_ok =
+      exec_identical && default_vs_serial_ok && replay_fraction_ok && cell_fraction_ok;
   return exact && speedup_at_1000 >= 2.0 && tier_ok && exec_ok ? 0 : 1;
 }

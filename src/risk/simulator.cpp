@@ -24,10 +24,11 @@ struct SweepMetrics {
   /// so it exercises the sharded write path.
   obs::Histogram& place_seconds = reg.timer_histogram("risk.scenario_place_seconds");
   obs::Gauge& threads = reg.gauge("risk.sweep.threads", /*timing=*/true);
-  /// placement busy / (threads * wall) for the last sweep, the wall ending
-  /// with the last placement: how well the scenario fan-out kept the pool
-  /// fed (placement cost is skewed, so the tail scenario can idle the rest
-  /// of the pool).
+  /// Σ over worker slots of (last placement end - first placement start) /
+  /// (threads * wall) for the last sweep, the wall ending with the last
+  /// placement, so it cannot exceed 100: how well the scenario fan-out kept
+  /// the pool fed (placement cost is skewed, so the tail scenario can idle
+  /// the rest of the pool).
   obs::Gauge& utilization_pct = reg.gauge("risk.sweep.utilization_pct", /*timing=*/true);
 };
 
@@ -358,34 +359,39 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
 
   const std::size_t width =
       fan_out_width(num_threads, scenarios_.size(), scenarios_.size() * pipes.size());
-  const double busy_before = m.place_seconds.sum();
   const auto sweep_start = std::chrono::steady_clock::now();
   ScenarioPlacer placer(router_, pipes, base_capacity_, index_, scenarios_, width, mode,
                         &m.place_seconds, kPlaceSampleStride);
-  // When each worker slot finished its last placement: the latest is where
-  // the scenario fan-out ends, before the regroup and the curve fan-out.
-  std::vector<CacheAligned<std::chrono::steady_clock::time_point>> placed_at(
-      width, CacheAligned<std::chrono::steady_clock::time_point>{sweep_start});
+  // When each worker slot started its first placement and finished its last:
+  // the latest end is where the scenario fan-out ends, before the regroup
+  // and the curve fan-out.
+  struct SlotSpan {
+    std::optional<std::chrono::steady_clock::time_point> first;
+    std::chrono::steady_clock::time_point last;
+  };
+  std::vector<CacheAligned<SlotSpan>> spans(width,
+                                            CacheAligned<SlotSpan>{{std::nullopt, sweep_start}});
   const auto place = [&](std::size_t worker, std::size_t s) {
+    if constexpr (obs::kEnabled) {
+      if (!spans[worker].value.first) spans[worker].value.first = std::chrono::steady_clock::now();
+    }
     const std::span<const double> placed = placer.place(worker, s);
-    if constexpr (obs::kEnabled) placed_at[worker].value = std::chrono::steady_clock::now();
+    if constexpr (obs::kEnabled) spans[worker].value.last = std::chrono::steady_clock::now();
     return placed;
   };
   auto curves = curves_from_sweep(scenarios_, pipes.size(), num_threads, place);
   if constexpr (obs::kEnabled) {
-    const auto placed_until =
-        std::max_element(placed_at.begin(), placed_at.end(), [](const auto& a, const auto& b) {
-          return a.value < b.value;
-        })->value;
+    auto placed_until = sweep_start;
+    double busy = 0.0;
+    for (const CacheAligned<SlotSpan>& span : spans) {
+      placed_until = std::max(placed_until, span.value.last);
+      if (span.value.first) {
+        busy += std::chrono::duration<double>(span.value.last - *span.value.first).count();
+      }
+    }
     const double wall = std::chrono::duration<double>(placed_until - sweep_start).count();
     m.threads.set(static_cast<double>(width));
-    if (wall > 0.0) {
-      // Spans are sampled 1-in-kPlaceSampleStride; scale the sampled busy
-      // time back up for the estimate.
-      const double busy = (m.place_seconds.sum() - busy_before) *
-                          static_cast<double>(kPlaceSampleStride);
-      m.utilization_pct.set(100.0 * busy / (wall * static_cast<double>(width)));
-    }
+    if (wall > 0.0) m.utilization_pct.set(100.0 * busy / (wall * static_cast<double>(width)));
   }
 
   return curves;

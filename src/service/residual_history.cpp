@@ -1,9 +1,9 @@
 #include "service/residual_history.h"
 
 #include <algorithm>
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
+#include <bit>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -12,30 +12,129 @@ namespace netent::service {
 
 namespace {
 
-/// Copies one cell's residuals into its snapshot slice. Where SSE2 is
-/// available the stores stream past the caches: an edit rewrites megabytes
-/// of snapshots that nothing reads until a later edit restores from them,
-/// and cached stores would evict the residual state the next window reads.
-/// The fence orders the streamed stores before the fan-out's completion
-/// publishes the snapshot.
-void store_snapshot(std::span<const double> residual, double* slice) {
-#if defined(__SSE2__)
-  std::size_t i = 0;
-  if (reinterpret_cast<std::uintptr_t>(slice) % 16 != 0 && !residual.empty()) {
-    slice[0] = residual[0];  // align the streamed pairs
-    i = 1;
-  }
-  for (; i + 2 <= residual.size(); i += 2) {
-    _mm_stream_pd(slice + i, _mm_loadu_pd(residual.data() + i));
-  }
-  if (i < residual.size()) slice[i] = residual[i];
-  _mm_sfence();
-#else
-  std::copy(residual.begin(), residual.end(), slice);
-#endif
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+constexpr std::size_t kGroup = 64;  ///< scenarios per bitset word
+
+/// The residual of the bit-th scenario set in a link's bitset is its
+/// rank(bit)-th value. The count is written out: the baseline x86-64
+/// target lowers std::popcount to a library call, and this runs per cell.
+std::size_t rank(std::uint64_t bits, std::size_t bit) {
+  std::uint64_t x = bits & ((std::uint64_t{1} << bit) - 1);
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
 }
 
 }  // namespace
+
+struct ResidualHistory::PlaceScratch {
+  /// The demand's candidate paths over local link indices, so the other
+  /// scenarios fill over a few residuals of their own.
+  struct LocalPaths {
+    struct View {
+      std::span<const LinkId> links;
+    };
+    std::vector<LinkId> links;         ///< every path's local links, path after path
+    std::vector<std::size_t> offsets;  ///< per path, its first; then the end
+    [[nodiscard]] std::size_t size() const { return offsets.size() - 1; }
+    [[nodiscard]] View operator[](std::size_t p) const {
+      return {std::span<const LinkId>(links).subspan(offsets[p], offsets[p + 1] - offsets[p])};
+    }
+  };
+  /// A change that adds or drops an entry, applied once every fill is done.
+  struct Update {
+    std::size_t bit = 0;
+    std::size_t local = 0;
+    double residual = 0.0;
+  };
+  struct Local {
+    std::vector<std::uint32_t> links;  ///< [local]: the link
+    LocalPaths paths;
+  };
+
+  /// The demand pair's candidate paths over local links, built once.
+  const Local& localize(const topology::Demand& demand, const topology::PathList& paths) {
+    const std::uint64_t pair = (std::uint64_t{demand.src.value()} << 32) | demand.dst.value();
+    auto [it, inserted] = local.try_emplace(pair);
+    Local& built = it->second;
+    if (!inserted) return built;
+    built.paths.offsets.assign(1, 0);
+    for (const topology::PathView path : paths) {
+      for (const LinkId lid : path.links) {
+        const auto at = std::find(built.links.begin(), built.links.end(), lid.value());
+        built.paths.links.emplace_back(static_cast<std::uint32_t>(at - built.links.begin()));
+        if (at == built.links.end()) built.links.push_back(lid.value());
+      }
+      built.paths.offsets.push_back(built.paths.links.size());
+    }
+    return built;
+  }
+
+  /// By (src, dst) pair; cleared when the network changes.
+  std::unordered_map<std::uint64_t, Local> local;
+  std::vector<double> pre;              ///< scenario 0's residuals before the demand, [link]
+  std::vector<std::pair<LinkId, double>> written;  ///< scenario 0's fill's writes
+  std::vector<std::uint64_t> bits;      ///< the group's bitset on each local link
+  std::vector<double*> values;          ///< and its residuals there
+  std::vector<double> residual;         ///< one dirty scenario's, [local]
+  std::vector<double*> slot;            ///< its entries, [local] (null: none)
+  std::vector<Update> updates;
+  std::vector<std::uint32_t> moved;     ///< links where a group's residuals moved
+};
+
+/// One demand as scenario 0 placed it: what the groups' fills read.
+struct ResidualHistory::Placed {
+  const PlaceScratch::Local* local = nullptr;  ///< its candidate paths over local links
+  double amount = 0.0;
+  std::size_t scanned = 0;  ///< paths scenario 0's fill scanned
+  std::size_t first = 0;    ///< its local links' residuals in Chain::before and ::after
+};
+
+/// One realization's scenario-0 chain over the replayed demands.
+struct ResidualHistory::Chain {
+  std::vector<Placed> placed;
+  std::vector<double> before;         ///< scenario 0's residual on each local link, before
+  std::vector<double> after;          ///< and after the demand
+  std::vector<std::uint32_t> moved;   ///< the links its fills wrote
+};
+
+void ResidualHistory::Sparse::Group::set(std::size_t bit, std::size_t link, double residual,
+                                         double base) {
+  std::uint64_t& bits = differs[link];
+  const std::uint64_t mask = std::uint64_t{1} << bit;
+  std::vector<double>& row = values[link];
+  const auto at = row.begin() + static_cast<std::ptrdiff_t>(rank(bits, bit));
+  const bool differs_now = !same_bits(residual, base);
+  if ((bits & mask) != 0 && differs_now) {
+    *at = residual;
+  } else if ((bits & mask) != 0) {
+    row.erase(at);
+    bits &= ~mask;
+  } else if (differs_now) {
+    row.insert(at, residual);
+    bits |= mask;
+  }
+}
+
+void ResidualHistory::Sparse::Group::write_dense(std::size_t g, std::span<const double> base,
+                                                 std::span<const std::uint32_t> links,
+                                                 Residuals& dense) const {
+  const std::size_t first = g * kGroup;
+  const std::size_t last = std::min(first + kGroup, dense.size());
+  for (std::size_t s = first; s < last; ++s) {
+    for (const std::uint32_t link : links) dense[s][link] = base[link];
+  }
+  for (const std::uint32_t link : links) {
+    const double* entry = values[link].data();
+    for (std::uint64_t word = differs[link]; word != 0; word &= word - 1) {
+      dense[first + static_cast<std::size_t>(std::countr_zero(word))][link] = *entry++;
+    }
+  }
+}
 
 ResidualHistory::ResidualHistory(const topology::Router& router,
                                  const risk::RiskSimulator& simulator, std::size_t realizations,
@@ -46,12 +145,15 @@ ResidualHistory::ResidualHistory(const topology::Router& router,
       history_(realizations),
       snapshots_(realizations),
       replayed_(obs::Registry::global().counter("service.admission.replayed_placements")) {
-  residual_ = rebuild_from_scratch();
+  const std::vector<Plan> plans(realizations);
+  (void)replay(history_, plans, /*restore=*/true, state_, residual_);
 }
+
+ResidualHistory::~ResidualHistory() = default;
 
 void ResidualHistory::append(const History& batch) {
   NETENT_EXPECTS(provisional_.empty() && batch.size() == history_.size());
-  std::vector<CellPlan> plans(batch.size());
+  std::vector<Plan> plans(batch.size());
   for (std::size_t k = 0; k < batch.size(); ++k) {
     plans[k].start = history_[k].size();
     history_[k].insert(history_[k].end(), batch[k].begin(), batch[k].end());
@@ -59,7 +161,7 @@ void ResidualHistory::append(const History& batch) {
     provisional_.push_back(plans[k].start);
   }
   try {
-    (void)replay(history_, plans, /*restore=*/false, residual_);
+    (void)replay(history_, plans, /*restore=*/false, state_, residual_);
   } catch (...) {
     drop_provisional();
     throw;
@@ -84,6 +186,7 @@ const ResidualHistory::ResidualState& ResidualHistory::probe(const History& edit
 void ResidualHistory::network_changing() {
   provisional_.assign(history_.size(), 0);
   drop_provisional();
+  place_scratch_.clear();  // its local paths are the old network's
 }
 
 void ResidualHistory::replay_all() {
@@ -94,14 +197,32 @@ void ResidualHistory::Edit::commit() {
   NETENT_EXPECTS(owner_ != nullptr);
   ResidualHistory& owner = *std::exchange(owner_, nullptr);
   owner.history_ = std::move(history_);
+  std::swap(owner.state_, owner.scratch_state_);
   std::swap(owner.residual_, owner.scratch_);
   owner.provisional_.clear();
 }
 
 ResidualHistory::ResidualState ResidualHistory::rebuild_from_scratch() const {
-  std::vector<CellPlan> plans(history_.size());
-  ResidualState state;
-  (void)replay(history_, plans, /*restore=*/true, state);
+  // Dense and per cell, sharing nothing with replay() but the fill.
+  const std::span<const risk::FailureScenario> scenarios = simulator_.scenarios();
+  const std::size_t scenario_count = scenarios.size();
+  std::uint64_t placements = 0;
+  for (const auto& demands : history_) placements += scenario_count * demands.size();
+  ResidualState state(history_.size(), Residuals(scenario_count));
+  fan_out(threads_, history_.size() * scenario_count, placements,
+          [&](std::size_t /*worker*/, std::size_t c) {
+            const std::size_t k = c / scenario_count;
+            const std::size_t s = c % scenario_count;
+            std::vector<double>& residual = state[k][s];
+            residual = risk::scenario_capacities(simulator_.srlg_index(),
+                                                 router_.full_capacities(), scenarios[s]);
+            for (const TaggedDemand& tagged : history_[k]) {
+              const topology::PathList paths =
+                  router_.cached_paths(tagged.demand.src, tagged.demand.dst);
+              NETENT_EXPECTS(paths.valid());
+              (void)topology::water_fill_demand(tagged.demand.amount.value(), paths, residual, {});
+            }
+          });
   return state;
 }
 
@@ -132,9 +253,9 @@ std::vector<std::size_t> ResidualHistory::prune(History& history,
 void ResidualHistory::replay_edit(const History& history, std::span<const std::size_t> same,
                                   bool rewrite) {
   NETENT_EXPECTS(history.size() == history_.size() && same.size() == history.size());
-  std::vector<CellPlan> plans(history.size());
+  std::vector<Plan> plans(history.size());
   for (std::size_t k = 0; k < history.size(); ++k) {
-    CellPlan& plan = plans[k];
+    Plan& plan = plans[k];
     for (const Snapshot& snapshot : snapshots_[k]) {
       if (snapshot.position > plan.start && snapshot.position <= same[k]) {
         plan.start = snapshot.position;
@@ -142,52 +263,205 @@ void ResidualHistory::replay_edit(const History& history, std::span<const std::s
       }
     }
     if (!rewrite) continue;
-    // The restore snapshot may be freed and claimed again here: each cell
-    // reads its own slice of it before writing any slice of the rewrites.
+    // The restore snapshot may be freed and claimed again here: its
+    // realization copies it before writing any of the rewrites.
     plan.writes = plan_snapshots(k, plan.start, history[k].size());
     provisional_.push_back(plan.start);
   }
-  const std::uint64_t placements = replay(history, plans, /*restore=*/true, scratch_);
-  replay_stats_.placements += placements;
-  replay_stats_.largest = std::max(replay_stats_.largest, placements);
-  replayed_.add(placements);
+  const ReplayStats work = replay(history, plans, /*restore=*/true, scratch_state_, scratch_);
+  replay_stats_.placements += work.placements;
+  replay_stats_.largest = std::max(replay_stats_.largest, work.placements);
+  replay_stats_.cells += work.cells;
+  replayed_.add(work.placements);
 }
 
-std::uint64_t ResidualHistory::replay(const History& history, std::span<const CellPlan> plans,
-                                      bool restore, ResidualState& out) const {
-  const std::span<const risk::FailureScenario> scenarios = simulator_.scenarios();
-  const std::size_t scenario_count = scenarios.size();
-  const std::span<const double> base_capacity = router_.full_capacities();
-  std::uint64_t placements = 0;
-  for (std::size_t k = 0; k < history.size(); ++k) {
-    placements += scenario_count * (history[k].size() - plans[k].start);
+ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
+                                                     std::span<const Plan> plans, bool restore,
+                                                     std::vector<Sparse>& states,
+                                                     ResidualState& dense) {
+  const std::size_t realizations = history.size();
+  const std::size_t scenario_count = simulator_.scenarios().size();
+  const std::size_t link_count = router_.full_capacities().size();
+  const std::size_t groups = (scenario_count + kGroup - 1) / kGroup;
+  ReplayStats work;
+  std::size_t replayed = 0;  // scenario 0's fills, one per replayed demand
+  bool from_capacities = false;
+  for (std::size_t k = 0; k < realizations; ++k) {
+    replayed += history[k].size() - plans[k].start;
+    from_capacities = from_capacities || (restore && plans[k].from == nullptr);
   }
-  out.resize(history.size());
-  for (Residuals& cells : out) cells.resize(scenario_count);
-  fan_out(threads_, history.size() * scenario_count, placements,
-          [&](std::size_t /*worker*/, std::size_t c) {
-            const std::size_t k = c / scenario_count;
-            const std::size_t s = c % scenario_count;
-            const CellPlan& plan = plans[k];
-            std::vector<double>& residual = out[k][s];
-            if (restore && plan.from == nullptr) {
-              residual = risk::scenario_capacities(simulator_.srlg_index(), base_capacity,
-                                                   scenarios[s]);
-            } else if (restore) {
-              const auto slice = plan.from->residuals.begin() +
-                                 static_cast<std::ptrdiff_t>(s * base_capacity.size());
-              residual.assign(slice, slice + static_cast<std::ptrdiff_t>(base_capacity.size()));
-            }
-            const std::span<const TaggedDemand> demands = history[k];
-            std::size_t start = plan.start;
-            for (const auto& [position, slot] : plan.writes) {
-              place(demands.subspan(start, position - start), residual);
-              store_snapshot(residual, slot->residuals.data() + s * residual.size());
-              start = position;
-            }
-            place(demands.subspan(start), residual);
-          });
-  return placements;
+  work.placements = scenario_count * replayed;
+  work.largest = work.placements;
+  states.resize(realizations);
+  dense.resize(realizations);
+  if (restore) {
+    // Before any writes: a restore snapshot may be claimed again for one.
+    const Sparse empty = from_capacities ? empty_state() : Sparse{};
+    for (std::size_t k = 0; k < realizations; ++k) {
+      states[k] = plans[k].from != nullptr ? plans[k].from->state : empty;
+      dense[k].resize(scenario_count);
+      for (std::vector<double>& row : dense[k]) row.resize(link_count);
+    }
+  }
+  const std::size_t items = realizations * groups;
+  place_scratch_.resize(std::max({place_scratch_.size(),
+                                  fan_out_width(threads_, realizations, replayed),
+                                  fan_out_width(threads_, items, work.placements)}));
+
+  // Scenario 0, one item per realization: its fills, and what each demand's
+  // fill read and wrote, for the groups.
+  std::vector<Chain> chains(realizations);
+  fan_out(threads_, realizations, replayed, [&](std::size_t worker, std::size_t k) {
+    const Plan& plan = plans[k];
+    std::vector<double>& base = states[k].base;
+    PlaceScratch& scratch = place_scratch_[worker];
+    scratch.pre = base;
+    Chain& chain = chains[k];
+    const std::span<const TaggedDemand> demands = history[k];
+    auto write = plan.writes.begin();
+    for (std::size_t i = plan.start; i < demands.size(); ++i) {
+      chain.placed.push_back(place_first(demands[i].demand, base, chain, scratch));
+      if (write != plan.writes.end() && write->first == i + 1) (write++)->second->state.base = base;
+    }
+  });
+
+  // The other scenarios, one item per (realization, group of 64).
+  std::vector<std::uint64_t> cells(items, 0);
+  fan_out(threads_, items, work.placements, [&](std::size_t worker, std::size_t item) {
+    const std::size_t k = item / groups;
+    const std::size_t g = item % groups;
+    const Plan& plan = plans[k];
+    const Chain& chain = chains[k];
+    Sparse::Group& group = states[k].groups[g];
+    PlaceScratch& scratch = place_scratch_[worker];
+    scratch.moved.clear();
+    std::uint64_t placed = 0;  // counted here: cells[] shares cache lines
+    auto write = plan.writes.begin();
+    for (std::size_t j = 0; j < chain.placed.size(); ++j) {
+      placed += place_group(chain, chain.placed[j], group, scratch, !restore);
+      if (write != plan.writes.end() && write->first == plan.start + j + 1) {
+        (write++)->second->state.groups[g] = group;
+      }
+    }
+    cells[item] = placed + (g == 0 ? chain.placed.size() : 0);
+    std::vector<std::uint32_t>& moved = scratch.moved;
+    if (restore) {
+      moved.resize(link_count);
+      std::iota(moved.begin(), moved.end(), 0U);
+    } else {
+      moved.insert(moved.end(), chain.moved.begin(), chain.moved.end());
+      std::sort(moved.begin(), moved.end());
+      moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+    }
+    group.write_dense(g, states[k].base, moved, dense[k]);
+  });
+  work.cells = std::accumulate(cells.begin(), cells.end(), std::uint64_t{0});
+  return work;
+}
+
+ResidualHistory::Sparse ResidualHistory::empty_state() const {
+  const std::span<const risk::FailureScenario> scenarios = simulator_.scenarios();
+  const std::span<const double> capacity = router_.full_capacities();
+  Sparse state;
+  state.base = risk::scenario_capacities(simulator_.srlg_index(), capacity, scenarios[0]);
+  state.groups.resize((scenarios.size() + kGroup - 1) / kGroup);
+  for (Sparse::Group& group : state.groups) {
+    group.differs.assign(capacity.size(), 0);
+    group.values.resize(capacity.size());
+  }
+  risk::ScenarioCapacityScratch scenario_capacity(simulator_.srlg_index(), capacity);
+  for (std::size_t s = 1; s < scenarios.size(); ++s) {
+    const std::span<const double> residual = scenario_capacity.apply(scenarios[s]);
+    Sparse::Group& group = state.groups[s / kGroup];
+    for (std::size_t link = 0; link < residual.size(); ++link) {
+      if (same_bits(residual[link], state.base[link])) continue;
+      group.differs[link] |= std::uint64_t{1} << (s % kGroup);
+      group.values[link].push_back(residual[link]);
+    }
+  }
+  return state;
+}
+
+ResidualHistory::Placed ResidualHistory::place_first(const topology::Demand& demand,
+                                                     std::vector<double>& base, Chain& chain,
+                                                     PlaceScratch& scratch) const {
+  const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
+  NETENT_EXPECTS(paths.valid());
+  Placed placed;
+  placed.amount = demand.amount.value();
+  placed.local = &scratch.localize(demand, paths);
+  placed.first = chain.before.size();
+  scratch.written.clear();
+  (void)topology::water_fill_demand(placed.amount, paths, base, {}, &scratch.written,
+                                    &placed.scanned);
+  for (const std::uint32_t link : placed.local->links) {
+    chain.before.push_back(scratch.pre[link]);
+    chain.after.push_back(base[link]);
+  }
+  for (const auto& [lid, amount] : scratch.written) {
+    scratch.pre[lid.value()] = base[lid.value()];
+    chain.moved.push_back(lid.value());
+  }
+  return placed;
+}
+
+std::uint64_t ResidualHistory::place_group(const Chain& chain, const Placed& placed,
+                                           Sparse::Group& group, PlaceScratch& scratch,
+                                           bool track_moved) {
+  // Scenario 0's outcome is a function of the residuals on the links it
+  // scanned, so a scenario with no entry there filled exactly as it did.
+  const PlaceScratch::Local& local = *placed.local;
+  const std::vector<std::uint32_t>& links = local.links;
+  std::uint64_t dirty = 0;
+  for (std::size_t p = 0; p < placed.scanned; ++p) {
+    for (const LinkId i : local.paths[p].links) dirty |= group.differs[links[i.value()]];
+  }
+  if (dirty == 0) return 0;
+  const std::size_t n = links.size();
+  const std::span<const double> before(chain.before.data() + placed.first, n);
+  const std::span<const double> after(chain.after.data() + placed.first, n);
+
+  // Each over scenario 0's pre-placement residuals with its own entries on
+  // top. Its entries change where its fill wrote, and where scenario 0's
+  // did: there it keeps its old residual, which may now differ.
+  scratch.bits.resize(n);
+  scratch.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.bits[i] = group.differs[links[i]];
+    scratch.values[i] = group.values[links[i]].data();
+  }
+  scratch.slot.resize(n);
+  scratch.residual.resize(n);
+  scratch.updates.clear();
+  std::uint64_t cells = 0;
+  for (std::uint64_t word = dirty; word != 0; word &= word - 1, ++cells) {
+    const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+    for (std::size_t i = 0; i < n; ++i) {
+      double* const slot = ((scratch.bits[i] >> bit) & 1U) != 0
+                               ? scratch.values[i] + rank(scratch.bits[i], bit)
+                               : nullptr;
+      scratch.slot[i] = slot;
+      scratch.residual[i] = slot != nullptr ? *slot : before[i];
+    }
+    (void)topology::water_fill_demand(placed.amount, local.paths, scratch.residual, {});
+    for (std::size_t i = 0; i < n; ++i) {
+      const double residual = scratch.residual[i];
+      double* const slot = scratch.slot[i];
+      const bool moved = !same_bits(residual, slot != nullptr ? *slot : before[i]);
+      if (!moved && same_bits(before[i], after[i])) continue;
+      if (moved && track_moved) scratch.moved.push_back(links[i]);
+      const bool differs = !same_bits(residual, after[i]);
+      if (slot != nullptr && differs) {
+        *slot = residual;
+      } else if (slot != nullptr || differs) {
+        scratch.updates.push_back({bit, i, residual});
+      }
+    }
+  }
+  for (const PlaceScratch::Update& update : scratch.updates) {
+    group.set(update.bit, links[update.local], update.residual, after[update.local]);
+  }
+  return cells;
 }
 
 std::vector<std::pair<std::size_t, ResidualHistory::Snapshot*>> ResidualHistory::plan_snapshots(
@@ -201,7 +475,7 @@ std::vector<std::pair<std::size_t, ResidualHistory::Snapshot*>> ResidualHistory:
   for (Snapshot& snapshot : slots) {
     if (snapshot.position > kept || snapshot.position % stride != 0) snapshot.position = 0;
   }
-  const std::size_t size = simulator_.scenarios().size() * router_.full_capacities().size();
+  const std::size_t groups = (simulator_.scenarios().size() + kGroup - 1) / kGroup;
   std::vector<std::pair<std::size_t, Snapshot*>> writes;
   auto free_slot = slots.begin();
   for (std::size_t position = (kept / stride + 1) * stride; position <= length;
@@ -210,7 +484,7 @@ std::vector<std::pair<std::size_t, ResidualHistory::Snapshot*>> ResidualHistory:
                              [](const Snapshot& snapshot) { return snapshot.position == 0; });
     NETENT_ENSURES(free_slot != slots.end());
     free_slot->position = position;
-    free_slot->residuals.resize(size);
+    free_slot->state.groups.resize(groups);  // each group's item writes its own
     writes.emplace_back(position, &*free_slot);
   }
   return writes;
@@ -223,15 +497,6 @@ void ResidualHistory::drop_provisional() {
     }
   }
   provisional_.clear();
-}
-
-void ResidualHistory::place(std::span<const TaggedDemand> demands,
-                            std::vector<double>& residual) const {
-  for (const TaggedDemand& tagged : demands) {
-    const topology::PathList paths = router_.cached_paths(tagged.demand.src, tagged.demand.dst);
-    NETENT_EXPECTS(paths.valid());
-    (void)topology::water_fill_demand(tagged.demand.amount.value(), paths, residual, {});
-  }
 }
 
 }  // namespace netent::service

@@ -7,8 +7,23 @@
 // history, and water-filling is order-sensitive, so they replay the suffix
 // behind the first edited demand from the newest of at most kSnapshots
 // prefix states per realization, kept at multiples of a power-of-two stride
-// sized to the history. Appends and edits share one per-cell replay, so the
-// state is bit-identical to a from-scratch rebuild at any thread count.
+// sized to the history. Appends and edits share one replay, so the state is
+// bit-identical to a from-scratch rebuild at any thread count.
+//
+// Nearly every scenario's residuals equal scenario 0's, so each
+// realization's state is sparse: scenario 0's residuals dense and, per link,
+// a bitset of the scenarios whose residual there differs, with their values
+// in scenario order (one 64-bit word per link per group of 64 scenarios). A
+// replay fills scenario 0 first, one fan-out item per realization. A fill's
+// outcome depends only on the residuals of the links it scanned, so a
+// scenario with no entry on the links scenario 0's fill scanned fills
+// exactly as scenario 0 did and is not visited. Then one item per
+// (realization, group) fills only the group's scenarios set on a scanned
+// link, each over scenario 0's pre-placement residuals with its own entries
+// on top, and re-derives their entries where either fill wrote. Snapshots
+// copy the sparse state. The dense [scenario][link] residuals the assessors
+// read are a mirror of it: patched on the links that moved after an append,
+// and materialized once per staged edit or probe.
 //
 // stage() replays an edited history into a scratch state and rewrites the
 // snapshots behind its restore points. They stay provisional: the Edit it
@@ -46,10 +61,13 @@ class ResidualHistory {
   using Residuals = std::vector<std::vector<double>>;
   using ResidualState = std::vector<Residuals>;  ///< [realization]
   /// Work of the edits so far (appends are not edits), in placements: the
-  /// demands replayed times the scenario count, in total and for the largest.
+  /// demands replayed times the scenario count, in total and for the largest,
+  /// and the placements actually made (`cells`: one per demand in scenario 0,
+  /// plus one per other scenario that differed on a link it scanned).
   struct ReplayStats {
     std::uint64_t placements = 0;
     std::uint64_t largest = 0;
+    std::uint64_t cells = 0;
   };
   static constexpr std::size_t kSnapshots = 8;  ///< most snapshots per realization
   class Edit;
@@ -59,6 +77,7 @@ class ResidualHistory {
   ResidualHistory(const topology::Router& router, const risk::RiskSimulator& simulator,
                   std::size_t realizations, std::size_t threads);
   ResidualHistory(const ResidualHistory&) = delete;
+  ~ResidualHistory();
 
   /// Appends batch[k] to realization k's history and places it.
   void append(const History& batch);
@@ -90,43 +109,81 @@ class ResidualHistory {
   static std::vector<std::size_t> prune(History& history, const std::set<ContractId>& owners);
 
  private:
-  /// The flat [scenario * links + link] residuals after the first
-  /// `position` demands; position 0 marks a free slot that keeps its buffer.
+  /// One realization's residuals: scenario 0's dense, and for each group of
+  /// 64 scenarios, on each link the bitset of those whose residual there
+  /// differs from scenario 0's bit for bit, with their residuals in scenario
+  /// order.
+  struct Sparse {
+    struct Group {
+      std::vector<std::uint64_t> differs;       ///< [link]: bit b is scenario 64g + b
+      std::vector<std::vector<double>> values;  ///< [link]: the set scenarios' residuals
+      /// Sets bit b's residual on `link`: an entry unless it equals `base`,
+      /// scenario 0's residual there.
+      void set(std::size_t bit, std::size_t link, double residual, double base);
+      /// Writes group g's rows of `dense` on `links`, over scenario 0's `base`.
+      void write_dense(std::size_t g, std::span<const double> base,
+                       std::span<const std::uint32_t> links, Residuals& dense) const;
+    };
+    std::vector<double> base;  ///< scenario 0's residuals, [link]
+    std::vector<Group> groups;
+  };
+  /// The sparse state after the first `position` demands; position 0 marks a
+  /// free slot that keeps its buffers.
   struct Snapshot {
     std::size_t position = 0;
-    std::vector<double> residuals;
+    Sparse state;
   };
-  /// How one realization's cells replay: the position they start placing
-  /// at, the snapshot they restore from (null: the scenario capacities), and
-  /// the snapshots they fill as they pass each one's position.
-  struct CellPlan {
+  /// How one realization replays: the position it starts placing at, the
+  /// snapshot it restores from (null: the scenario capacities), and the
+  /// snapshots it fills as it passes each one's position.
+  struct Plan {
     std::size_t start = 0;
     const Snapshot* from = nullptr;
     std::vector<std::pair<std::size_t, Snapshot*>> writes;
   };
+  /// One fan-out worker's scratch.
+  struct PlaceScratch;
+  /// One demand as scenario 0 placed it, and a realization's run of them.
+  struct Placed;
+  struct Chain;
 
   /// Replays `history` into scratch_ from the newest snapshots at or before
   /// `same`, with `rewrite` making the snapshots behind them provisional.
   void replay_edit(const History& history, std::span<const std::size_t> same, bool rewrite);
-  /// The one per-cell replay: each cell of `out` restores per plans[k] (or,
-  /// without `restore`, continues from its own state) and places the rest.
-  /// Returns the placements made.
-  std::uint64_t replay(const History& history, std::span<const CellPlan> plans, bool restore,
-                       ResidualState& out) const;
+  /// The one replay. Each realization restores per plans[k] (or, without
+  /// `restore`, continues from states[k]) and places the rest of its
+  /// history in scenario 0, one item per realization; then one item per
+  /// (realization, group) places them in the group's scenarios and
+  /// materializes its rows of dense[k] (after a restore) or patches them on
+  /// the links that moved. Returns the replay's work.
+  ReplayStats replay(const History& history, std::span<const Plan> plans, bool restore,
+                     std::vector<Sparse>& states, ResidualState& dense);
+  /// The residuals of an empty history: the scenario capacities.
+  [[nodiscard]] Sparse empty_state() const;
+  /// Places one demand in scenario 0 over `base`, which scratch.pre must
+  /// equal, and records in `chain` what the groups need.
+  Placed place_first(const topology::Demand& demand, std::vector<double>& base, Chain& chain,
+                     PlaceScratch& scratch) const;
+  /// Places `placed` in `group`'s scenarios that differ from scenario 0 on a
+  /// link scenario 0's fill scanned, and returns how many there were.
+  static std::uint64_t place_group(const Chain& chain, const Placed& placed, Sparse::Group& group,
+                                   PlaceScratch& scratch, bool track_moved);
   /// Frees realization k's snapshots past `kept` or off the stride for
   /// `length` demands, and claims one per stride position in (kept, length].
   std::vector<std::pair<std::size_t, Snapshot*>> plan_snapshots(std::size_t k, std::size_t kept,
                                                                 std::size_t length);
   /// Frees every snapshot past the pending restore points.
   void drop_provisional();
-  void place(std::span<const TaggedDemand> demands, std::vector<double>& residual) const;
 
   const topology::Router& router_;
   const risk::RiskSimulator& simulator_;
   std::size_t threads_;
   History history_;
-  ResidualState residual_;
-  ResidualState scratch_;  ///< the staged edit's or the probe's residuals
+  std::vector<Sparse> state_;          ///< [realization]
+  std::vector<Sparse> scratch_state_;  ///< the staged edit's or the probe's
+  ResidualState residual_;             ///< the dense mirror of state_
+  ResidualState scratch_;              ///< the dense mirror of scratch_state_
+  std::vector<PlaceScratch> place_scratch_;  ///< per fan-out worker slot, kept across replays
   std::vector<std::array<Snapshot, kSnapshots>> snapshots_;  ///< [realization]
   /// Restore points of the staged edit, per realization (empty: none).
   std::vector<std::size_t> provisional_;

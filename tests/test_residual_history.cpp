@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <set>
@@ -51,11 +52,15 @@ Demand demand_of(ContractId c, std::size_t k) {
   return {RegionId(src), RegionId(dst), Gbps(gbps)};
 }
 
-/// figure6_topology() with its 37 one- and two-fiber failure scenarios.
-/// Every pair demand_of() draws is warmed; 0 -> 3 never is.
+/// figure6_topology() with its 93 one- to three-fiber failure scenarios, so
+/// the other scenarios span two 64-scenario groups. Every pair demand_of()
+/// draws is warmed; 0 -> 3 never is.
 struct World {
-  explicit World(std::size_t threads)
-      : topo(topology::figure6_topology()),
+  /// `scale` multiplies every demand: at 8, scenario 0's fills spill onto
+  /// later paths once the first fill the shortest ones.
+  explicit World(std::size_t threads, double demand_scale = 1.0)
+      : scale(demand_scale),
+        topo(topology::figure6_topology()),
         router(topo, 3),
         simulator(router, risk::enumerate_scenarios(topo, scenario_config()),
                   router.full_capacities()),
@@ -67,7 +72,7 @@ struct World {
 
   static risk::ScenarioConfig scenario_config() {
     risk::ScenarioConfig config;
-    config.max_simultaneous = 2;
+    config.max_simultaneous = 3;
     return config;
   }
 
@@ -75,7 +80,11 @@ struct World {
   void append(ContractId first, std::size_t count) {
     History batch(kRealizations);
     for (std::size_t k = 0; k < kRealizations; ++k) {
-      for (ContractId c = first; c < first + count; ++c) batch[k].push_back({demand_of(c, k), c});
+      for (ContractId c = first; c < first + count; ++c) {
+        Demand demand = demand_of(c, k);
+        demand.amount = Gbps(demand.amount.value() * scale);
+        batch[k].push_back({demand, c});
+      }
     }
     history.append(batch);
   }
@@ -117,11 +126,63 @@ struct World {
     return history.history()[0][index].owner;
   }
 
+  double scale;
   topology::Topology topo;
   topology::Router router;
   risk::RiskSimulator simulator;
   ResidualHistory history;
 };
+
+/// What a full replay of `world`'s history must place, walked on dense
+/// per-scenario residuals: per demand, scenario 0 and every scenario whose
+/// residual differs from scenario 0's on a link scenario 0's fill scanned
+/// (`cells`), or on a link of its first path alone (`first_path_cells`).
+struct CellCount {
+  std::uint64_t cells = 0;
+  std::uint64_t first_path_cells = 0;
+  std::uint64_t spills = 0;  ///< demands whose scenario-0 fill scanned past path 0
+};
+CellCount expected_cells(const World& world) {
+  const auto scenarios = world.simulator.scenarios();
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  CellCount count;
+  for (const auto& demands : world.history.history()) {
+    std::vector<std::vector<double>> residual;
+    for (const risk::FailureScenario& scenario : scenarios) {
+      residual.push_back(risk::scenario_capacities(world.simulator.srlg_index(),
+                                                   world.router.full_capacities(), scenario));
+    }
+    for (const ResidualHistory::TaggedDemand& tagged : demands) {
+      const topology::PathList paths =
+          world.router.cached_paths(tagged.demand.src, tagged.demand.dst);
+      const double amount = tagged.demand.amount.value();
+      std::vector<double> probe = residual[0];
+      std::size_t scanned = 0;
+      (void)topology::water_fill_demand(amount, paths, probe, {}, nullptr, &scanned);
+      if (scanned > 1) ++count.spills;
+      const auto differs_on = [&](std::size_t s, std::size_t path_count) {
+        for (std::size_t p = 0; p < path_count; ++p) {
+          for (const LinkId lid : paths[p].links) {
+            if (!same(residual[s][lid.value()], residual[0][lid.value()])) return true;
+          }
+        }
+        return false;
+      };
+      ++count.cells;
+      ++count.first_path_cells;
+      for (std::size_t s = 1; s < scenarios.size(); ++s) {
+        if (differs_on(s, scanned)) ++count.cells;
+        if (differs_on(s, 1)) ++count.first_path_cells;
+      }
+      for (std::vector<double>& cell : residual) {
+        (void)topology::water_fill_demand(amount, paths, cell, {});
+      }
+    }
+  }
+  return count;
+}
 
 /// `position` moved by `offset`.
 std::size_t shifted(std::size_t position, int offset) {
@@ -320,6 +381,33 @@ TEST(ResidualHistory, FullReplayAfterNetworkChangeStaysExact) {
   world.expect_exact("append on the new network");
 }
 
+// A replay fills scenario 0 and exactly the scenarios that differ from it
+// on a link scenario 0's fill scanned; every other scenario repeats scenario
+// 0's placement. On the contended history scenario 0's fills spill, so a
+// union over the first path's links alone would miss scenarios.
+TEST(ResidualHistory, ReplayPlacesExactlyTheScenariosThatDiffer) {
+  for (const double scale : {1.0, 8.0}) {
+    World world(1, scale);
+    ASSERT_GT(world.simulator.scenarios().size(), 64u) << "one scenario group";
+    world.append(0, 120);
+    const std::string where = "demands x" + std::to_string(scale);
+    const CellCount expected = expected_cells(world);
+    const ResidualHistory::ReplayStats before = world.history.replay_stats();
+    world.history.replay_all();
+    const ResidualHistory::ReplayStats after = world.history.replay_stats();
+    EXPECT_EQ(after.cells - before.cells, expected.cells) << where;
+    EXPECT_EQ(after.placements - before.placements,
+              kRealizations * 120 * world.simulator.scenarios().size())
+        << where;
+    EXPECT_LT(expected.cells, after.placements - before.placements) << where;
+    world.expect_exact(where);
+    if (scale > 1.0) {
+      EXPECT_GT(expected.spills, kRealizations * 120 / 2) << where;
+      EXPECT_GT(expected.cells, expected.first_path_cells) << where;
+    }
+  }
+}
+
 // The same steps at 1 and 4 threads: the edits near the front replay past
 // the fan-out cutoff, so the 4-thread history really runs on the pool, and
 // every state must be bit-identical.
@@ -350,6 +438,7 @@ TEST(ResidualHistory, FourThreadsReplayBitIdentically) {
   EXPECT_GE(parallel_stats.largest, kFanOutCutoffPlacements);
   EXPECT_EQ(parallel_stats.largest, serial_stats.largest);
   EXPECT_EQ(parallel_stats.placements, serial_stats.placements);
+  EXPECT_EQ(parallel_stats.cells, serial_stats.cells);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i] == parallel[i]) << "step " << i << " differs at 4 threads";

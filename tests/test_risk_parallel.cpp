@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "risk/simulator.h"
 #include "topology/generator.h"
 
@@ -76,6 +77,25 @@ TEST(RiskParallel, AvailabilityCurvesBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2u, 8u}) {
     const auto parallel = sim.availability_curves(sweep.pipes, threads);
     expect_curves_bit_identical(serial, parallel);
+  }
+}
+
+// The utilization gauge is each worker slot's span from its first placement
+// to its last, over the slots times the fan-out's wall: a share, whatever
+// the thread count or however slow the sampled placements run.
+TEST(RiskParallel, UtilizationGaugeStaysAShareOfTheFanOut) {
+  if (!obs::kEnabled) GTEST_SKIP() << "NETENT_OBS=OFF build";
+  Sweep sweep;
+  ASSERT_GT(sweep.scenarios.size() * sweep.pipes.size(), kFanOutCutoffPlacements);
+  Router router(sweep.topo, 3);
+  const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
+  obs::Gauge& utilization =
+      obs::Registry::global().gauge("risk.sweep.utilization_pct", /*timing=*/true);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    utilization.reset();
+    (void)sim.availability_curves(sweep.pipes, threads);
+    EXPECT_GT(utilization.value(), 0.0) << threads << " threads";
+    EXPECT_LE(utilization.value(), 100.0) << threads << " threads";
   }
 }
 
