@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "enforce/bpf.h"
 #include "enforce/meter.h"
@@ -384,7 +386,7 @@ double best_pass_ns(bool smoke, Pass&& pass) {
 // vectors must be bit-identical; the speedup lands in BENCH_routing.json
 // (CI greps routing_speedup_ok). Runs outside google-benchmark so the JSON
 // keys and the best-of-reps timing policy are under our control.
-void run_routing_placement_section(int argc, char** argv, bool smoke) {
+void run_routing_placement_section(bool smoke, bench::BenchJson& json) {
   using namespace netent::bench;
   print_header("Routing placement: legacy map layout vs CSR path store",
                "Same demand stream and water-fill arithmetic; expect identical=yes and "
@@ -427,7 +429,6 @@ void run_routing_placement_section(int argc, char** argv, bool smoke) {
                  std::string(identical ? "yes" : "no")});
   table.print(std::cout);
 
-  BenchJson json;
   json.add("bench", std::string("routing_placement"));
   json.add("regions", static_cast<std::uint64_t>(workload.topo.region_count()));
   json.add("demands", static_cast<std::uint64_t>(workload.demands.size()));
@@ -437,7 +438,6 @@ void run_routing_placement_section(int argc, char** argv, bool smoke) {
   json.add("routing_speedup", speedup);
   json.add("routing_speedup_ok", speedup_ok);
   json.add("identical", identical);
-  maybe_write_bench_json(argc, argv, json);
 }
 
 // Where the shared pool starts to pay: the same fan-out of placement cells
@@ -492,6 +492,122 @@ void run_fan_out_crossover_section(bool smoke) {
             << kFanOutCutoffPlacements << '\n';
 }
 
+// How promptly a fan-out's helpers join it, in the shape of a release's
+// residual replay on the shared pool: 3 per-realization items of ~300 us,
+// then 9 per-(realization, group) items of ~550 us, each a busy-wait on the
+// thread's CPU clock (so an item whose thread is preempted takes longer, as
+// real work would). Per fan-out it records when each worker slot started
+// its first item, as an offset from the fan-out's start; ranked by start
+// time, those are the drains' start offsets. A slot that never starts an
+// item (all indices were claimed before it woke) has no offset. The fan-out
+// is full width when min(width, cores) slots ran an item: wider than the
+// cores, the worker on the caller's core is left asleep by design.
+void run_fan_out_join_section(bench::BenchJson& json) {
+  using namespace netent::bench;
+  const std::size_t threads = ThreadPool::default_thread_count();
+  print_header("Fan-out join: when the shared pool's helpers start",
+               "A release's two replay fan-outs at the default thread count (" +
+                   std::to_string(threads) +
+                   "), busy-wait items; every drain should start within ~100 us.");
+  struct Shape {
+    std::string name;
+    std::size_t items;
+    double item_us;
+  };
+  const std::vector<Shape> shapes = {{"join3", 3, 300.0}, {"join9", 9, 550.0}};
+  constexpr std::size_t kRepetitions = 400;
+  const auto spin = [](double us) {
+    const auto cpu_ns = [] {
+      timespec now{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+      return static_cast<double>(now.tv_sec) * 1e9 + static_cast<double>(now.tv_nsec);
+    };
+    const double until = cpu_ns() + us * 1e3;
+    while (cpu_ns() < until) {
+    }
+  };
+  using Clock = std::chrono::steady_clock;
+  const auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+
+  struct Record {
+    std::vector<std::vector<double>> offsets;  ///< [rank]: start offsets, us
+    std::vector<double> wall_us;
+    std::uint64_t full_width = 0;
+  };
+  std::vector<Record> records(shapes.size());
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      const Shape& shape = shapes[s];
+      // Far above the cutoff, as a release's replay is.
+      const std::size_t placements = kFanOutCutoffPlacements * 64;
+      const std::size_t width = fan_out_width(threads, shape.items, placements);
+      std::vector<CacheAligned<Clock::time_point>> first(width);
+      std::vector<CacheAligned<bool>> ran(width, CacheAligned<bool>{false});
+      const Clock::time_point start = Clock::now();
+      fan_out(threads, shape.items, placements, [&](std::size_t worker, std::size_t /*item*/) {
+        if (!ran[worker].value) {
+          ran[worker].value = true;
+          first[worker].value = Clock::now();
+        }
+        spin(shape.item_us);
+      });
+      Record& record = records[s];
+      record.wall_us.push_back(micros(Clock::now() - start));
+      std::vector<double> offsets;
+      for (std::size_t w = 0; w < width; ++w) {
+        if (ran[w].value) offsets.push_back(micros(first[w].value - start));
+      }
+      std::sort(offsets.begin(), offsets.end());
+      record.offsets.resize(width);
+      for (std::size_t r = 0; r < offsets.size(); ++r) record.offsets[r].push_back(offsets[r]);
+      if (offsets.size() >= std::min(width, threads)) ++record.full_width;
+    }
+  }
+
+  Table starts({"shape", "drain", "fan_outs", "start_p50_us", "start_p90_us"}, 1);
+  Table walls({"shape", "width", "full_width", "wall_p50_us", "ideal_us", "wall_over_ideal"}, 2);
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const Shape& shape = shapes[s];
+    const Record& record = records[s];
+    const std::size_t width = record.offsets.size();
+    for (std::size_t r = 0; r < width; ++r) {
+      const std::vector<double>& at = record.offsets[r];
+      const std::string key = "fan_out_" + shape.name + "_drain" + std::to_string(r + 1);
+      if (at.empty()) {
+        starts.add_row({shape.name, static_cast<double>(r + 1), 0.0, std::string("-"),
+                        std::string("-")});
+        continue;
+      }
+      const double p50 = percentile_of(at, 50.0);
+      const double p90 = percentile_of(at, 90.0);
+      starts.add_row({shape.name, static_cast<double>(r + 1), static_cast<double>(at.size()), p50,
+                      p90});
+      json.add(key + "_fan_outs", static_cast<std::uint64_t>(at.size()));
+      json.add(key + "_start_p50_us", p50);
+      json.add(key + "_start_p90_us", p90);
+    }
+    // Dynamic claiming runs ceil(items / width) rounds of items at best.
+    const std::size_t usable = std::min(width, threads);
+    const double ideal = static_cast<double>((shape.items + usable - 1) / usable) * shape.item_us;
+    const double wall = percentile_of(record.wall_us, 50.0);
+    walls.add_row({shape.name, static_cast<double>(width),
+                   std::to_string(record.full_width) + "/" + std::to_string(kRepetitions), wall,
+                   ideal, wall / ideal});
+    const std::string key = "fan_out_" + shape.name;
+    json.add(key + "_width", static_cast<std::uint64_t>(width));
+    json.add(key + "_full_width", record.full_width);
+    json.add(key + "_fan_outs", static_cast<std::uint64_t>(kRepetitions));
+    json.add(key + "_wall_p50_us", wall);
+    json.add(key + "_ideal_us", ideal);
+    json.add(key + "_wall_over_ideal", wall / ideal);
+  }
+  starts.print(std::cout);
+  std::cout << '\n';
+  walls.print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -518,8 +634,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_routing_placement_section(argc, argv, smoke);
+  netent::bench::BenchJson json;
+  run_routing_placement_section(smoke, json);
   run_fan_out_crossover_section(smoke);
+  run_fan_out_join_section(json);
+  netent::bench::maybe_write_bench_json(argc, argv, json);
   netent::bench::maybe_dump_metrics(argc, argv);
   return 0;
 }

@@ -25,16 +25,19 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  const std::size_t n = std::max<std::size_t>(1, num_threads);
+ThreadPool::ThreadPool(std::size_t num_threads) : slots_(std::max<std::size_t>(1, num_threads)) {
+  const std::size_t n = slots_.size();
   workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
+  for (std::size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(slots_[i]); });
+  }
 #ifdef __linux__
   // Where every core is its own cache domain (common on VMs), the scheduler
   // wakes a sleeping worker on the core it last ran on, which drifts to the
   // waker's: the woken helper then preempts the fanning-out caller instead
   // of running beside it, for a whole scheduler tick. A pinned worker always
-  // wakes on its own core.
+  // wakes on its own core. Fan-outs read the cores only after the
+  // constructor returns.
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
   if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
@@ -44,10 +47,13 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
   if (cores.size() < 2) return;
   for (std::size_t i = 0; i < n; ++i) {
+    const int core = cores[i % cores.size()];
     cpu_set_t one;
     CPU_ZERO(&one);
-    CPU_SET(cores[i % cores.size()], &one);
-    (void)pthread_setaffinity_np(workers_[i].native_handle(), sizeof(one), &one);
+    CPU_SET(core, &one);
+    if (pthread_setaffinity_np(workers_[i].native_handle(), sizeof(one), &one) == 0) {
+      slots_[i].core = core;
+    }
   }
 #endif
 }
@@ -56,21 +62,38 @@ ThreadPool::~ThreadPool() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    for (Slot& slot : slots_) slot.asleep = false;
   }
-  wake_.notify_all();
+  for (Slot& slot : slots_) slot.wake.notify_one();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(Slot& slot) {
   for (;;) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    wake_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
-    if (jobs_.empty()) return;  // stopping, and nothing left to run
-    const std::function<void()> job = std::move(jobs_.front());
-    jobs_.pop_front();
-    lock.unlock();
+    std::function<void()> job;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (jobs_.empty()) {
+        if (stop_) return;  // nothing left to run
+        slot.asleep = true;
+        slot.wake.wait(lock, [&slot] { return !slot.asleep; });
+      }
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+    }
     job();
   }
+}
+
+std::vector<std::size_t> ThreadPool::workers_to_wake(std::span<const int> sleeping_cores,
+                                                     int caller_core, std::size_t helpers) {
+  const auto elsewhere = [caller_core](int core) { return caller_core < 0 || core != caller_core; };
+  const bool any_elsewhere = std::any_of(sleeping_cores.begin(), sleeping_cores.end(), elsewhere);
+  std::vector<std::size_t> woken;
+  for (std::size_t i = 0; i < sleeping_cores.size() && woken.size() < helpers; ++i) {
+    if (!any_elsewhere || elsewhere(sleeping_cores[i])) woken.push_back(i);
+  }
+  return woken;
 }
 
 void ThreadPool::parallel_for_with_worker(
@@ -115,13 +138,33 @@ void ThreadPool::parallel_for_with_worker(
   };
 
   // The calling thread participates, so the loop completes even when every
-  // worker is busy with other loops.
+  // worker is busy with other loops. A job no woken worker takes is run by
+  // the next worker that finishes its own, before that one sleeps.
   const std::size_t helpers = std::min({workers_.size(), count - 1, max_helpers});
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t t = 0; t < helpers; ++t) jobs_.emplace_back([drain, t] { drain(t); });
+  if (helpers > 0) {
+#ifdef __linux__
+    const int caller_core = sched_getcpu();
+#else
+    const int caller_core = -1;
+#endif
+    std::vector<Slot*> woken;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t t = 0; t < helpers; ++t) jobs_.emplace_back([drain, t] { drain(t); });
+      std::vector<Slot*> sleeping;
+      std::vector<int> cores;
+      for (Slot& slot : slots_) {
+        if (!slot.asleep) continue;
+        sleeping.push_back(&slot);
+        cores.push_back(slot.core);
+      }
+      for (const std::size_t i : workers_to_wake(cores, caller_core, helpers)) {
+        sleeping[i]->asleep = false;
+        woken.push_back(sleeping[i]);
+      }
+    }
+    for (Slot* slot : woken) slot->wake.notify_one();
   }
-  for (std::size_t t = 0; t < helpers; ++t) wake_.notify_one();
   drain(helpers);  // the calling thread's slot
 
   std::unique_lock<std::mutex> lock(shared->mutex);

@@ -16,6 +16,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -23,12 +24,13 @@ namespace netent {
 
 /// Work, in placements (one topology::water_fill_demand call each), below
 /// which fan_out() runs its loop inline on the caller. Waking pool workers
-/// and joining them costs about as much as a few thousand placements, so a
+/// and joining them costs about as much as a thousand placements, so a
 /// smaller loop is cheaper serial: bench_micro's fan-out crossover section
-/// measures where the shared pool starts to win. The admission commit of
-/// one small admit (3 realizations x 188 scenarios x 1 demand = 564
-/// placements) stays inline; a residual rebuild at 2k contracts (~1.1 M
-/// placements) fans out.
+/// measures where the shared pool starts to win (512-2048 placements on a
+/// 4-core VM), and the cutoff sits above that, where the pool is ~1.6-2.3x
+/// faster. The admission commit of one small admit (3 realizations x 188
+/// scenarios x 1 demand = 564 placements) stays inline; a residual rebuild
+/// at 2k contracts (~1.1 M placements) fans out.
 inline constexpr std::size_t kFanOutCutoffPlacements = 4096;
 
 class ThreadPool {
@@ -36,10 +38,12 @@ class ThreadPool {
   /// Spawns `num_threads` workers (clamped to >= 1). On Linux each worker is
   /// pinned to one core of the creating thread's affinity set, round-robin,
   /// so a woken worker runs on its own core instead of queueing behind the
-  /// thread that woke it.
+  /// thread that woke it, and a fan-out knows where each sleeping worker
+  /// would run.
   explicit ThreadPool(std::size_t num_threads = default_thread_count());
 
-  /// Runs every already-queued helper job, then joins the workers.
+  /// Wakes every worker, which runs every already-queued helper job, then
+  /// joins them.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -64,21 +68,44 @@ class ThreadPool {
   /// waits for invocations already running, so the loop finishes even when
   /// every worker is busy, and calling it from inside a pool job cannot
   /// deadlock. The lowest throwing index's exception is rethrown.
+  ///
+  /// The loop queues one helper job per helper slot and wakes up to that
+  /// many sleeping workers, chosen by workers_to_wake() against the core the
+  /// caller runs on.
   void parallel_for_with_worker(
       std::size_t count, const std::function<void(std::size_t worker, std::size_t index)>& body,
       std::size_t max_helpers = std::numeric_limits<std::size_t>::max());
 
- private:
-  void worker_loop();
+  /// The sleeping workers a fan-out with `helpers` helper jobs wakes, as
+  /// positions in `sleeping_cores` (the core each sleeping worker is pinned
+  /// to, -1 when unknown), given the core the caller runs on (-1 when
+  /// unknown). A worker pinned to the caller's core cannot run until the
+  /// caller blocks, and the caller drains indices until none is left, so it
+  /// is woken only when no worker elsewhere sleeps; otherwise workers are
+  /// taken in order, at most `helpers` of them.
+  [[nodiscard]] static std::vector<std::size_t> workers_to_wake(
+      std::span<const int> sleeping_cores, int caller_core, std::size_t helpers);
 
-  std::vector<std::thread> workers_;
+ private:
+  /// One worker's wake slot. A sleeping worker waits on its own condition
+  /// variable, so a fan-out chooses which workers it wakes.
+  struct Slot {
+    std::condition_variable wake;
+    int core = -1;        ///< the core the worker is pinned to (-1: not pinned)
+    bool asleep = false;  ///< guarded by mutex_; cleared by whoever wakes it
+  };
+
+  void worker_loop(Slot& slot);
 
   /// Helper jobs not yet taken by a worker. Every job drains some loop's
   /// index counter, so any idle worker may run any job: one FIFO serves all.
+  /// A worker sleeps only while it is empty.
   std::mutex mutex_;
-  std::condition_variable wake_;
   std::deque<std::function<void()>> jobs_;  ///< guarded by mutex_
   bool stop_ = false;                       ///< guarded by mutex_
+  std::vector<Slot> slots_;                 ///< [worker]; sized once, never moved
+
+  std::vector<std::thread> workers_;
 };
 
 /// One worker slot's scratch on cache lines of its own. Slots of one

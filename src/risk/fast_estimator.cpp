@@ -88,6 +88,36 @@ void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residu
   }
 }
 
+void FastEstimator::rebuild(const SparseResiduals& residuals) {
+  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
+                 residuals.begin.size() == headroom_.size() + 1);
+  for (std::size_t l = 0; l < headroom_.size(); ++l) {
+    const LinkId link(static_cast<std::uint32_t>(l));
+    const auto alive = [&](std::size_t s) { return link_alive(link, scenarios_[s]); };
+    // Scenario 0's residual is folded at the first alive scenario holding
+    // it, in ascending order among the entries; every later copy is a tie
+    // the fold keeps. That first one is scenario 0 unless it downs the link.
+    double headroom = kInf;
+    bool base_folded = false;
+    std::size_t next = 0;  // the first scenario not yet passed
+    const auto fold_base_before = [&](std::size_t end) {
+      for (; !base_folded && next < end; ++next) {
+        if (!alive(next)) continue;
+        headroom = std::min(headroom, residuals.base[l]);
+        base_folded = true;
+      }
+    };
+    for (std::size_t e = residuals.begin[l]; e < residuals.begin[l + 1]; ++e) {
+      const std::size_t s = residuals.scenario[e];
+      fold_base_before(s);
+      next = s + 1;
+      if (alive(s)) headroom = std::min(headroom, residuals.residual[e]);
+    }
+    fold_base_before(scenarios_.size());
+    headroom_[l] = headroom;
+  }
+}
+
 void FastEstimator::refresh_links(std::span<const LinkId> links,
                                   std::span<const std::vector<double>> scenario_residuals) {
   NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());

@@ -46,12 +46,18 @@
 // Summaries are maintained alongside the residual state they summarize:
 // rebuild() after a history edit (release / resize / topology windows),
 // refresh_links() for the links a pure-admit commit touched (residuals only
-// ever decrease there, so a per-link re-min is exact). rebuild() walks the
-// residuals scenario-major, one contiguous vector per scenario, while
-// refresh_links() re-mins single links across scenarios; both fold each
-// link's alive scenarios in ascending order, so they agree bit for bit.
+// ever decrease there, so a per-link re-min is exact). rebuild() takes the
+// residuals in the admission service's sparse form (scenario 0's, plus the
+// few scenarios that differ from it on each link), or dense and
+// scenario-major, one contiguous vector per scenario; refresh_links()
+// re-mins single links across scenarios. All fold each link's alive
+// scenarios in ascending order, so they agree bit for bit: the sparse fold
+// skips only copies of scenario 0's residual, and a later copy of a value
+// already folded cannot displace the running minimum, ±0 ties included.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -71,6 +77,17 @@ struct FastPathConfig {
   bool audit = true;
 };
 
+/// One realization's per-scenario residuals in sparse form: scenario 0's on
+/// every link, and per link the other scenarios whose residual there differs
+/// from scenario 0's bit for bit, in ascending scenario order, with their
+/// residuals. Link l's entries are [begin[l], begin[l + 1]).
+struct SparseResiduals {
+  std::vector<double> base;             ///< scenario 0's residuals, [link]
+  std::vector<std::size_t> begin;       ///< [link + 1]
+  std::vector<std::uint32_t> scenario;  ///< per entry, ascending within a link
+  std::vector<double> residual;         ///< per entry
+};
+
 /// Conservative per-pipe availability bounds over one family of
 /// per-scenario residual capacities (one admission-service realization).
 /// The `scenarios` span must outlive the estimator and match the residual
@@ -83,6 +100,9 @@ class FastEstimator {
   /// [scenario][link], aligned with the constructor's scenario span). One
   /// estimator can be rebuilt any number of times over the same scenarios.
   void rebuild(std::span<const std::vector<double>> scenario_residuals);
+  /// The same summary from the sparse form of the same residuals, bit for
+  /// bit, in O(links + entries).
+  void rebuild(const SparseResiduals& residuals);
 
   /// Re-summarizes only `links` (duplicates allowed) from
   /// `scenario_residuals`. Exact — each link's min is recomputed from

@@ -914,7 +914,13 @@ void AdmissionController::rebuild_fastpath() {
       fast_.emplace_back(router_.topo(), engine_.scenarios());
     }
   }
-  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residuals_.residuals(k));
+  // From the sparse state: O(links + entries) per realization, against a
+  // fold of every dense cell.
+  risk::SparseResiduals sparse;
+  for (std::size_t k = 0; k < fast_.size(); ++k) {
+    residuals_.sparse_residuals(k, sparse);
+    fast_[k].rebuild(sparse);
+  }
 }
 
 void AdmissionController::refresh_fastpath(const History& batch) {

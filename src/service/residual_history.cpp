@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "risk/fast_estimator.h"
 
 namespace netent::service {
 
@@ -224,6 +225,26 @@ ResidualHistory::ResidualState ResidualHistory::rebuild_from_scratch() const {
             }
           });
   return state;
+}
+
+void ResidualHistory::sparse_residuals(std::size_t k, risk::SparseResiduals& out) const {
+  const Sparse& state = state_[k];
+  out.base = state.base;
+  out.begin.assign(1, 0);
+  out.scenario.clear();
+  out.residual.clear();
+  for (std::size_t link = 0; link < state.base.size(); ++link) {
+    for (std::size_t g = 0; g < state.groups.size(); ++g) {
+      const Sparse::Group& group = state.groups[g];
+      const double* entry = group.values[link].data();
+      for (std::uint64_t word = group.differs[link]; word != 0; word &= word - 1) {
+        out.scenario.push_back(static_cast<std::uint32_t>(
+            g * kGroup + static_cast<std::size_t>(std::countr_zero(word))));
+        out.residual.push_back(*entry++);
+      }
+    }
+    out.begin.push_back(out.scenario.size());
+  }
 }
 
 std::vector<std::vector<std::size_t>> ResidualHistory::snapshot_positions() const {

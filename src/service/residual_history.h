@@ -43,6 +43,10 @@
 #include "risk/simulator.h"
 #include "topology/routing.h"
 
+namespace netent::risk {
+struct SparseResiduals;
+}  // namespace netent::risk
+
 namespace netent::service {
 
 /// Runtime handle of an admitted contract (EntitlementContract::id).
@@ -98,6 +102,9 @@ class ResidualHistory {
   [[nodiscard]] const History& history() const { return history_; }
   [[nodiscard]] const ResidualState& residuals() const { return residual_; }
   [[nodiscard]] const Residuals& residuals(std::size_t k) const { return residual_[k]; }
+  /// Realization k's residuals in sparse form, into `out` (its buffers are
+  /// reused): what residuals(k) holds, read from the sparse state.
+  void sparse_residuals(std::size_t k, risk::SparseResiduals& out) const;
   /// The oracle: the live state recomputed from the history alone.
   [[nodiscard]] ResidualState rebuild_from_scratch() const;
   [[nodiscard]] ReplayStats replay_stats() const { return replay_stats_; }

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -293,11 +295,29 @@ TEST(AdmissionService, FastPathChurnMatchesExactOnlyDecisions) {
   EXPECT_EQ(exact_serial.fast.audited, 0u);
 }
 
+/// Headroom summaries as bit patterns, so that -0 does not pass for +0.
+using HeadroomBits = std::vector<std::vector<std::uint64_t>>;
+
+HeadroomBits bits_of(std::span<const std::vector<double>> headroom) {
+  HeadroomBits out;
+  for (const std::vector<double>& realization : headroom) {
+    std::vector<std::uint64_t>& bits = out.emplace_back();
+    for (const double value : realization) bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return out;
+}
+
+/// The controller's maintained summaries.
+HeadroomBits headroom_bits(const AdmissionController& controller) {
+  return bits_of(controller.fastpath_headroom_snapshot());
+}
+
 /// Reference summaries: one freshly built estimator per realization over the
-/// controller's current residual snapshot. The maintained summaries must
-/// equal this after EVERY kind of window.
-std::vector<std::vector<double>> fresh_headroom(const AdmissionController& controller,
-                                                const topology::Topology& topo) {
+/// controller's current residual snapshot, through the dense rebuild. The
+/// maintained summaries must equal this, bit for bit, after EVERY kind of
+/// window.
+HeadroomBits fresh_headroom(const AdmissionController& controller,
+                            const topology::Topology& topo) {
   const AdmissionController::ResidualState residuals = controller.residual_snapshot();
   std::vector<std::vector<double>> out;
   out.reserve(residuals.size());
@@ -306,7 +326,7 @@ std::vector<std::vector<double>> fresh_headroom(const AdmissionController& contr
     fast.rebuild(realization);
     out.emplace_back(fast.headroom().begin(), fast.headroom().end());
   }
-  return out;
+  return bits_of(out);
 }
 
 // Summary maintenance edge cases: the headroom summaries must match a fresh
@@ -321,12 +341,12 @@ TEST(AdmissionService, FastPathSummariesStayFreshAcrossChurnEdgeCases) {
   AdmissionController controller(topo, config);
 
   // Empty-set path: summaries of the pristine state.
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
 
   // Single-contract admit (refresh_links path).
   const auto first = controller.admit(NpgId(1), "a", hose_pair(1, QosClass::c1_low, 0, 2, 60.0));
   ASSERT_EQ(first.status, AdmissionStatus::admitted);
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
 
   // Second contract, then resize the first DOWN (full-rebuild path; the
   // rebuilt residuals are larger than before on the shrunk links).
@@ -334,15 +354,15 @@ TEST(AdmissionService, FastPathSummariesStayFreshAcrossChurnEdgeCases) {
   ASSERT_EQ(second.status, AdmissionStatus::admitted);
   const auto shrunk = controller.resize(first.contract, hose_pair(1, QosClass::c1_low, 0, 2, 15.0));
   ASSERT_EQ(shrunk.status, AdmissionStatus::resized);
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
 
   // Release down to one contract, then to none: the release that empties a
   // realization must leave summaries equal to the pristine rebuild.
   ASSERT_EQ(controller.release(second.contract).status, AdmissionStatus::released);
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
   ASSERT_EQ(controller.release(first.contract).status, AdmissionStatus::released);
   EXPECT_EQ(controller.admitted_count(), 0u);
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
 
   // Everything-dirty path: one window admitting several contracts touching
   // most of the topology, committed incrementally.
@@ -354,7 +374,7 @@ TEST(AdmissionService, FastPathSummariesStayFreshAcrossChurnEdgeCases) {
   for (const auto& outcome : run_window(controller, std::move(window))) {
     EXPECT_EQ(outcome.status, AdmissionStatus::admitted);
   }
-  EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+  EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
 
   (void)controller.audit_fastpath();
   EXPECT_GT(controller.fastpath_stats().audited, 0u);
@@ -535,7 +555,7 @@ SnapshotChurnResult snapshot_churn(std::size_t threads) {
     const std::string where = "after window " + std::to_string(window_index++);
     ASSERT_TRUE(controller.residual_snapshot() == controller.rebuild_residuals_from_scratch())
         << where << ": maintained residuals diverged from a from-scratch rebuild";
-    ASSERT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo))
+    ASSERT_EQ(headroom_bits(controller), fresh_headroom(controller, topo))
         << where;
     ASSERT_EQ(controller.rebuild_placements(),
               controller.scenarios().size() * realizations * order.size())
@@ -1033,7 +1053,7 @@ TEST(AdmissionService, BackgroundFastPathAuditsConcurrently) {
       EXPECT_EQ(future.get().status, AdmissionStatus::admitted);
     }
     EXPECT_EQ(controller.residual_snapshot(), controller.rebuild_residuals_from_scratch());
-    EXPECT_EQ(controller.fastpath_headroom_snapshot(), fresh_headroom(controller, topo));
+    EXPECT_EQ(headroom_bits(controller), fresh_headroom(controller, topo));
     (void)controller.audit_fastpath();  // whatever the worker has not drained
     const auto stats = controller.fastpath_stats();
     EXPECT_GT(stats.hits + stats.fallbacks, 0u);

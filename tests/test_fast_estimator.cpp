@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -237,7 +238,9 @@ TEST(FastEstimator, RefreshLinksMatchesFreshRebuild) {
   fresh.rebuild(residuals);
   ASSERT_EQ(maintained.headroom().size(), fresh.headroom().size());
   for (std::size_t l = 0; l < fresh.headroom().size(); ++l) {
-    EXPECT_EQ(maintained.headroom()[l], fresh.headroom()[l]) << "link " << l;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(maintained.headroom()[l]),
+              std::bit_cast<std::uint64_t>(fresh.headroom()[l]))
+        << "link " << l;
   }
 }
 
@@ -269,7 +272,9 @@ TEST(FastEstimator, AllLinksDirtyRefreshEqualsRebuild) {
   FastEstimator rebuilt(world.topo, world.scenarios);
   rebuilt.rebuild(residuals);
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
-    EXPECT_EQ(refreshed.headroom()[l], rebuilt.headroom()[l]) << "link " << l;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(refreshed.headroom()[l]),
+              std::bit_cast<std::uint64_t>(rebuilt.headroom()[l]))
+        << "link " << l;
   }
 }
 
@@ -343,15 +348,37 @@ std::vector<double> per_link_headroom(const Topology& topo,
   return headroom;
 }
 
-// The scenario-major rebuild() must reproduce the per-link scan bit for bit
-// (signed zeros included, so the fold order is pinned too): over random
-// residual families on multi-SRLG scenario sets, with one SRLG down in
-// every scenario (its links keep +inf), and across repeated rebuilds of one
-// estimator.
+/// The sparse form of `residuals`: scenario 0's, and per link the other
+/// scenarios whose residual differs from it bit for bit.
+SparseResiduals sparse_of(std::span<const std::vector<double>> residuals) {
+  SparseResiduals sparse;
+  sparse.base = residuals[0];
+  sparse.begin.assign(1, 0);
+  for (std::size_t l = 0; l < sparse.base.size(); ++l) {
+    for (std::size_t s = 1; s < residuals.size(); ++s) {
+      if (std::bit_cast<std::uint64_t>(residuals[s][l]) ==
+          std::bit_cast<std::uint64_t>(sparse.base[l])) {
+        continue;
+      }
+      sparse.scenario.push_back(static_cast<std::uint32_t>(s));
+      sparse.residual.push_back(residuals[s][l]);
+    }
+    sparse.begin.push_back(sparse.scenario.size());
+  }
+  return sparse;
+}
+
+// Both rebuild()s, dense scenario-major and sparse, must reproduce the
+// per-link scan bit for bit (signed zeros included, so the fold order is
+// pinned too): over random residual families on multi-SRLG scenario sets,
+// with one SRLG down in every scenario, scenario 0 included (its links keep
+// +inf), and across repeated rebuilds of one estimator.
 TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t dead_everywhere = 0;
   std::size_t multi_srlg = 0;
+  std::size_t sparse_entries = 0;
+  std::size_t dense_cells = 0;
   for (std::uint64_t t = 0; t < 12; ++t) {
     Rng rng(0xfeed0000 + t);
     topology::GeneratorConfig config;
@@ -380,31 +407,45 @@ TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
       std::vector<std::vector<double>> residuals;
       for (const FailureScenario& scenario : scenarios) {
         std::vector<double> residual = scenario_capacities(index, caps, scenario);
-        for (double& r : residual) {
+        for (std::size_t l = 0; l < residual.size(); ++l) {
           // Arbitrary consumption, with exhausted links of both zero signs
-          // and repeated values, so a reordered fold would show.
+          // and repeated values, so a reordered fold would show; and, as in
+          // the admission state, many cells holding scenario 0's residual.
+          double& r = residual[l];
           const std::uint64_t roll = rng.uniform_int(8);
           if (roll == 0) r = 0.0;
           if (roll == 1) r = -0.0;
           if (roll == 2) r = 25.0;
           if (roll > 2) r *= rng.uniform(0.1, 1.0);
+          if (!residuals.empty() && rng.uniform_int(2) == 0) r = residuals[0][l];
         }
         residuals.push_back(std::move(residual));
       }
-      estimator.rebuild(residuals);
       const std::vector<double> reference = per_link_headroom(topo, scenarios, residuals);
-      ASSERT_EQ(estimator.headroom().size(), reference.size());
-      for (std::size_t l = 0; l < reference.size(); ++l) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.headroom()[l]),
-                  std::bit_cast<std::uint64_t>(reference[l]))
-            << "link " << l << ": " << estimator.headroom()[l] << " vs " << reference[l];
-        if (topo.link(LinkId(static_cast<std::uint32_t>(l))).srlg == always) {
-          EXPECT_EQ(estimator.headroom()[l], kInf) << "link " << l;
-          ++dead_everywhere;
+      const SparseResiduals sparse = sparse_of(residuals);
+      for (const bool from_sparse : {false, true}) {
+        SCOPED_TRACE(from_sparse ? "sparse" : "dense");
+        if (from_sparse) {
+          estimator.rebuild(sparse);
+        } else {
+          estimator.rebuild(residuals);
+        }
+        ASSERT_EQ(estimator.headroom().size(), reference.size());
+        for (std::size_t l = 0; l < reference.size(); ++l) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.headroom()[l]),
+                    std::bit_cast<std::uint64_t>(reference[l]))
+              << "link " << l << ": " << estimator.headroom()[l] << " vs " << reference[l];
+          if (topo.link(LinkId(static_cast<std::uint32_t>(l))).srlg == always) {
+            EXPECT_EQ(estimator.headroom()[l], kInf) << "link " << l;
+            ++dead_everywhere;
+          }
         }
       }
+      sparse_entries += sparse.scenario.size();
+      dense_cells += (residuals.size() - 1) * reference.size();
     }
   }
+  EXPECT_LT(2 * sparse_entries, dense_cells);  // scenario 0's copies were left out
   EXPECT_GT(dead_everywhere, 0u);
   EXPECT_GT(multi_srlg, 0u);
 }

@@ -20,6 +20,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "risk/failure.h"
+#include "risk/fast_estimator.h"
 #include "risk/simulator.h"
 #include "topology/generator.h"
 #include "topology/routing.h"
@@ -101,6 +102,9 @@ struct World {
   /// The exactness and snapshot-layout invariants, after any step.
   void expect_exact(const std::string& where) const {
     ASSERT_TRUE(live() == history.rebuild_from_scratch()) << where << ": residuals diverged";
+    for (std::size_t k = 0; k < kRealizations; ++k) {
+      expect_sparse_matches_dense(k, where + ", realization " + std::to_string(k));
+    }
     const auto positions = history.snapshot_positions();
     for (std::size_t k = 0; k < kRealizations; ++k) {
       const std::size_t length = history.history()[k].size();
@@ -110,6 +114,31 @@ struct World {
         ASSERT_LE(position, length) << where;
         ASSERT_EQ(position % stride_for(length), 0u) << where << ": off the stride";
       }
+    }
+  }
+
+  /// Realization k's sparse form lists exactly the cells of the dense mirror
+  /// that differ from scenario 0's bit for bit, in scenario order.
+  void expect_sparse_matches_dense(std::size_t k, const std::string& where) const {
+    const auto same = [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    risk::SparseResiduals sparse;
+    history.sparse_residuals(k, sparse);
+    const ResidualHistory::Residuals& dense = history.residuals(k);
+    ASSERT_EQ(sparse.base.size(), dense[0].size()) << where;
+    ASSERT_EQ(sparse.begin.size(), dense[0].size() + 1) << where;
+    for (std::size_t l = 0; l < sparse.base.size(); ++l) {
+      ASSERT_TRUE(same(sparse.base[l], dense[0][l])) << where << ": link " << l;
+      std::size_t entry = sparse.begin[l];
+      for (std::size_t s = 1; s < dense.size(); ++s) {
+        if (same(dense[s][l], dense[0][l])) continue;
+        ASSERT_LT(entry, sparse.begin[l + 1]) << where << ": link " << l << " scenario " << s;
+        ASSERT_EQ(sparse.scenario[entry], s) << where << ": link " << l;
+        ASSERT_TRUE(same(sparse.residual[entry], dense[s][l])) << where << ": link " << l;
+        ++entry;
+      }
+      ASSERT_EQ(entry, sparse.begin[l + 1]) << where << ": link " << l << " lists extra entries";
     }
   }
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -630,8 +631,10 @@ LifecycleResult run_lifecycle_churn(const LifecycleParams& params) {
         fresh.rebuild(snapshot[k]);
         ASSERT_EQ(headroom[k].size(), fresh.headroom().size()) << where;
         for (std::size_t l = 0; l < headroom[k].size(); ++l) {
-          ASSERT_EQ(headroom[k][l], fresh.headroom()[l])
-              << where << ": fastpath summary realization " << k << " link " << l;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(headroom[k][l]),
+                    std::bit_cast<std::uint64_t>(fresh.headroom()[l]))
+              << where << ": fastpath summary realization " << k << " link " << l << ": "
+              << headroom[k][l] << " vs " << fresh.headroom()[l];
         }
       }
     }
