@@ -61,6 +61,9 @@ struct ServiceMetrics {
                                               std::array{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& latency_seconds = reg.timer_histogram("service.admission.latency_seconds");
   obs::Histogram& window_seconds = reg.timer_histogram("service.admission.window_seconds");
+  /// Stages of a window (the edit replay's is ResidualHistory's).
+  obs::Histogram& fastpath_refresh_seconds =
+      reg.timer_histogram("service.admission.stage.fastpath_refresh_seconds");
 };
 
 ServiceMetrics& metrics() {
@@ -908,6 +911,7 @@ std::vector<std::vector<std::size_t>> AdmissionController::snapshot_positions() 
 
 void AdmissionController::rebuild_fastpath() {
   if (!config_.approval.fastpath.enabled) return;
+  const obs::ScopedTimer span(metrics().fastpath_refresh_seconds);
   if (fast_.empty()) {
     fast_.reserve(config_.approval.realizations);
     for (std::size_t k = 0; k < config_.approval.realizations; ++k) {
@@ -927,6 +931,8 @@ void AdmissionController::refresh_fastpath(const History& batch) {
   // A commit only subtracts capacity, and only on links of the committed
   // demands' candidate paths — re-summarize exactly those links per
   // realization (realizations draw different demand sets).
+  if (fast_.empty()) return;
+  const obs::ScopedTimer span(metrics().fastpath_refresh_seconds);
   for (std::size_t k = 0; k < fast_.size(); ++k) {
     fast_[k].refresh_links(candidate_links(router_, batch[k]), residuals_.residuals(k));
   }

@@ -1,12 +1,15 @@
 #include "service/residual_history.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "obs/timer.h"
 #include "risk/fast_estimator.h"
 
 namespace netent::service {
@@ -95,12 +98,36 @@ struct ResidualHistory::Placed {
   std::size_t first = 0;    ///< its local links' residuals in Chain::before and ::after
 };
 
-/// One realization's scenario-0 chain over the replayed demands.
-struct ResidualHistory::Chain {
+/// One realization's scenario-0 chain over the replayed demands. Its records
+/// are sized before the first publish, so its groups read them as it goes;
+/// on cache lines of its own, as its progress is written per demand.
+struct alignas(64) ResidualHistory::Chain {
+  static constexpr std::uint32_t kAborted = std::numeric_limits<std::uint32_t>::max();
   std::vector<Placed> placed;
   std::vector<double> before;         ///< scenario 0's residual on each local link, before
   std::vector<double> after;          ///< and after the demand
   std::vector<std::uint32_t> moved;   ///< the links its fills wrote
+  /// 0 until the base is restored, then 1 + the demands placed; kAborted
+  /// once the chain threw.
+  std::atomic<std::uint32_t> progress{0};
+
+  /// Tells the groups the base is restored and `count` demands are placed.
+  void publish(std::size_t count) { set(static_cast<std::uint32_t>(count) + 1); }
+  void abort() { set(kAborted); }
+  void set(std::uint32_t value) {
+    progress.store(value, std::memory_order_release);
+    progress.notify_all();  // a syscall only while a group waits
+  }
+  /// Waits (spinning briefly, then blocking) until the base is restored and
+  /// `count` demands are placed; false if the chain threw instead.
+  bool follow(std::size_t count) const {
+    std::uint32_t seen = progress.load(std::memory_order_acquire);
+    while (seen <= count) {
+      progress.wait(seen, std::memory_order_acquire);
+      seen = progress.load(std::memory_order_acquire);
+    }
+    return seen != kAborted;
+  }
 };
 
 void ResidualHistory::Sparse::Group::set(std::size_t bit, std::size_t link, double residual,
@@ -145,7 +172,9 @@ ResidualHistory::ResidualHistory(const topology::Router& router,
       threads_(threads),
       history_(realizations),
       snapshots_(realizations),
-      replayed_(obs::Registry::global().counter("service.admission.replayed_placements")) {
+      replayed_(obs::Registry::global().counter("service.admission.replayed_placements")),
+      edit_seconds_(
+          obs::Registry::global().timer_histogram("service.admission.stage.edit_replay_seconds")) {
   const std::vector<Plan> plans(realizations);
   (void)replay(history_, plans, /*restore=*/true, state_, residual_);
 }
@@ -274,6 +303,7 @@ std::vector<std::size_t> ResidualHistory::prune(History& history,
 void ResidualHistory::replay_edit(const History& history, std::span<const std::size_t> same,
                                   bool rewrite) {
   NETENT_EXPECTS(history.size() == history_.size() && same.size() == history.size());
+  const obs::ScopedTimer span(edit_seconds_);
   std::vector<Plan> plans(history.size());
   for (std::size_t k = 0; k < history.size(); ++k) {
     Plan& plan = plans[k];
@@ -284,8 +314,8 @@ void ResidualHistory::replay_edit(const History& history, std::span<const std::s
       }
     }
     if (!rewrite) continue;
-    // The restore snapshot may be freed and claimed again here: its
-    // realization copies it before writing any of the rewrites.
+    // The restore snapshot may be freed and claimed again here: each of its
+    // realization's items copies its part before writing any rewrite.
     plan.writes = plan_snapshots(k, plan.start, history[k].size());
     provisional_.push_back(plan.start);
   }
@@ -315,56 +345,80 @@ ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
   work.largest = work.placements;
   states.resize(realizations);
   dense.resize(realizations);
+  const Sparse empty = from_capacities ? empty_state() : Sparse{};
   if (restore) {
-    // Before any writes: a restore snapshot may be claimed again for one.
-    const Sparse empty = from_capacities ? empty_state() : Sparse{};
     for (std::size_t k = 0; k < realizations; ++k) {
-      states[k] = plans[k].from != nullptr ? plans[k].from->state : empty;
+      states[k].groups.resize(groups);
       dense[k].resize(scenario_count);
       for (std::vector<double>& row : dense[k]) row.resize(link_count);
     }
   }
-  const std::size_t items = realizations * groups;
-  place_scratch_.resize(std::max({place_scratch_.size(),
-                                  fan_out_width(threads_, realizations, replayed),
-                                  fan_out_width(threads_, items, work.placements)}));
+  const std::size_t items = realizations * (1 + groups);
+  place_scratch_.resize(
+      std::max(place_scratch_.size(), fan_out_width(threads_, items, work.placements)));
 
-  // Scenario 0, one item per realization: its fills, and what each demand's
-  // fill read and wrote, for the groups.
+  // Items [0, realizations) are the scenario-0 chains; then one item per
+  // (realization, group of 64) follows its chain demand by demand. Every
+  // chain is claimed before any group (inline: has ended), so a group waits
+  // only on a running chain. Each item restores its part of the state before
+  // writing any snapshot: the restore snapshot may be claimed for one.
   std::vector<Chain> chains(realizations);
-  fan_out(threads_, realizations, replayed, [&](std::size_t worker, std::size_t k) {
-    const Plan& plan = plans[k];
-    std::vector<double>& base = states[k].base;
-    PlaceScratch& scratch = place_scratch_[worker];
-    scratch.pre = base;
-    Chain& chain = chains[k];
-    const std::span<const TaggedDemand> demands = history[k];
-    auto write = plan.writes.begin();
-    for (std::size_t i = plan.start; i < demands.size(); ++i) {
-      chain.placed.push_back(place_first(demands[i].demand, base, chain, scratch));
-      if (write != plan.writes.end() && write->first == i + 1) (write++)->second->state.base = base;
-    }
-  });
-
-  // The other scenarios, one item per (realization, group of 64).
   std::vector<std::uint64_t> cells(items, 0);
   fan_out(threads_, items, work.placements, [&](std::size_t worker, std::size_t item) {
-    const std::size_t k = item / groups;
-    const std::size_t g = item % groups;
+    const std::size_t k = item < realizations ? item : (item - realizations) / groups;
     const Plan& plan = plans[k];
-    const Chain& chain = chains[k];
-    Sparse::Group& group = states[k].groups[g];
+    const Sparse& from = plan.from != nullptr ? plan.from->state : empty;
+    const auto demands = std::span<const TaggedDemand>(history[k]).subspan(plan.start);
+    Chain& chain = chains[k];
     PlaceScratch& scratch = place_scratch_[worker];
+    auto write = plan.writes.begin();
+    if (item < realizations) {
+      try {
+        std::vector<double>& base = states[k].base;
+        if (restore) base = from.base;
+        scratch.pre = base;
+        chain.placed.resize(demands.size());
+        std::size_t records = 0;
+        for (std::size_t j = 0; j < demands.size(); ++j) {
+          const topology::Demand& demand = demands[j].demand;
+          const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
+          NETENT_EXPECTS(paths.valid());
+          chain.placed[j] = {.local = &scratch.localize(demand, paths),
+                             .amount = demand.amount.value(),
+                             .first = records};
+          records += chain.placed[j].local->links.size();
+        }
+        chain.before.resize(records);
+        chain.after.resize(records);
+        chain.publish(0);
+        for (std::size_t j = 0; j < demands.size(); ++j) {
+          place_first(demands[j].demand, base, chain, chain.placed[j], scratch);
+          if (write != plan.writes.end() && write->first == plan.start + j + 1) {
+            (write++)->second->state.base = base;
+          }
+          chain.publish(j + 1);
+        }
+      } catch (...) {
+        chain.abort();
+        throw;
+      }
+      cells[item] = demands.size();
+      return;
+    }
+    const std::size_t g = (item - realizations) % groups;
+    Sparse::Group& group = states[k].groups[g];
+    if (restore) group = from.groups[g];
     scratch.moved.clear();
     std::uint64_t placed = 0;  // counted here: cells[] shares cache lines
-    auto write = plan.writes.begin();
-    for (std::size_t j = 0; j < chain.placed.size(); ++j) {
+    for (std::size_t j = 0; j < demands.size(); ++j) {
+      if (!chain.follow(j + 1)) return;
       placed += place_group(chain, chain.placed[j], group, scratch, !restore);
       if (write != plan.writes.end() && write->first == plan.start + j + 1) {
         (write++)->second->state.groups[g] = group;
       }
     }
-    cells[item] = placed + (g == 0 ? chain.placed.size() : 0);
+    if (!chain.follow(demands.size())) return;
+    cells[item] = placed;
     std::vector<std::uint32_t>& moved = scratch.moved;
     if (restore) {
       moved.resize(link_count);
@@ -403,27 +457,20 @@ ResidualHistory::Sparse ResidualHistory::empty_state() const {
   return state;
 }
 
-ResidualHistory::Placed ResidualHistory::place_first(const topology::Demand& demand,
-                                                     std::vector<double>& base, Chain& chain,
-                                                     PlaceScratch& scratch) const {
-  const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
-  NETENT_EXPECTS(paths.valid());
-  Placed placed;
-  placed.amount = demand.amount.value();
-  placed.local = &scratch.localize(demand, paths);
-  placed.first = chain.before.size();
+void ResidualHistory::place_first(const topology::Demand& demand, std::vector<double>& base,
+                                  Chain& chain, Placed& placed, PlaceScratch& scratch) const {
   scratch.written.clear();
-  (void)topology::water_fill_demand(placed.amount, paths, base, {}, &scratch.written,
-                                    &placed.scanned);
-  for (const std::uint32_t link : placed.local->links) {
-    chain.before.push_back(scratch.pre[link]);
-    chain.after.push_back(base[link]);
+  (void)topology::water_fill_demand(placed.amount, router_.cached_paths(demand.src, demand.dst),
+                                    base, {}, &scratch.written, &placed.scanned);
+  const std::vector<std::uint32_t>& links = placed.local->links;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    chain.before[placed.first + i] = scratch.pre[links[i]];
+    chain.after[placed.first + i] = base[links[i]];
   }
   for (const auto& [lid, amount] : scratch.written) {
     scratch.pre[lid.value()] = base[lid.value()];
     chain.moved.push_back(lid.value());
   }
-  return placed;
 }
 
 std::uint64_t ResidualHistory::place_group(const Chain& chain, const Placed& placed,

@@ -14,16 +14,18 @@
 // realization's state is sparse: scenario 0's residuals dense and, per link,
 // a bitset of the scenarios whose residual there differs, with their values
 // in scenario order (one 64-bit word per link per group of 64 scenarios). A
-// replay fills scenario 0 first, one fan-out item per realization. A fill's
-// outcome depends only on the residuals of the links it scanned, so a
-// scenario with no entry on the links scenario 0's fill scanned fills
-// exactly as scenario 0 did and is not visited. Then one item per
-// (realization, group) fills only the group's scenarios set on a scanned
-// link, each over scenario 0's pre-placement residuals with its own entries
-// on top, and re-derives their entries where either fill wrote. Snapshots
-// copy the sparse state. The dense [scenario][link] residuals the assessors
-// read are a mirror of it: patched on the links that moved after an append,
-// and materialized once per staged edit or probe.
+// replay is one fan-out. Its first items are the realizations' scenario-0
+// chains, which fill scenario 0 and publish each demand once placed. A
+// fill's outcome depends only on the residuals of the links it scanned, so
+// a scenario with no entry on the links scenario 0's fill scanned fills
+// exactly as scenario 0 did and is not visited. The other items, one per
+// (realization, group), follow their chain demand by demand: each fills only
+// the group's scenarios set on a scanned link, over scenario 0's
+// pre-placement residuals with its own entries on top, and re-derives their
+// entries where either fill wrote. Snapshots copy the sparse state. The
+// dense [scenario][link] residuals the assessors read are a mirror of it:
+// patched on the links that moved after an append, and materialized once
+// per staged edit or probe.
 //
 // stage() replays an edited history into a scratch state and rewrites the
 // snapshots behind its restore points. They stay provisional: the Edit it
@@ -157,20 +159,23 @@ class ResidualHistory {
   /// Replays `history` into scratch_ from the newest snapshots at or before
   /// `same`, with `rewrite` making the snapshots behind them provisional.
   void replay_edit(const History& history, std::span<const std::size_t> same, bool rewrite);
-  /// The one replay. Each realization restores per plans[k] (or, without
-  /// `restore`, continues from states[k]) and places the rest of its
-  /// history in scenario 0, one item per realization; then one item per
-  /// (realization, group) places them in the group's scenarios and
-  /// materializes its rows of dense[k] (after a restore) or patches them on
-  /// the links that moved. Returns the replay's work.
+  /// The one replay, as one fan-out. Item k < realizations restores
+  /// realization k's scenario 0 per plans[k] (or, without `restore`,
+  /// continues from states[k]) and places the rest of its history there,
+  /// publishing each demand. Each later item, one per (realization, group),
+  /// restores its group, places the demands in the group's scenarios as its
+  /// chain publishes them, and materializes its rows of dense[k] (after a
+  /// restore) or patches them on the links that moved. A chain that throws
+  /// lets its groups go, and its exception is rethrown. Returns the work.
   ReplayStats replay(const History& history, std::span<const Plan> plans, bool restore,
                      std::vector<Sparse>& states, ResidualState& dense);
   /// The residuals of an empty history: the scenario capacities.
   [[nodiscard]] Sparse empty_state() const;
   /// Places one demand in scenario 0 over `base`, which scratch.pre must
-  /// equal, and records in `chain` what the groups need.
-  Placed place_first(const topology::Demand& demand, std::vector<double>& base, Chain& chain,
-                     PlaceScratch& scratch) const;
+  /// equal, and records in `chain` and `placed` (its local paths and records
+  /// already set) what the groups need.
+  void place_first(const topology::Demand& demand, std::vector<double>& base, Chain& chain,
+                   Placed& placed, PlaceScratch& scratch) const;
   /// Places `placed` in `group`'s scenarios that differ from scenario 0 on a
   /// link scenario 0's fill scanned, and returns how many there were.
   static std::uint64_t place_group(const Chain& chain, const Placed& placed, Sparse::Group& group,
@@ -195,7 +200,8 @@ class ResidualHistory {
   /// Restore points of the staged edit, per realization (empty: none).
   std::vector<std::size_t> provisional_;
   ReplayStats replay_stats_;
-  obs::Counter& replayed_;  ///< service.admission.replayed_placements
+  obs::Counter& replayed_;       ///< service.admission.replayed_placements
+  obs::Histogram& edit_seconds_;  ///< service.admission.stage.edit_replay_seconds
 };
 
 /// A staged edit's history and residuals, until commit() makes them live.

@@ -1084,6 +1084,42 @@ TEST(AdmissionService, MetricsRecordedWhenObsEnabled) {
   EXPECT_TRUE(has_latency);
 }
 
+// The window's stage timers: an admit refreshes the fast tier's summaries, a
+// release replays an edit and rebuilds them. Both are wall-clock histograms,
+// so a deterministic export leaves them out.
+TEST(AdmissionService, StageTimersRecordAndStayOutOfDeterministicExports) {
+  if (!obs::kEnabled) GTEST_SKIP() << "NETENT_OBS=OFF build";
+  const topology::Topology topo = topology::figure6_topology();
+  AdmissionConfig config = small_config();
+  config.approval.fastpath.enabled = true;
+  AdmissionController controller(topo, config);
+  const auto count = [](const obs::Snapshot& snapshot, const std::string& name) {
+    for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+      if (h.name == name) return h.total_count;
+    }
+    return std::uint64_t{0};
+  };
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const auto admitted =
+      controller.admit(NpgId(1), "m", hose_pair(1, QosClass::c1_low, 0, 2, 25.0));
+  ASSERT_EQ(admitted.status, AdmissionStatus::admitted);
+  ASSERT_EQ(controller.release(admitted.contract).status, AdmissionStatus::released);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+  const obs::Snapshot deterministic = after.deterministic_only();
+  for (const auto& [name, records] :
+       {std::pair<std::string, std::uint64_t>{"service.admission.stage.edit_replay_seconds", 1},
+        {"service.admission.stage.fastpath_refresh_seconds", 2}}) {
+    EXPECT_GE(count(after, name) - count(before, name), records) << name;
+    const auto it = std::find_if(after.histograms.begin(), after.histograms.end(),
+                                 [&](const auto& h) { return h.name == name; });
+    ASSERT_NE(it, after.histograms.end()) << name;
+    EXPECT_TRUE(it->timing) << name;
+    EXPECT_TRUE(std::none_of(deterministic.histograms.begin(), deterministic.histograms.end(),
+                             [&](const auto& h) { return h.name == name; }))
+        << name;
+  }
+}
+
 // --- Thread-count torture ------------------------------------------------
 // The SAME request streams replayed at 1/2/4/8 threads must produce
 // bit-identical verdicts, approved rates, residual state, contract databases

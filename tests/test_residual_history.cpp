@@ -332,15 +332,20 @@ TEST(ResidualHistory, DroppedStageLeavesNoSnapshotBehind) {
   world.expect_exact("append after a dropped stage");
 }
 
-TEST(ResidualHistory, ThrowingStageLeavesNoSnapshotBehind) {
-  World world(1);
+/// A stage that throws half way: every realization drops its demand at 50,
+/// and realization 1's demand at 69 then moves to 0 -> 3, a pair the router
+/// never warmed. Its scenario-0 chain throws there, while the other
+/// realizations rewrite their snapshots behind 50. Returns the placements
+/// the stage's replay was sized at.
+std::size_t expect_throwing_stage_leaves_no_snapshot_behind(std::size_t threads) {
+  World world(threads);
   world.append(0, 120);
   const auto before = world.history.snapshot_positions();
   const ResidualState live = world.live();
-  // Every realization drops its demand at 50; realization 1's demand at 69
-  // then moves to 0 -> 3, a pair the router never warmed. The replay throws
-  // there, after rewriting the snapshots between the two.
   const std::size_t point = restore_point(world.history, 50);
+  const std::size_t edited_length = 119;
+  const std::size_t placements =
+      world.simulator.scenarios().size() * kRealizations * (edited_length - point);
   History edited = world.history.history();
   for (auto& demands : edited) demands.erase(demands.begin() + 50);
   edited[1][69].demand = Demand{RegionId(0), RegionId(3), Gbps(20)};
@@ -358,6 +363,18 @@ TEST(ResidualHistory, ThrowingStageLeavesNoSnapshotBehind) {
   world.expect_exact("tail edit after a throwing stage");
   world.append(200, 30);
   world.expect_exact("append after a throwing stage");
+  return placements;
+}
+
+TEST(ResidualHistory, ThrowingStageLeavesNoSnapshotBehind) {
+  (void)expect_throwing_stage_leaves_no_snapshot_behind(1);
+}
+
+// The same on the pool, where the groups of the realization whose chain
+// throws may already be waiting on it and must be let go.
+TEST(ResidualHistory, ThrowingStageOnThePoolLeavesNoSnapshotBehind) {
+  EXPECT_GE(expect_throwing_stage_leaves_no_snapshot_behind(4), kFanOutCutoffPlacements)
+      << "the throwing stage's replay ran inline";
 }
 
 TEST(ResidualHistory, ProbeLeavesSnapshotsAlone) {
@@ -437,10 +454,13 @@ TEST(ResidualHistory, ReplayPlacesExactlyTheScenariosThatDiffer) {
   }
 }
 
-// The same steps at 1 and 4 threads: the edits near the front replay past
-// the fan-out cutoff, so the 4-thread history really runs on the pool, and
-// every state must be bit-identical.
-TEST(ResidualHistory, FourThreadsReplayBitIdentically) {
+// The same steps at 1 thread and at 2, 3 and 4: the edits near the front
+// replay past the fan-out cutoff, so the pooled histories really run on the
+// pool, and every state must be bit-identical. The widths differ in
+// schedule: at 2 threads (3 slots) every slot takes a chain first and each
+// group starts behind a finished chain; at 3 and 4 threads a group can
+// start right behind a running one.
+TEST(ResidualHistory, TwoToFourThreadsReplayBitIdentically) {
   const auto run = [](std::size_t threads) {
     World world(threads);
     std::vector<ResidualState> states;
@@ -463,14 +483,17 @@ TEST(ResidualHistory, FourThreadsReplayBitIdentically) {
     return std::make_pair(states, world.history.replay_stats());
   };
   const auto [serial, serial_stats] = run(1);
-  const auto [parallel, parallel_stats] = run(4);
-  EXPECT_GE(parallel_stats.largest, kFanOutCutoffPlacements);
-  EXPECT_EQ(parallel_stats.largest, serial_stats.largest);
-  EXPECT_EQ(parallel_stats.placements, serial_stats.placements);
-  EXPECT_EQ(parallel_stats.cells, serial_stats.cells);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(serial[i] == parallel[i]) << "step " << i << " differs at 4 threads";
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    const auto [parallel, parallel_stats] = run(threads);
+    const std::string where = std::to_string(threads) + " threads";
+    EXPECT_GE(parallel_stats.largest, kFanOutCutoffPlacements) << where;
+    EXPECT_EQ(parallel_stats.largest, serial_stats.largest) << where;
+    EXPECT_EQ(parallel_stats.placements, serial_stats.placements) << where;
+    EXPECT_EQ(parallel_stats.cells, serial_stats.cells) << where;
+    ASSERT_EQ(serial.size(), parallel.size()) << where;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(serial[i] == parallel[i]) << "step " << i << " differs at " << where;
+    }
   }
 }
 
