@@ -17,6 +17,7 @@
 #include <chrono>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "approval/approval.h"
@@ -210,7 +211,6 @@ int main(int argc, char** argv) {
   tier_base.exec.threads = 1;  // serial: the tier gap, not pool fan-out
 
   const std::size_t stream_contracts = smoke ? 200 : 400;
-  const std::size_t stream_reps = smoke ? 2 : 3;
 
   struct StreamResult {
     double ms = 0.0;
@@ -218,65 +218,77 @@ int main(int argc, char** argv) {
     service::AdmissionController::ResidualState residuals;
     service::AdmissionController::FastPathStats stats;
   };
-  // Best-of-N identical streams: wall-clock noise hits the slow runs, and
-  // every rep's decisions are identical by construction (fresh controller,
-  // same seed and request stream).
+  // One stream on a fresh controller; with the same seed and request stream
+  // every run's decisions are identical by construction.
   const auto run_stream = [&](bool fastpath) {
+    service::AdmissionConfig cfg = tier_base;
+    cfg.approval.fastpath.enabled = fastpath;
+    service::AdmissionController ctl(net, cfg);
+    Rng stream_rng(kSeed + 7);
     StreamResult result;
-    for (std::size_t rep = 0; rep < stream_reps; ++rep) {
-      service::AdmissionConfig cfg = tier_base;
-      cfg.approval.fastpath.enabled = fastpath;
-      service::AdmissionController ctl(net, cfg);
-      Rng stream_rng(kSeed + 7);
-      std::vector<double> approved;
-      double ms = 0.0;
-      for (std::size_t i = 0; i < stream_contracts; ++i) {
-        const auto npg = static_cast<std::uint32_t>(i + 1);
-        const auto start = std::chrono::steady_clock::now();
-        const auto outcome = ctl.admit(NpgId(npg), "tier" + std::to_string(npg),
-                                       contract_hoses(npg, stream_rng, net.region_count()));
-        ms += ms_since(start);
-        for (const auto& approval : outcome.approvals) {
-          approved.push_back(approval.approved.value());
-        }
-        // The exact audit replay stays off the timed path: drained every
-        // 128 admits (<= 384 records), under the backlog cap past which a
-        // window would audit inline.
-        if ((i + 1) % 128 == 0) (void)ctl.audit_fastpath();
+    for (std::size_t i = 0; i < stream_contracts; ++i) {
+      const auto npg = static_cast<std::uint32_t>(i + 1);
+      const auto start = std::chrono::steady_clock::now();
+      const auto outcome = ctl.admit(NpgId(npg), "tier" + std::to_string(npg),
+                                     contract_hoses(npg, stream_rng, net.region_count()));
+      result.ms += ms_since(start);
+      for (const auto& approval : outcome.approvals) {
+        result.approved.push_back(approval.approved.value());
       }
-      if (rep == 0 || ms < result.ms) result.ms = ms;
-      (void)ctl.audit_fastpath();
-      result.stats = ctl.fastpath_stats();
-      result.approved = std::move(approved);
-      result.residuals = ctl.residual_snapshot();
+      // The exact audit replay stays off the timed path: drained every 128
+      // admits (<= 384 records), under the backlog cap past which a window
+      // would audit inline.
+      if ((i + 1) % 128 == 0) (void)ctl.audit_fastpath();
     }
+    (void)ctl.audit_fastpath();
+    result.stats = ctl.fastpath_stats();
+    result.residuals = ctl.residual_snapshot();
     return result;
   };
 
-  const StreamResult exact_only = run_stream(false);
-  const StreamResult two_tier = run_stream(true);
-
-  const double tier_speedup = two_tier.ms > 0.0 ? exact_only.ms / two_tier.ms : 0.0;
+  // The two streams run back to back in kStreamPairs pairs, the first side
+  // alternating, and the gate reads the pair with the median exact/two-tier
+  // ratio. The host's speed drifts between runs, which a pair largely
+  // shares and each side's own best does not: taking each side's best of 2
+  // failed the smoke floor in 4-6 of 20 runs on one 4-core VM. Every pair's
+  // decisions and residuals must be identical.
+  constexpr std::size_t kStreamPairs = 11;
+  std::vector<std::pair<double, double>> pairs;  // (exact-only, two-tier) ms
+  StreamResult exact_only;
+  StreamResult two_tier;
+  bool decisions_identical = true;
+  for (std::size_t rep = 0; rep < kStreamPairs; ++rep) {
+    if (rep % 2 == 0) exact_only = run_stream(false);
+    two_tier = run_stream(true);
+    if (rep % 2 != 0) exact_only = run_stream(false);
+    pairs.emplace_back(exact_only.ms, two_tier.ms);
+    decisions_identical = decisions_identical && two_tier.approved == exact_only.approved &&
+                          two_tier.residuals == exact_only.residuals;
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return a.first / a.second < b.first / b.second;
+  });
+  const auto [exact_ms, two_tier_ms] = pairs[kStreamPairs / 2];
+  const double tier_speedup = two_tier_ms > 0.0 ? exact_ms / two_tier_ms : 0.0;
   const std::uint64_t assessments = two_tier.stats.hits + two_tier.stats.fallbacks;
   const double hit_rate =
       assessments > 0 ? static_cast<double>(two_tier.stats.hits) / static_cast<double>(assessments)
                       : 0.0;
-  const bool decisions_identical = two_tier.approved == exact_only.approved &&
-                                   two_tier.residuals == exact_only.residuals;
 
   Table tier_table({"contracts", "exact_ms", "fastpath_ms", "speedup", "hit_rate",
                     "audited", "violations"},
                    2);
-  tier_table.add_row({static_cast<double>(stream_contracts), exact_only.ms, two_tier.ms,
+  tier_table.add_row({static_cast<double>(stream_contracts), exact_ms, two_tier_ms,
                       tier_speedup, hit_rate, static_cast<double>(two_tier.stats.audited),
                       static_cast<double>(two_tier.stats.violations)});
   tier_table.print(std::cout);
-  std::cout << "\nfast-path decisions identical to exact-only: "
-            << (decisions_identical ? "yes" : "NO") << '\n';
+  std::cout << "\nmedian of " << kStreamPairs << " alternated pairs; fast-path decisions "
+            << "identical to exact-only in every pair: " << (decisions_identical ? "yes" : "NO")
+            << '\n';
 
   json.add("fastpath_contracts", static_cast<std::uint64_t>(stream_contracts));
-  json.add("fastpath_exact_ms", exact_only.ms);
-  json.add("fastpath_ms", two_tier.ms);
+  json.add("fastpath_exact_ms", exact_ms);
+  json.add("fastpath_ms", two_tier_ms);
   // The CSR placement layer sped up the exact tier itself (~2.6x placement
   // loop), so the remaining tier gap is thinner on the short smoke stream;
   // the full-size stream still clears 2x.

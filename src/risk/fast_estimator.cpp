@@ -1,6 +1,7 @@
 #include "risk/fast_estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -47,21 +48,53 @@ bool FastEstimator::link_alive(LinkId link, const FailureScenario& scenario) con
                              link_srlg_[link.value()]);
 }
 
-double FastEstimator::alive_min(LinkId link,
-                                std::span<const std::vector<double>> scenario_residuals) const {
-  // The scenarios downing the link's SRLG, ascending: skipped in one merge
-  // pass, so the scan reads no down-set.
-  const std::vector<std::uint32_t>& dead = srlg_scenarios_[link_srlg_[link.value()].value()];
-  auto next_dead = dead.begin();
+double FastEstimator::link_headroom(LinkId link, const SparseResiduals& residuals) const {
+  const std::size_t l = link.value();
+  const auto alive = [&](std::size_t s) { return link_alive(link, scenarios_[s]); };
+  // Scenario 0's residual is folded at the first alive scenario holding it,
+  // in ascending order among the entries; every later copy is a tie the fold
+  // keeps. That first one is scenario 0 unless it downs the link.
   double headroom = kInf;
-  for (std::size_t s = 0; s < scenario_residuals.size(); ++s) {
-    if (next_dead != dead.end() && *next_dead == s) {
-      ++next_dead;
-      continue;
+  bool base_folded = false;
+  std::size_t next = 0;  // the first scenario not yet passed
+  const auto fold_base_before = [&](std::size_t end) {
+    for (; !base_folded && next < end; ++next) {
+      if (!alive(next)) continue;
+      headroom = std::min(headroom, residuals.base[l]);
+      base_folded = true;
     }
-    headroom = std::min(headroom, scenario_residuals[s][link.value()]);
+  };
+  for (std::size_t g = 0; g < residuals.groups.size(); ++g) {
+    const double* value = residuals.groups[g].values[l].data();
+    for (std::uint64_t word = residuals.groups[g].differs[l]; word != 0; word &= word - 1) {
+      const std::size_t s =
+          g * SparseResiduals::kGroup + static_cast<std::size_t>(std::countr_zero(word));
+      fold_base_before(s);
+      next = s + 1;
+      const double residual = *value++;
+      if (alive(s)) headroom = std::min(headroom, residual);
+    }
   }
+  fold_base_before(scenarios_.size());
   return headroom;
+}
+
+void FastEstimator::rebuild(const SparseResiduals& residuals) {
+  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
+                 residuals.groups.size() == SparseResiduals::group_count(scenarios_.size()));
+  for (std::size_t l = 0; l < headroom_.size(); ++l) {
+    headroom_[l] = link_headroom(LinkId(static_cast<std::uint32_t>(l)), residuals);
+  }
+}
+
+void FastEstimator::refresh_links(std::span<const LinkId> links,
+                                  const SparseResiduals& residuals) {
+  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
+                 residuals.groups.size() == SparseResiduals::group_count(scenarios_.size()));
+  for (const LinkId link : links) {
+    NETENT_EXPECTS(link.value() < headroom_.size());
+    headroom_[link.value()] = link_headroom(link, residuals);
+  }
 }
 
 void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residuals) {
@@ -71,8 +104,8 @@ void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residu
   }
   // Scenario-major: each scenario's residual vector is read once, front to
   // back, and folded into every link it leaves alive. Each link still sees
-  // alive_min()'s fold, std::min over the same scenarios in the same
-  // ascending order, so the summary is bit-identical to the per-link scan.
+  // std::min over its alive scenarios in ascending order, so the summary is
+  // bit-identical to the per-link scan and to link_headroom().
   std::fill(headroom_.begin(), headroom_.end(), kInf);
   for (std::size_t s = 0; s < scenario_residuals.size(); ++s) {
     const double* residual = scenario_residuals[s].data();
@@ -85,45 +118,6 @@ void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residu
       next = dead_links_[i] + std::size_t{1};
     }
     fold(next, headroom_.size());
-  }
-}
-
-void FastEstimator::rebuild(const SparseResiduals& residuals) {
-  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
-                 residuals.begin.size() == headroom_.size() + 1);
-  for (std::size_t l = 0; l < headroom_.size(); ++l) {
-    const LinkId link(static_cast<std::uint32_t>(l));
-    const auto alive = [&](std::size_t s) { return link_alive(link, scenarios_[s]); };
-    // Scenario 0's residual is folded at the first alive scenario holding
-    // it, in ascending order among the entries; every later copy is a tie
-    // the fold keeps. That first one is scenario 0 unless it downs the link.
-    double headroom = kInf;
-    bool base_folded = false;
-    std::size_t next = 0;  // the first scenario not yet passed
-    const auto fold_base_before = [&](std::size_t end) {
-      for (; !base_folded && next < end; ++next) {
-        if (!alive(next)) continue;
-        headroom = std::min(headroom, residuals.base[l]);
-        base_folded = true;
-      }
-    };
-    for (std::size_t e = residuals.begin[l]; e < residuals.begin[l + 1]; ++e) {
-      const std::size_t s = residuals.scenario[e];
-      fold_base_before(s);
-      next = s + 1;
-      if (alive(s)) headroom = std::min(headroom, residuals.residual[e]);
-    }
-    fold_base_before(scenarios_.size());
-    headroom_[l] = headroom;
-  }
-}
-
-void FastEstimator::refresh_links(std::span<const LinkId> links,
-                                  std::span<const std::vector<double>> scenario_residuals) {
-  NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());
-  for (const LinkId link : links) {
-    NETENT_EXPECTS(link.value() < headroom_.size());
-    headroom_[link.value()] = alive_min(link, scenario_residuals);
   }
 }
 

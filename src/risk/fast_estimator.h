@@ -46,14 +46,14 @@
 // Summaries are maintained alongside the residual state they summarize:
 // rebuild() after a history edit (release / resize / topology windows),
 // refresh_links() for the links a pure-admit commit touched (residuals only
-// ever decrease there, so a per-link re-min is exact). rebuild() takes the
-// residuals in the admission service's sparse form (scenario 0's, plus the
-// few scenarios that differ from it on each link), or dense and
-// scenario-major, one contiguous vector per scenario; refresh_links()
-// re-mins single links across scenarios. All fold each link's alive
-// scenarios in ascending order, so they agree bit for bit: the sparse fold
-// skips only copies of scenario 0's residual, and a later copy of a value
-// already folded cannot displace the running minimum, ±0 ties included.
+// ever decrease there, so a per-link re-min is exact). Both read the
+// admission service's sparse residuals (risk/sparse_residuals.h) in place,
+// through one per-link fold over scenario 0's residual and the entries that
+// differ from it, in O(entries) per link. The dense scenario-major rebuild
+// stays as the tests' reference. Both fold each link's alive scenarios in
+// ascending order, so they agree bit for bit: the sparse fold skips only
+// copies of scenario 0's residual, and a later copy of a value already
+// folded cannot displace the running minimum, ±0 ties included.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "risk/failure.h"
+#include "risk/sparse_residuals.h"
 #include "topology/path_store.h"
 #include "topology/topology.h"
 
@@ -77,17 +78,6 @@ struct FastPathConfig {
   bool audit = true;
 };
 
-/// One realization's per-scenario residuals in sparse form: scenario 0's on
-/// every link, and per link the other scenarios whose residual there differs
-/// from scenario 0's bit for bit, in ascending scenario order, with their
-/// residuals. Link l's entries are [begin[l], begin[l + 1]).
-struct SparseResiduals {
-  std::vector<double> base;             ///< scenario 0's residuals, [link]
-  std::vector<std::size_t> begin;       ///< [link + 1]
-  std::vector<std::uint32_t> scenario;  ///< per entry, ascending within a link
-  std::vector<double> residual;         ///< per entry
-};
-
 /// Conservative per-pipe availability bounds over one family of
 /// per-scenario residual capacities (one admission-service realization).
 /// The `scenarios` span must outlive the estimator and match the residual
@@ -96,21 +86,19 @@ class FastEstimator {
  public:
   FastEstimator(const topology::Topology& topo, std::span<const FailureScenario> scenarios);
 
-  /// Rebuilds every per-link headroom from `scenario_residuals` (indexed
-  /// [scenario][link], aligned with the constructor's scenario span). One
-  /// estimator can be rebuilt any number of times over the same scenarios.
-  void rebuild(std::span<const std::vector<double>> scenario_residuals);
-  /// The same summary from the sparse form of the same residuals, bit for
-  /// bit, in O(links + entries).
+  /// Rebuilds every per-link headroom from `residuals`, whose scenarios
+  /// align with the constructor's span, in O(links + entries). One estimator
+  /// can be rebuilt any number of times over the same scenarios.
   void rebuild(const SparseResiduals& residuals);
+  /// The same summary, bit for bit, from dense `scenario_residuals`
+  /// ([scenario][link]), scenario-major: the tests' reference.
+  void rebuild(std::span<const std::vector<double>> scenario_residuals);
 
-  /// Re-summarizes only `links` (duplicates allowed) from
-  /// `scenario_residuals`. Exact — each link's min is recomputed from
-  /// scratch — and sufficient after a commit, because committed placements
-  /// only ever DECREASE residuals, and only on links of the placed demands'
-  /// candidate paths.
-  void refresh_links(std::span<const LinkId> links,
-                     std::span<const std::vector<double>> scenario_residuals);
+  /// Re-summarizes only `links` (duplicates allowed) from `residuals`.
+  /// Exact — each link's min is recomputed from scratch — and sufficient
+  /// after a commit, because committed placements only ever DECREASE
+  /// residuals, and only on links of the placed demands' candidate paths.
+  void refresh_links(std::span<const LinkId> links, const SparseResiduals& residuals);
 
   /// The conservative availability lower bound for placing `amount_gbps` on
   /// `paths`: the summed probability of enumerated scenarios under which the
@@ -145,10 +133,9 @@ class FastEstimator {
 
  private:
   [[nodiscard]] bool link_alive(LinkId link, const FailureScenario& scenario) const;
-  /// min of `scenario_residuals[s][link]` over the scenarios leaving `link`
-  /// alive (+inf when none does).
-  [[nodiscard]] double alive_min(LinkId link,
-                                 std::span<const std::vector<double>> scenario_residuals) const;
+  /// min of `residuals`' cells on `link` over the scenarios leaving it alive
+  /// (+inf when none does), folded in ascending scenario order.
+  [[nodiscard]] double link_headroom(LinkId link, const SparseResiduals& residuals) const;
 
   std::span<const FailureScenario> scenarios_;
   std::vector<SrlgId> link_srlg_;  ///< SRLG of each link, by LinkId

@@ -127,14 +127,21 @@ Expected<void> validate_hoses(const AdmissionRequest& request, NpgId npg,
   return {};
 }
 
+const Demand& demand_of(const Demand& demand) { return demand; }
+template <class Tagged>
+const Demand& demand_of(const Tagged& tagged) {
+  return tagged.demand;
+}
+
 /// The sorted, deduplicated links on the cached candidate paths of
-/// `demands` (elements carry a topology::Demand in `.demand`): every link a
+/// `demands` (Demands, or elements carrying one in `.demand`): every link a
 /// water-fill of those demands can read or write.
 template <class Demands>
 std::vector<LinkId> candidate_links(const topology::Router& router, const Demands& demands) {
   std::vector<LinkId> links;
-  for (const auto& tagged : demands) {
-    const topology::PathList paths = router.cached_paths(tagged.demand.src, tagged.demand.dst);
+  for (const auto& element : demands) {
+    const Demand& demand = demand_of(element);
+    const topology::PathList paths = router.cached_paths(demand.src, demand.dst);
     NETENT_EXPECTS(paths.valid());
     for (const topology::PathView path : paths) {
       links.insert(links.end(), path.links.begin(), path.links.end());
@@ -536,10 +543,11 @@ void AdmissionController::assess(Window& window) {
     audit.demands.reserve(record.size());
     for (const Window::Drawn& d : record) audit.demands.push_back(d.demand);
     audit.links = candidate_links(router_, record);
-    audit.residuals.resize(residuals.size() * audit.links.size());
+    const std::size_t scenario_count = engine_.scenarios().size();
+    audit.residuals.resize(scenario_count * audit.links.size());
     double* copy = audit.residuals.data();
-    for (const std::vector<double>& scenario_residual : residuals) {
-      for (const LinkId link : audit.links) *copy++ = scenario_residual[link.value()];
+    for (std::size_t s = 0; s < scenario_count; ++s) {
+      for (const LinkId link : audit.links) *copy++ = residuals.at(s, link.value());
     }
     audit.bounds = std::move(bounds);
     window_audits.push_back(std::move(audit));
@@ -793,7 +801,7 @@ ContractVerdict AdmissionController::reverify(ContractId id) {
   const History& history = residuals_.history();
   History others = history;
   const std::vector<std::size_t> first = ResidualHistory::prune(others, {id});
-  const ResidualHistory::ResidualState& without = residuals_.probe(others, first);
+  const std::vector<ResidualHistory::Residuals>& without = residuals_.probe(others, first);
   const double slo = config_.approval.slo_availability;
   double worst = 1.0;
   for (std::size_t k = 0; k < history.size(); ++k) {
@@ -843,17 +851,26 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
   router_.warm(demands);
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
   const topology::Router::SweepGuard guard(router_);
-  // Per-worker RouteResult scratch, reused across scenarios. The curves
-  // come from the simulator's streamed build, so curves over pristine
-  // residuals are bit-identical to RiskSimulator::availability_curves.
-  std::vector<CacheAligned<topology::RouteResult>> scratch(
+  // A fill reads only the links of its candidate paths, so each scenario
+  // routes over a per-worker copy of scenario 0's residuals holding its own
+  // on those links. The scratch is reused across scenarios. The curves come
+  // from the simulator's streamed build, so curves over pristine residuals
+  // are bit-identical to RiskSimulator::availability_curves.
+  const std::vector<LinkId> links = candidate_links(router_, demands);
+  struct Scratch {
+    std::vector<double> residual;
+    topology::RouteResult result;
+  };
+  std::vector<CacheAligned<Scratch>> scratch(
       fan_out_width(threads_, scenarios.size(), scenarios.size() * demands.size()));
-  return risk::curves_from_sweep(scenarios, demands.size(), threads_,
-                                 [&](std::size_t worker, std::size_t s) {
-                                   topology::RouteResult& result = scratch[worker].value;
-                                   router_.route_warmed_into(demands, residuals[s], result);
-                                   return std::span<const double>(result.placed_per_demand);
-                                 });
+  for (CacheAligned<Scratch>& worker : scratch) worker.value.residual = residuals.base;
+  return risk::curves_from_sweep(
+      scenarios, demands.size(), threads_, [&](std::size_t worker, std::size_t s) {
+        Scratch& own = scratch[worker].value;
+        for (const LinkId link : links) own.residual[link.value()] = residuals.at(s, link.value());
+        router_.route_warmed_into(demands, own.residual, own.result);
+        return std::span<const double>(own.result.placed_per_demand);
+      });
 }
 
 std::vector<double> AdmissionController::fast_bounds(const risk::FastEstimator& fast,
@@ -918,13 +935,7 @@ void AdmissionController::rebuild_fastpath() {
       fast_.emplace_back(router_.topo(), engine_.scenarios());
     }
   }
-  // From the sparse state: O(links + entries) per realization, against a
-  // fold of every dense cell.
-  risk::SparseResiduals sparse;
-  for (std::size_t k = 0; k < fast_.size(); ++k) {
-    residuals_.sparse_residuals(k, sparse);
-    fast_[k].rebuild(sparse);
-  }
+  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residuals_.residuals(k));
 }
 
 void AdmissionController::refresh_fastpath(const History& batch) {

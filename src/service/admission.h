@@ -192,7 +192,8 @@ class AdmissionController {
   [[nodiscard]] core::ContractDb contracts_snapshot() const;
 
   /// Residual per-link capacities, indexed [realization][scenario][link].
-  /// `residual_snapshot` returns the incrementally maintained state;
+  /// `residual_snapshot` materializes the incrementally maintained sparse
+  /// state on demand (the service itself reads it in place);
   /// `rebuild_residuals_from_scratch` recomputes the same state from the
   /// recorded commit history. The two are bit-identical after every window —
   /// the delta-replay equivalence the tests pin.

@@ -10,30 +10,8 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/timer.h"
-#include "risk/fast_estimator.h"
 
 namespace netent::service {
-
-namespace {
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-constexpr std::size_t kGroup = 64;  ///< scenarios per bitset word
-
-/// The residual of the bit-th scenario set in a link's bitset is its
-/// rank(bit)-th value. The count is written out: the baseline x86-64
-/// target lowers std::popcount to a library call, and this runs per cell.
-std::size_t rank(std::uint64_t bits, std::size_t bit) {
-  std::uint64_t x = bits & ((std::uint64_t{1} << bit) - 1);
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
-}
-
-}  // namespace
 
 struct ResidualHistory::PlaceScratch {
   /// The demand's candidate paths over local link indices, so the other
@@ -87,7 +65,6 @@ struct ResidualHistory::PlaceScratch {
   std::vector<double> residual;         ///< one dirty scenario's, [local]
   std::vector<double*> slot;            ///< its entries, [local] (null: none)
   std::vector<Update> updates;
-  std::vector<std::uint32_t> moved;     ///< links where a group's residuals moved
 };
 
 /// One demand as scenario 0 placed it: what the groups' fills read.
@@ -106,9 +83,8 @@ struct alignas(64) ResidualHistory::Chain {
   std::vector<Placed> placed;
   std::vector<double> before;         ///< scenario 0's residual on each local link, before
   std::vector<double> after;          ///< and after the demand
-  std::vector<std::uint32_t> moved;   ///< the links its fills wrote
   /// 0 until the base is restored, then 1 + the demands placed; kAborted
-  /// once the chain threw.
+  /// once the chain threw. Reset to 0 before each replay's fan-out.
   std::atomic<std::uint32_t> progress{0};
 
   /// Tells the groups the base is restored and `count` demands are placed.
@@ -130,40 +106,6 @@ struct alignas(64) ResidualHistory::Chain {
   }
 };
 
-void ResidualHistory::Sparse::Group::set(std::size_t bit, std::size_t link, double residual,
-                                         double base) {
-  std::uint64_t& bits = differs[link];
-  const std::uint64_t mask = std::uint64_t{1} << bit;
-  std::vector<double>& row = values[link];
-  const auto at = row.begin() + static_cast<std::ptrdiff_t>(rank(bits, bit));
-  const bool differs_now = !same_bits(residual, base);
-  if ((bits & mask) != 0 && differs_now) {
-    *at = residual;
-  } else if ((bits & mask) != 0) {
-    row.erase(at);
-    bits &= ~mask;
-  } else if (differs_now) {
-    row.insert(at, residual);
-    bits |= mask;
-  }
-}
-
-void ResidualHistory::Sparse::Group::write_dense(std::size_t g, std::span<const double> base,
-                                                 std::span<const std::uint32_t> links,
-                                                 Residuals& dense) const {
-  const std::size_t first = g * kGroup;
-  const std::size_t last = std::min(first + kGroup, dense.size());
-  for (std::size_t s = first; s < last; ++s) {
-    for (const std::uint32_t link : links) dense[s][link] = base[link];
-  }
-  for (const std::uint32_t link : links) {
-    const double* entry = values[link].data();
-    for (std::uint64_t word = differs[link]; word != 0; word &= word - 1) {
-      dense[first + static_cast<std::size_t>(std::countr_zero(word))][link] = *entry++;
-    }
-  }
-}
-
 ResidualHistory::ResidualHistory(const topology::Router& router,
                                  const risk::RiskSimulator& simulator, std::size_t realizations,
                                  std::size_t threads)
@@ -171,12 +113,13 @@ ResidualHistory::ResidualHistory(const topology::Router& router,
       simulator_(simulator),
       threads_(threads),
       history_(realizations),
+      chains_(realizations),
       snapshots_(realizations),
       replayed_(obs::Registry::global().counter("service.admission.replayed_placements")),
       edit_seconds_(
           obs::Registry::global().timer_histogram("service.admission.stage.edit_replay_seconds")) {
   const std::vector<Plan> plans(realizations);
-  (void)replay(history_, plans, /*restore=*/true, state_, residual_);
+  (void)replay(history_, plans, /*restore=*/true, state_);
 }
 
 ResidualHistory::~ResidualHistory() = default;
@@ -191,7 +134,7 @@ void ResidualHistory::append(const History& batch) {
     provisional_.push_back(plans[k].start);
   }
   try {
-    (void)replay(history_, plans, /*restore=*/false, state_, residual_);
+    (void)replay(history_, plans, /*restore=*/false, state_);
   } catch (...) {
     drop_provisional();
     throw;
@@ -206,11 +149,11 @@ ResidualHistory::Edit ResidualHistory::stage(History edited, std::span<const std
   return edit;
 }
 
-const ResidualHistory::ResidualState& ResidualHistory::probe(const History& edited,
-                                                             std::span<const std::size_t> same) {
-  NETENT_EXPECTS(provisional_.empty());  // a staged edit's residuals live in scratch_
+const std::vector<ResidualHistory::Residuals>& ResidualHistory::probe(
+    const History& edited, std::span<const std::size_t> same) {
+  NETENT_EXPECTS(provisional_.empty());  // a staged edit's residuals live in scratch_state_
   replay_edit(edited, same, /*rewrite=*/false);
-  return scratch_;
+  return scratch_state_;
 }
 
 void ResidualHistory::network_changing() {
@@ -228,8 +171,14 @@ void ResidualHistory::Edit::commit() {
   ResidualHistory& owner = *std::exchange(owner_, nullptr);
   owner.history_ = std::move(history_);
   std::swap(owner.state_, owner.scratch_state_);
-  std::swap(owner.residual_, owner.scratch_);
   owner.provisional_.clear();
+}
+
+ResidualHistory::ResidualState ResidualHistory::residuals() const {
+  const std::size_t scenario_count = simulator_.scenarios().size();
+  ResidualState dense;
+  for (const Residuals& state : state_) dense.push_back(state.dense(scenario_count));
+  return dense;
 }
 
 ResidualHistory::ResidualState ResidualHistory::rebuild_from_scratch() const {
@@ -238,7 +187,7 @@ ResidualHistory::ResidualState ResidualHistory::rebuild_from_scratch() const {
   const std::size_t scenario_count = scenarios.size();
   std::uint64_t placements = 0;
   for (const auto& demands : history_) placements += scenario_count * demands.size();
-  ResidualState state(history_.size(), Residuals(scenario_count));
+  ResidualState state(history_.size(), std::vector<std::vector<double>>(scenario_count));
   fan_out(threads_, history_.size() * scenario_count, placements,
           [&](std::size_t /*worker*/, std::size_t c) {
             const std::size_t k = c / scenario_count;
@@ -254,26 +203,6 @@ ResidualHistory::ResidualState ResidualHistory::rebuild_from_scratch() const {
             }
           });
   return state;
-}
-
-void ResidualHistory::sparse_residuals(std::size_t k, risk::SparseResiduals& out) const {
-  const Sparse& state = state_[k];
-  out.base = state.base;
-  out.begin.assign(1, 0);
-  out.scenario.clear();
-  out.residual.clear();
-  for (std::size_t link = 0; link < state.base.size(); ++link) {
-    for (std::size_t g = 0; g < state.groups.size(); ++g) {
-      const Sparse::Group& group = state.groups[g];
-      const double* entry = group.values[link].data();
-      for (std::uint64_t word = group.differs[link]; word != 0; word &= word - 1) {
-        out.scenario.push_back(static_cast<std::uint32_t>(
-            g * kGroup + static_cast<std::size_t>(std::countr_zero(word))));
-        out.residual.push_back(*entry++);
-      }
-    }
-    out.begin.push_back(out.scenario.size());
-  }
 }
 
 std::vector<std::vector<std::size_t>> ResidualHistory::snapshot_positions() const {
@@ -319,7 +248,7 @@ void ResidualHistory::replay_edit(const History& history, std::span<const std::s
     plan.writes = plan_snapshots(k, plan.start, history[k].size());
     provisional_.push_back(plan.start);
   }
-  const ReplayStats work = replay(history, plans, /*restore=*/true, scratch_state_, scratch_);
+  const ReplayStats work = replay(history, plans, /*restore=*/true, scratch_state_);
   replay_stats_.placements += work.placements;
   replay_stats_.largest = std::max(replay_stats_.largest, work.placements);
   replay_stats_.cells += work.cells;
@@ -328,12 +257,10 @@ void ResidualHistory::replay_edit(const History& history, std::span<const std::s
 
 ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
                                                      std::span<const Plan> plans, bool restore,
-                                                     std::vector<Sparse>& states,
-                                                     ResidualState& dense) {
+                                                     std::vector<Residuals>& states) {
   const std::size_t realizations = history.size();
   const std::size_t scenario_count = simulator_.scenarios().size();
-  const std::size_t link_count = router_.full_capacities().size();
-  const std::size_t groups = (scenario_count + kGroup - 1) / kGroup;
+  const std::size_t groups = Residuals::group_count(scenario_count);
   ReplayStats work;
   std::size_t replayed = 0;  // scenario 0's fills, one per replayed demand
   bool from_capacities = false;
@@ -344,14 +271,9 @@ ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
   work.placements = scenario_count * replayed;
   work.largest = work.placements;
   states.resize(realizations);
-  dense.resize(realizations);
-  const Sparse empty = from_capacities ? empty_state() : Sparse{};
+  const Residuals empty = from_capacities ? empty_state() : Residuals{};
   if (restore) {
-    for (std::size_t k = 0; k < realizations; ++k) {
-      states[k].groups.resize(groups);
-      dense[k].resize(scenario_count);
-      for (std::vector<double>& row : dense[k]) row.resize(link_count);
-    }
+    for (Residuals& state : states) state.groups.resize(groups);
   }
   const std::size_t items = realizations * (1 + groups);
   place_scratch_.resize(
@@ -360,16 +282,17 @@ ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
   // Items [0, realizations) are the scenario-0 chains; then one item per
   // (realization, group of 64) follows its chain demand by demand. Every
   // chain is claimed before any group (inline: has ended), so a group waits
-  // only on a running chain. Each item restores its part of the state before
+  // only on a running chain; its progress is reset here, so no group reads
+  // the last replay's. Each item restores its part of the state before
   // writing any snapshot: the restore snapshot may be claimed for one.
-  std::vector<Chain> chains(realizations);
+  for (Chain& chain : chains_) chain.progress.store(0, std::memory_order_relaxed);
   std::vector<std::uint64_t> cells(items, 0);
   fan_out(threads_, items, work.placements, [&](std::size_t worker, std::size_t item) {
     const std::size_t k = item < realizations ? item : (item - realizations) / groups;
     const Plan& plan = plans[k];
-    const Sparse& from = plan.from != nullptr ? plan.from->state : empty;
+    const Residuals& from = plan.from != nullptr ? plan.from->state : empty;
     const auto demands = std::span<const TaggedDemand>(history[k]).subspan(plan.start);
-    Chain& chain = chains[k];
+    Chain& chain = chains_[k];
     PlaceScratch& scratch = place_scratch_[worker];
     auto write = plan.writes.begin();
     if (item < realizations) {
@@ -406,51 +329,39 @@ ResidualHistory::ReplayStats ResidualHistory::replay(const History& history,
       return;
     }
     const std::size_t g = (item - realizations) % groups;
-    Sparse::Group& group = states[k].groups[g];
+    Residuals::Group& group = states[k].groups[g];
     if (restore) group = from.groups[g];
-    scratch.moved.clear();
     std::uint64_t placed = 0;  // counted here: cells[] shares cache lines
     for (std::size_t j = 0; j < demands.size(); ++j) {
       if (!chain.follow(j + 1)) return;
-      placed += place_group(chain, chain.placed[j], group, scratch, !restore);
+      placed += place_group(chain, chain.placed[j], group, scratch);
       if (write != plan.writes.end() && write->first == plan.start + j + 1) {
         (write++)->second->state.groups[g] = group;
       }
     }
-    if (!chain.follow(demands.size())) return;
     cells[item] = placed;
-    std::vector<std::uint32_t>& moved = scratch.moved;
-    if (restore) {
-      moved.resize(link_count);
-      std::iota(moved.begin(), moved.end(), 0U);
-    } else {
-      moved.insert(moved.end(), chain.moved.begin(), chain.moved.end());
-      std::sort(moved.begin(), moved.end());
-      moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
-    }
-    group.write_dense(g, states[k].base, moved, dense[k]);
   });
   work.cells = std::accumulate(cells.begin(), cells.end(), std::uint64_t{0});
   return work;
 }
 
-ResidualHistory::Sparse ResidualHistory::empty_state() const {
+ResidualHistory::Residuals ResidualHistory::empty_state() const {
   const std::span<const risk::FailureScenario> scenarios = simulator_.scenarios();
   const std::span<const double> capacity = router_.full_capacities();
-  Sparse state;
+  Residuals state;
   state.base = risk::scenario_capacities(simulator_.srlg_index(), capacity, scenarios[0]);
-  state.groups.resize((scenarios.size() + kGroup - 1) / kGroup);
-  for (Sparse::Group& group : state.groups) {
+  state.groups.resize(Residuals::group_count(scenarios.size()));
+  for (Residuals::Group& group : state.groups) {
     group.differs.assign(capacity.size(), 0);
     group.values.resize(capacity.size());
   }
   risk::ScenarioCapacityScratch scenario_capacity(simulator_.srlg_index(), capacity);
   for (std::size_t s = 1; s < scenarios.size(); ++s) {
     const std::span<const double> residual = scenario_capacity.apply(scenarios[s]);
-    Sparse::Group& group = state.groups[s / kGroup];
+    Residuals::Group& group = state.groups[s / Residuals::kGroup];
     for (std::size_t link = 0; link < residual.size(); ++link) {
-      if (same_bits(residual[link], state.base[link])) continue;
-      group.differs[link] |= std::uint64_t{1} << (s % kGroup);
+      if (Residuals::same_bits(residual[link], state.base[link])) continue;
+      group.differs[link] |= std::uint64_t{1} << (s % Residuals::kGroup);
       group.values[link].push_back(residual[link]);
     }
   }
@@ -467,15 +378,11 @@ void ResidualHistory::place_first(const topology::Demand& demand, std::vector<do
     chain.before[placed.first + i] = scratch.pre[links[i]];
     chain.after[placed.first + i] = base[links[i]];
   }
-  for (const auto& [lid, amount] : scratch.written) {
-    scratch.pre[lid.value()] = base[lid.value()];
-    chain.moved.push_back(lid.value());
-  }
+  for (const auto& [lid, amount] : scratch.written) scratch.pre[lid.value()] = base[lid.value()];
 }
 
 std::uint64_t ResidualHistory::place_group(const Chain& chain, const Placed& placed,
-                                           Sparse::Group& group, PlaceScratch& scratch,
-                                           bool track_moved) {
+                                           Residuals::Group& group, PlaceScratch& scratch) {
   // Scenario 0's outcome is a function of the residuals on the links it
   // scanned, so a scenario with no entry there filled exactly as it did.
   const PlaceScratch::Local& local = *placed.local;
@@ -506,7 +413,7 @@ std::uint64_t ResidualHistory::place_group(const Chain& chain, const Placed& pla
     const auto bit = static_cast<std::size_t>(std::countr_zero(word));
     for (std::size_t i = 0; i < n; ++i) {
       double* const slot = ((scratch.bits[i] >> bit) & 1U) != 0
-                               ? scratch.values[i] + rank(scratch.bits[i], bit)
+                               ? scratch.values[i] + Residuals::rank(scratch.bits[i], bit)
                                : nullptr;
       scratch.slot[i] = slot;
       scratch.residual[i] = slot != nullptr ? *slot : before[i];
@@ -515,10 +422,9 @@ std::uint64_t ResidualHistory::place_group(const Chain& chain, const Placed& pla
     for (std::size_t i = 0; i < n; ++i) {
       const double residual = scratch.residual[i];
       double* const slot = scratch.slot[i];
-      const bool moved = !same_bits(residual, slot != nullptr ? *slot : before[i]);
-      if (!moved && same_bits(before[i], after[i])) continue;
-      if (moved && track_moved) scratch.moved.push_back(links[i]);
-      const bool differs = !same_bits(residual, after[i]);
+      const bool moved = !Residuals::same_bits(residual, slot != nullptr ? *slot : before[i]);
+      if (!moved && Residuals::same_bits(before[i], after[i])) continue;
+      const bool differs = !Residuals::same_bits(residual, after[i]);
       if (slot != nullptr && differs) {
         *slot = residual;
       } else if (slot != nullptr || differs) {
@@ -543,7 +449,7 @@ std::vector<std::pair<std::size_t, ResidualHistory::Snapshot*>> ResidualHistory:
   for (Snapshot& snapshot : slots) {
     if (snapshot.position > kept || snapshot.position % stride != 0) snapshot.position = 0;
   }
-  const std::size_t groups = (simulator_.scenarios().size() + kGroup - 1) / kGroup;
+  const std::size_t groups = Residuals::group_count(simulator_.scenarios().size());
   std::vector<std::pair<std::size_t, Snapshot*>> writes;
   auto free_slot = slots.begin();
   for (std::size_t position = (kept / stride + 1) * stride; position <= length;

@@ -10,22 +10,20 @@
 // sized to the history. Appends and edits share one replay, so the state is
 // bit-identical to a from-scratch rebuild at any thread count.
 //
-// Nearly every scenario's residuals equal scenario 0's, so each
-// realization's state is sparse: scenario 0's residuals dense and, per link,
-// a bitset of the scenarios whose residual there differs, with their values
-// in scenario order (one 64-bit word per link per group of 64 scenarios). A
-// replay is one fan-out. Its first items are the realizations' scenario-0
-// chains, which fill scenario 0 and publish each demand once placed. A
-// fill's outcome depends only on the residuals of the links it scanned, so
-// a scenario with no entry on the links scenario 0's fill scanned fills
-// exactly as scenario 0 did and is not visited. The other items, one per
-// (realization, group), follow their chain demand by demand: each fills only
-// the group's scenarios set on a scanned link, over scenario 0's
-// pre-placement residuals with its own entries on top, and re-derives their
-// entries where either fill wrote. Snapshots copy the sparse state. The
-// dense [scenario][link] residuals the assessors read are a mirror of it:
-// patched on the links that moved after an append, and materialized once
-// per staged edit or probe.
+// Each realization's state is a risk::SparseResiduals (risk/
+// sparse_residuals.h): scenario 0's residuals dense, and every other
+// scenario only on the links where it differs. It is the only form the
+// residuals take: the assessors read it in place, and residuals() builds
+// the dense [realization][scenario][link] cells only for the oracle
+// comparisons. A replay is one fan-out. Its first items are the
+// realizations' scenario-0 chains, which fill scenario 0 and publish each
+// demand once placed. A fill's outcome depends only on the residuals of the
+// links it scanned, so a scenario with no entry on the links scenario 0's
+// fill scanned fills exactly as scenario 0 did and is not visited. The other
+// items, one per (realization, group), follow their chain demand by demand:
+// each fills only the group's scenarios set on a scanned link, over scenario
+// 0's pre-placement residuals with its own entries on top, and re-derives
+// their entries where either fill wrote. Snapshots copy the sparse state.
 //
 // stage() replays an edited history into a scratch state and rewrites the
 // snapshots behind its restore points. They stay provisional: the Edit it
@@ -43,11 +41,8 @@
 
 #include "obs/metrics.h"
 #include "risk/simulator.h"
+#include "risk/sparse_residuals.h"
 #include "topology/routing.h"
-
-namespace netent::risk {
-struct SparseResiduals;
-}  // namespace netent::risk
 
 namespace netent::service {
 
@@ -63,9 +58,11 @@ class ResidualHistory {
   };
   /// Per realization, the committed demands in commit order.
   using History = std::vector<std::vector<TaggedDemand>>;
-  /// One realization's residuals, [scenario][link].
-  using Residuals = std::vector<std::vector<double>>;
-  using ResidualState = std::vector<Residuals>;  ///< [realization]
+  /// One realization's residuals.
+  using Residuals = risk::SparseResiduals;
+  /// Every realization's residuals as dense [realization][scenario][link]
+  /// cells: the oracle comparisons' form.
+  using ResidualState = std::vector<std::vector<std::vector<double>>>;
   /// Work of the edits so far (appends are not edits), in placements: the
   /// demands replayed times the scenario count, in total and for the largest,
   /// and the placements actually made (`cells`: one per demand in scenario 0,
@@ -93,8 +90,8 @@ class ResidualHistory {
   [[nodiscard]] Edit stage(History edited, std::span<const std::size_t> same);
   /// The residuals stage() would give `edited`, leaving the snapshots alone:
   /// a what-if that cannot be committed, valid until the next probe or stage.
-  [[nodiscard]] const ResidualState& probe(const History& edited,
-                                           std::span<const std::size_t> same);
+  [[nodiscard]] const std::vector<Residuals>& probe(const History& edited,
+                                                    std::span<const std::size_t> same);
   /// Frees every snapshot before the network changes, so none of the old
   /// network survives a change that fails half way; once it has changed,
   /// replay_all() replays the whole history over it.
@@ -102,11 +99,9 @@ class ResidualHistory {
   void replay_all();
 
   [[nodiscard]] const History& history() const { return history_; }
-  [[nodiscard]] const ResidualState& residuals() const { return residual_; }
-  [[nodiscard]] const Residuals& residuals(std::size_t k) const { return residual_[k]; }
-  /// Realization k's residuals in sparse form, into `out` (its buffers are
-  /// reused): what residuals(k) holds, read from the sparse state.
-  void sparse_residuals(std::size_t k, risk::SparseResiduals& out) const;
+  [[nodiscard]] const Residuals& residuals(std::size_t k) const { return state_[k]; }
+  /// The live state materialized: what rebuild_from_scratch() must equal.
+  [[nodiscard]] ResidualState residuals() const;
   /// The oracle: the live state recomputed from the history alone.
   [[nodiscard]] ResidualState rebuild_from_scratch() const;
   [[nodiscard]] ReplayStats replay_stats() const { return replay_stats_; }
@@ -118,29 +113,11 @@ class ResidualHistory {
   static std::vector<std::size_t> prune(History& history, const std::set<ContractId>& owners);
 
  private:
-  /// One realization's residuals: scenario 0's dense, and for each group of
-  /// 64 scenarios, on each link the bitset of those whose residual there
-  /// differs from scenario 0's bit for bit, with their residuals in scenario
-  /// order.
-  struct Sparse {
-    struct Group {
-      std::vector<std::uint64_t> differs;       ///< [link]: bit b is scenario 64g + b
-      std::vector<std::vector<double>> values;  ///< [link]: the set scenarios' residuals
-      /// Sets bit b's residual on `link`: an entry unless it equals `base`,
-      /// scenario 0's residual there.
-      void set(std::size_t bit, std::size_t link, double residual, double base);
-      /// Writes group g's rows of `dense` on `links`, over scenario 0's `base`.
-      void write_dense(std::size_t g, std::span<const double> base,
-                       std::span<const std::uint32_t> links, Residuals& dense) const;
-    };
-    std::vector<double> base;  ///< scenario 0's residuals, [link]
-    std::vector<Group> groups;
-  };
-  /// The sparse state after the first `position` demands; position 0 marks a
-  /// free slot that keeps its buffers.
+  /// The state after the first `position` demands; position 0 marks a free
+  /// slot that keeps its buffers.
   struct Snapshot {
     std::size_t position = 0;
-    Sparse state;
+    Residuals state;
   };
   /// How one realization replays: the position it starts placing at, the
   /// snapshot it restores from (null: the scenario capacities), and the
@@ -156,21 +133,21 @@ class ResidualHistory {
   struct Placed;
   struct Chain;
 
-  /// Replays `history` into scratch_ from the newest snapshots at or before
-  /// `same`, with `rewrite` making the snapshots behind them provisional.
+  /// Replays `history` into scratch_state_ from the newest snapshots at or
+  /// before `same`, with `rewrite` making the snapshots behind them
+  /// provisional.
   void replay_edit(const History& history, std::span<const std::size_t> same, bool rewrite);
   /// The one replay, as one fan-out. Item k < realizations restores
   /// realization k's scenario 0 per plans[k] (or, without `restore`,
   /// continues from states[k]) and places the rest of its history there,
   /// publishing each demand. Each later item, one per (realization, group),
-  /// restores its group, places the demands in the group's scenarios as its
-  /// chain publishes them, and materializes its rows of dense[k] (after a
-  /// restore) or patches them on the links that moved. A chain that throws
-  /// lets its groups go, and its exception is rethrown. Returns the work.
+  /// restores its group and places the demands in the group's scenarios as
+  /// its chain publishes them. A chain that throws lets its groups go, and
+  /// its exception is rethrown. Returns the work.
   ReplayStats replay(const History& history, std::span<const Plan> plans, bool restore,
-                     std::vector<Sparse>& states, ResidualState& dense);
+                     std::vector<Residuals>& states);
   /// The residuals of an empty history: the scenario capacities.
-  [[nodiscard]] Sparse empty_state() const;
+  [[nodiscard]] Residuals empty_state() const;
   /// Places one demand in scenario 0 over `base`, which scratch.pre must
   /// equal, and records in `chain` and `placed` (its local paths and records
   /// already set) what the groups need.
@@ -178,8 +155,8 @@ class ResidualHistory {
                    Placed& placed, PlaceScratch& scratch) const;
   /// Places `placed` in `group`'s scenarios that differ from scenario 0 on a
   /// link scenario 0's fill scanned, and returns how many there were.
-  static std::uint64_t place_group(const Chain& chain, const Placed& placed, Sparse::Group& group,
-                                   PlaceScratch& scratch, bool track_moved);
+  static std::uint64_t place_group(const Chain& chain, const Placed& placed,
+                                   Residuals::Group& group, PlaceScratch& scratch);
   /// Frees realization k's snapshots past `kept` or off the stride for
   /// `length` demands, and claims one per stride position in (kept, length].
   std::vector<std::pair<std::size_t, Snapshot*>> plan_snapshots(std::size_t k, std::size_t kept,
@@ -191,11 +168,11 @@ class ResidualHistory {
   const risk::RiskSimulator& simulator_;
   std::size_t threads_;
   History history_;
-  std::vector<Sparse> state_;          ///< [realization]
-  std::vector<Sparse> scratch_state_;  ///< the staged edit's or the probe's
-  ResidualState residual_;             ///< the dense mirror of state_
-  ResidualState scratch_;              ///< the dense mirror of scratch_state_
+  std::vector<Residuals> state_;          ///< [realization]
+  std::vector<Residuals> scratch_state_;  ///< the staged edit's or the probe's
   std::vector<PlaceScratch> place_scratch_;  ///< per fan-out worker slot, kept across replays
+  /// One per realization, kept across replays so their records' buffers are.
+  std::vector<Chain> chains_;
   std::vector<std::array<Snapshot, kSnapshots>> snapshots_;  ///< [realization]
   /// Restore points of the staged edit, per realization (empty: none).
   std::vector<std::size_t> provisional_;
@@ -213,7 +190,9 @@ class ResidualHistory::Edit {
     if (owner_ != nullptr) owner_->drop_provisional();
   }
 
-  [[nodiscard]] const Residuals& residuals(std::size_t k) const { return owner_->scratch_[k]; }
+  [[nodiscard]] const Residuals& residuals(std::size_t k) const {
+    return owner_->scratch_state_[k];
+  }
   void commit();
 
  private:

@@ -202,6 +202,28 @@ TEST(FastEstimatorProperty, BoundNeverExceedsExactAvailabilityAcross1kDraws) {
   EXPECT_GE(tally.bounds_checked, 1000u);
 }
 
+/// The sparse form of `residuals`: scenario 0's, and per group of 64
+/// scenarios and link the others whose residual differs from it bit for bit.
+SparseResiduals sparse_of(std::span<const std::vector<double>> residuals) {
+  constexpr std::size_t kGroup = SparseResiduals::kGroup;
+  SparseResiduals sparse;
+  sparse.base = residuals[0];
+  sparse.groups.resize(SparseResiduals::group_count(residuals.size()));
+  for (SparseResiduals::Group& group : sparse.groups) {
+    group.differs.assign(sparse.base.size(), 0);
+    group.values.resize(sparse.base.size());
+  }
+  for (std::size_t s = 1; s < residuals.size(); ++s) {
+    SparseResiduals::Group& group = sparse.groups[s / kGroup];
+    for (std::size_t l = 0; l < sparse.base.size(); ++l) {
+      if (SparseResiduals::same_bits(residuals[s][l], sparse.base[l])) continue;
+      group.differs[l] |= std::uint64_t{1} << (s % kGroup);
+      group.values[l].push_back(residuals[s][l]);
+    }
+  }
+  return sparse;
+}
+
 // Maintained summaries must equal freshly built ones: refresh_links on the
 // touched links after residuals decrease reproduces rebuild() exactly.
 TEST(FastEstimator, RefreshLinksMatchesFreshRebuild) {
@@ -232,7 +254,7 @@ TEST(FastEstimator, RefreshLinksMatchesFreshRebuild) {
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  maintained.refresh_links(touched, residuals);
+  maintained.refresh_links(touched, sparse_of(residuals));
 
   FastEstimator fresh(world.topo, world.scenarios);
   fresh.rebuild(residuals);
@@ -267,7 +289,7 @@ TEST(FastEstimator, AllLinksDirtyRefreshEqualsRebuild) {
   for (auto& residual : residuals) {
     for (double& r : residual) r *= 0.5;
   }
-  refreshed.refresh_links(all_links, residuals);
+  refreshed.refresh_links(all_links, sparse_of(residuals));
 
   FastEstimator rebuilt(world.topo, world.scenarios);
   rebuilt.rebuild(residuals);
@@ -320,7 +342,7 @@ TEST(FastEstimator, HeadroomIsTheMinimumOverScenariosLeavingTheLinkAlive) {
   FastEstimator rebuilt(world.topo, scenarios);
   rebuilt.rebuild(residuals);
   FastEstimator refreshed(world.topo, scenarios);
-  refreshed.refresh_links(all_links, residuals);
+  refreshed.refresh_links(all_links, sparse_of(residuals));
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
     EXPECT_EQ(rebuilt.headroom()[l], expected[l]) << "link " << l;
     EXPECT_EQ(refreshed.headroom()[l], expected[l]) << "link " << l;
@@ -346,26 +368,6 @@ std::vector<double> per_link_headroom(const Topology& topo,
     headroom[l] = min;
   }
   return headroom;
-}
-
-/// The sparse form of `residuals`: scenario 0's, and per link the other
-/// scenarios whose residual differs from it bit for bit.
-SparseResiduals sparse_of(std::span<const std::vector<double>> residuals) {
-  SparseResiduals sparse;
-  sparse.base = residuals[0];
-  sparse.begin.assign(1, 0);
-  for (std::size_t l = 0; l < sparse.base.size(); ++l) {
-    for (std::size_t s = 1; s < residuals.size(); ++s) {
-      if (std::bit_cast<std::uint64_t>(residuals[s][l]) ==
-          std::bit_cast<std::uint64_t>(sparse.base[l])) {
-        continue;
-      }
-      sparse.scenario.push_back(static_cast<std::uint32_t>(s));
-      sparse.residual.push_back(residuals[s][l]);
-    }
-    sparse.begin.push_back(sparse.scenario.size());
-  }
-  return sparse;
 }
 
 // Both rebuild()s, dense scenario-major and sparse, must reproduce the
@@ -441,7 +443,9 @@ TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
           }
         }
       }
-      sparse_entries += sparse.scenario.size();
+      for (const SparseResiduals::Group& group : sparse.groups) {
+        for (const std::vector<double>& values : group.values) sparse_entries += values.size();
+      }
       dense_cells += (residuals.size() - 1) * reference.size();
     }
   }

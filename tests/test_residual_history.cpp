@@ -20,7 +20,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "risk/failure.h"
-#include "risk/fast_estimator.h"
 #include "risk/simulator.h"
 #include "topology/generator.h"
 #include "topology/routing.h"
@@ -30,6 +29,7 @@ namespace netent::service {
 namespace {
 
 using History = ResidualHistory::History;
+using Residuals = ResidualHistory::Residuals;
 using ResidualState = ResidualHistory::ResidualState;
 using topology::Demand;
 
@@ -101,9 +101,10 @@ struct World {
 
   /// The exactness and snapshot-layout invariants, after any step.
   void expect_exact(const std::string& where) const {
-    ASSERT_TRUE(live() == history.rebuild_from_scratch()) << where << ": residuals diverged";
+    const ResidualState oracle = history.rebuild_from_scratch();
+    ASSERT_TRUE(live() == oracle) << where << ": residuals diverged";
     for (std::size_t k = 0; k < kRealizations; ++k) {
-      expect_sparse_matches_dense(k, where + ", realization " + std::to_string(k));
+      expect_stored_form(k, oracle[k], where + ", realization " + std::to_string(k));
     }
     const auto positions = history.snapshot_positions();
     for (std::size_t k = 0; k < kRealizations; ++k) {
@@ -117,28 +118,32 @@ struct World {
     }
   }
 
-  /// Realization k's sparse form lists exactly the cells of the dense mirror
-  /// that differ from scenario 0's bit for bit, in scenario order.
-  void expect_sparse_matches_dense(std::size_t k, const std::string& where) const {
-    const auto same = [](double a, double b) {
-      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-    };
-    risk::SparseResiduals sparse;
-    history.sparse_residuals(k, sparse);
-    const ResidualHistory::Residuals& dense = history.residuals(k);
-    ASSERT_EQ(sparse.base.size(), dense[0].size()) << where;
-    ASSERT_EQ(sparse.begin.size(), dense[0].size() + 1) << where;
-    for (std::size_t l = 0; l < sparse.base.size(); ++l) {
-      ASSERT_TRUE(same(sparse.base[l], dense[0][l])) << where << ": link " << l;
-      std::size_t entry = sparse.begin[l];
-      for (std::size_t s = 1; s < dense.size(); ++s) {
-        if (same(dense[s][l], dense[0][l])) continue;
-        ASSERT_LT(entry, sparse.begin[l + 1]) << where << ": link " << l << " scenario " << s;
-        ASSERT_EQ(sparse.scenario[entry], s) << where << ": link " << l;
-        ASSERT_TRUE(same(sparse.residual[entry], dense[s][l])) << where << ": link " << l;
-        ++entry;
+  /// Realization k's stored form: per link and group, one value per set bit,
+  /// none a copy of scenario 0's residual bit for bit, and every cell read
+  /// through at() equal to the oracle's.
+  void expect_stored_form(std::size_t k, const std::vector<std::vector<double>>& oracle,
+                          const std::string& where) const {
+    const Residuals& stored = history.residuals(k);
+    ASSERT_EQ(stored.groups.size(), Residuals::group_count(oracle.size())) << where;
+    for (std::size_t g = 0; g < stored.groups.size(); ++g) {
+      const Residuals::Group& group = stored.groups[g];
+      ASSERT_EQ(group.differs.size(), stored.base.size()) << where;
+      ASSERT_EQ(group.values.size(), stored.base.size()) << where;
+      for (std::size_t l = 0; l < stored.base.size(); ++l) {
+        const auto set_bits = static_cast<std::size_t>(std::popcount(group.differs[l]));
+        ASSERT_EQ(group.values[l].size(), set_bits) << where << ": group " << g << " link " << l;
+        for (const double value : group.values[l]) {
+          ASSERT_FALSE(Residuals::same_bits(value, stored.base[l]))
+              << where << ": group " << g << " link " << l << " stores scenario 0's residual";
+        }
       }
-      ASSERT_EQ(entry, sparse.begin[l + 1]) << where << ": link " << l << " lists extra entries";
+    }
+    for (std::size_t s = 0; s < oracle.size(); ++s) {
+      ASSERT_EQ(oracle[s].size(), stored.base.size()) << where;
+      for (std::size_t l = 0; l < stored.base.size(); ++l) {
+        ASSERT_TRUE(Residuals::same_bits(stored.at(s, l), oracle[s][l]))
+            << where << ": scenario " << s << " link " << l;
+      }
     }
   }
 
@@ -317,7 +322,8 @@ TEST(ResidualHistory, DroppedStageLeavesNoSnapshotBehind) {
     const ResidualState expected = world.oracle_of(edited);
     const ResidualHistory::Edit edit = world.history.stage(std::move(edited), same);
     for (std::size_t k = 0; k < kRealizations; ++k) {
-      ASSERT_TRUE(edit.residuals(k) == expected[k]) << "staged residuals, realization " << k;
+      ASSERT_TRUE(edit.residuals(k).dense(world.simulator.scenarios().size()) == expected[k])
+          << "staged residuals, realization " << k;
     }
   }  // dropped
   EXPECT_TRUE(world.live() == live) << "a dropped stage changed the live residuals";
@@ -384,7 +390,10 @@ TEST(ResidualHistory, ProbeLeavesSnapshotsAlone) {
   History edited = world.history.history();
   const std::vector<std::size_t> same = ResidualHistory::prune(edited, {world.owner_at(33)});
   const ResidualState expected = world.oracle_of(edited);
-  EXPECT_TRUE(world.history.probe(edited, same) == expected);
+  const std::vector<Residuals>& probed = world.history.probe(edited, same);
+  for (std::size_t k = 0; k < kRealizations; ++k) {
+    EXPECT_TRUE(probed[k].dense(world.simulator.scenarios().size()) == expected[k]) << k;
+  }
   EXPECT_EQ(world.history.snapshot_positions(), before);
   world.expect_exact("probe");
   world.release({world.owner_at(90)});
@@ -451,6 +460,34 @@ TEST(ResidualHistory, ReplayPlacesExactlyTheScenariosThatDiffer) {
       EXPECT_GT(expected.spills, kRealizations * 120 / 2) << where;
       EXPECT_GT(expected.cells, expected.first_path_cells) << where;
     }
+  }
+}
+
+// A replay resets its chains' progress before its fan-out: a group that
+// read the last replay's count would not wait for its chain, and would
+// fill from records the chain has not written yet. With one realization
+// the chain runs beside its groups from 2 threads up, and a long history
+// keeps it running well after they start, so each back-to-back replay from
+// position 0 races its groups against its chain.
+TEST(ResidualHistory, BackToBackPooledReplaysStayExact) {
+  World world(1);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    ResidualHistory history(world.router, world.simulator, 1, threads);
+    History batch(1);
+    for (ContractId c = 0; c < 600; ++c) batch[0].push_back({demand_of(c, 0), c});
+    history.append(batch);
+    for (const ContractId owner : {0u, 1u, 2u}) {
+      const std::string where =
+          std::to_string(threads) + " threads, release " + std::to_string(owner);
+      history.replay_all();
+      ASSERT_TRUE(history.residuals() == history.rebuild_from_scratch()) << where;
+      History edited = history.history();
+      const std::vector<std::size_t> same = ResidualHistory::prune(edited, {owner});
+      ASSERT_EQ(same[0], 0u) << where;
+      history.stage(std::move(edited), same).commit();
+      ASSERT_TRUE(history.residuals() == history.rebuild_from_scratch()) << where;
+    }
+    EXPECT_GE(history.replay_stats().largest, kFanOutCutoffPlacements) << threads << " threads";
   }
 }
 
