@@ -289,9 +289,11 @@ int main(int argc, char** argv) {
   json.add("fastpath_contracts", static_cast<std::uint64_t>(stream_contracts));
   json.add("fastpath_exact_ms", exact_ms);
   json.add("fastpath_ms", two_tier_ms);
-  // The CSR placement layer sped up the exact tier itself (~2.6x placement
-  // loop), so the remaining tier gap is thinner on the short smoke stream;
-  // the full-size stream still clears 2x.
+  // The exact tier itself got faster (the CSR placement layer, the streamed
+  // curves), so the tier gap is thin: the full-size stream reads 1.67-1.71x
+  // (median pair of 11, 7 runs on a 4-core VM) against its 2x floor, and a
+  // full run exits 1. The floor is to be re-based on a parent-vs-change
+  // comparison, not loosened.
   const double tier_speedup_floor = smoke ? 1.5 : 2.0;
   json.add("fastpath_speedup", tier_speedup);
   json.add("fastpath_speedup_2x", tier_speedup >= 2.0);

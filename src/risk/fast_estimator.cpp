@@ -17,27 +17,12 @@ FastEstimator::FastEstimator(const topology::Topology& topo,
     : scenarios_(scenarios) {
   link_srlg_.reserve(topo.link_count());
   for (const topology::Link& link : topo.links()) link_srlg_.push_back(link.srlg);
-  headroom_.assign(topo.link_count(), kInf);
   srlg_scenarios_.resize(topo.srlg_count());
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
     total_mass_ += scenarios_[s].probability;
     for (const SrlgId srlg : scenarios_[s].down) {
       std::vector<std::uint32_t>& downing = srlg_scenarios_[srlg.value()];
       if (downing.empty() || downing.back() != s) downing.push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-  // Invert the per-SRLG index into per-scenario dead-link lists. Links are
-  // visited in ascending order, so every list comes out sorted.
-  dead_begin_.assign(scenarios_.size() + 1, 0);
-  for (const SrlgId srlg : link_srlg_) {
-    for (const std::uint32_t s : srlg_scenarios_[srlg.value()]) ++dead_begin_[s + 1];
-  }
-  for (std::size_t s = 0; s < scenarios_.size(); ++s) dead_begin_[s + 1] += dead_begin_[s];
-  dead_links_.resize(dead_begin_.back());
-  std::vector<std::size_t> fill(dead_begin_.begin(), dead_begin_.end() - 1);
-  for (std::size_t l = 0; l < link_srlg_.size(); ++l) {
-    for (const std::uint32_t s : srlg_scenarios_[link_srlg_[l].value()]) {
-      dead_links_[fill[s]++] = static_cast<std::uint32_t>(l);
     }
   }
 }
@@ -48,19 +33,21 @@ bool FastEstimator::link_alive(LinkId link, const FailureScenario& scenario) con
                              link_srlg_[link.value()]);
 }
 
-double FastEstimator::link_headroom(LinkId link, const SparseResiduals& residuals) const {
+double FastEstimator::headroom(LinkId link, const SparseResiduals& residuals) const {
   const std::size_t l = link.value();
+  NETENT_EXPECTS(l < link_srlg_.size() && residuals.base.size() == link_srlg_.size() &&
+                 residuals.groups.size() == SparseResiduals::group_count(scenarios_.size()));
   const auto alive = [&](std::size_t s) { return link_alive(link, scenarios_[s]); };
   // Scenario 0's residual is folded at the first alive scenario holding it,
   // in ascending order among the entries; every later copy is a tie the fold
   // keeps. That first one is scenario 0 unless it downs the link.
-  double headroom = kInf;
+  double folded = kInf;
   bool base_folded = false;
   std::size_t next = 0;  // the first scenario not yet passed
   const auto fold_base_before = [&](std::size_t end) {
     for (; !base_folded && next < end; ++next) {
       if (!alive(next)) continue;
-      headroom = std::min(headroom, residuals.base[l]);
+      folded = std::min(folded, residuals.base[l]);
       base_folded = true;
     }
   };
@@ -72,61 +59,20 @@ double FastEstimator::link_headroom(LinkId link, const SparseResiduals& residual
       fold_base_before(s);
       next = s + 1;
       const double residual = *value++;
-      if (alive(s)) headroom = std::min(headroom, residual);
+      if (alive(s)) folded = std::min(folded, residual);
     }
   }
   fold_base_before(scenarios_.size());
-  return headroom;
-}
-
-void FastEstimator::rebuild(const SparseResiduals& residuals) {
-  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
-                 residuals.groups.size() == SparseResiduals::group_count(scenarios_.size()));
-  for (std::size_t l = 0; l < headroom_.size(); ++l) {
-    headroom_[l] = link_headroom(LinkId(static_cast<std::uint32_t>(l)), residuals);
-  }
-}
-
-void FastEstimator::refresh_links(std::span<const LinkId> links,
-                                  const SparseResiduals& residuals) {
-  NETENT_EXPECTS(residuals.base.size() == headroom_.size() &&
-                 residuals.groups.size() == SparseResiduals::group_count(scenarios_.size()));
-  for (const LinkId link : links) {
-    NETENT_EXPECTS(link.value() < headroom_.size());
-    headroom_[link.value()] = link_headroom(link, residuals);
-  }
-}
-
-void FastEstimator::rebuild(std::span<const std::vector<double>> scenario_residuals) {
-  NETENT_EXPECTS(scenario_residuals.size() == scenarios_.size());
-  for (const std::vector<double>& residual : scenario_residuals) {
-    NETENT_EXPECTS(residual.size() == headroom_.size());
-  }
-  // Scenario-major: each scenario's residual vector is read once, front to
-  // back, and folded into every link it leaves alive. Each link still sees
-  // std::min over its alive scenarios in ascending order, so the summary is
-  // bit-identical to the per-link scan and to link_headroom().
-  std::fill(headroom_.begin(), headroom_.end(), kInf);
-  for (std::size_t s = 0; s < scenario_residuals.size(); ++s) {
-    const double* residual = scenario_residuals[s].data();
-    const auto fold = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t l = begin; l < end; ++l) headroom_[l] = std::min(headroom_[l], residual[l]);
-    };
-    std::size_t next = 0;
-    for (std::size_t i = dead_begin_[s]; i < dead_begin_[s + 1]; ++i) {
-      fold(next, dead_links_[i]);
-      next = dead_links_[i] + std::size_t{1};
-    }
-    fold(next, headroom_.size());
-  }
+  return folded;
 }
 
 double FastEstimator::bound(double amount_gbps, topology::PathList paths,
+                            const SparseResiduals& residuals,
                             std::span<const double> window_consumed) const {
   if (paths.empty() || paths[0].empty()) return 0.0;
   if (amount_gbps < kMinRateGbps) return 0.0;
 
-  // cleared[p]: path p's summarized bottleneck (minus the window's
+  // cleared[p]: path p's headroom bottleneck (minus the window's
   // worst-case charges) carries the rate with slack against charge
   // rounding — in every scenario leaving p alive, the fill-time residual of
   // each link is at least headroom - consumed. An empty path can never
@@ -139,7 +85,7 @@ double FastEstimator::bound(double amount_gbps, topology::PathList paths,
     if (paths[p].empty()) continue;
     bool ok = true;
     for (const LinkId link : paths[p].links) {
-      double room = headroom_[link.value()];
+      double room = headroom(link, residuals);
       if (!window_consumed.empty()) room -= window_consumed[link.value()];
       if (room < amount_gbps + kHeadroomSlackGbps) {
         ok = false;

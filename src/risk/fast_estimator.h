@@ -6,9 +6,9 @@
 // residuals) water-fills every demand under every enumerated scenario —
 // O(scenarios x demands x paths) per assessment. The paper's SLO guarantee
 // (§4.3) only needs a CONSERVATIVE answer at admission time: it is always
-// sound to under-promise. The FastEstimator exploits that by precomputing,
-// from the same per-(scenario) residual state the exact tier uses, a
-// per-link HEADROOM summary:
+// sound to under-promise. The FastEstimator exploits that by reading, from
+// the same per-(scenario) residual state the exact tier uses, each
+// candidate link's HEADROOM:
 //
 //     headroom[L] = min over scenarios s with L alive under s
 //                   of residual_s[L]
@@ -43,17 +43,16 @@
 // full rate against every link of every candidate path it could spill
 // onto, which upper-bounds its consumption under any scenario.
 //
-// Summaries are maintained alongside the residual state they summarize:
-// rebuild() after a history edit (release / resize / topology windows),
-// refresh_links() for the links a pure-admit commit touched (residuals only
-// ever decrease there, so a per-link re-min is exact). Both read the
-// admission service's sparse residuals (risk/sparse_residuals.h) in place,
-// through one per-link fold over scenario 0's residual and the entries that
-// differ from it, in O(entries) per link. The dense scenario-major rebuild
-// stays as the tests' reference. Both fold each link's alive scenarios in
-// ascending order, so they agree bit for bit: the sparse fold skips only
-// copies of scenario 0's residual, and a later copy of a value already
-// folded cannot displace the running minimum, ±0 ties included.
+// The estimator keeps no summary of the residuals: the bound folds each
+// link it scans from the realization's live state (risk/sparse_residuals.h)
+// in place, so nothing of the estimator's changes when the residuals do;
+// only new links or a new scenario set need a new estimator. The fold reads
+// scenario 0's residual and the entries that differ from it, in
+// O(groups + entries) per link, and takes the link's alive scenarios in
+// ascending order. It is bit for bit the dense ascending fold over every
+// alive scenario: it skips only copies of scenario 0's residual, and a later
+// copy of a value already folded cannot displace the running minimum, ±0
+// ties included.
 #pragma once
 
 #include <cstddef>
@@ -78,37 +77,32 @@ struct FastPathConfig {
   bool audit = true;
 };
 
-/// Conservative per-pipe availability bounds over one family of
-/// per-scenario residual capacities (one admission-service realization).
-/// The `scenarios` span must outlive the estimator and match the residual
-/// families passed to rebuild()/refresh_links() index-for-index.
+/// Conservative per-pipe availability bounds over per-scenario residual
+/// capacities. The estimator holds only what the scenario set implies (each
+/// link's SRLG, the scenarios downing each SRLG and their total mass), so one
+/// estimator serves every realization. The `scenarios` span must outlive it
+/// and index the scenarios of every residual state passed in.
 class FastEstimator {
  public:
   FastEstimator(const topology::Topology& topo, std::span<const FailureScenario> scenarios);
 
-  /// Rebuilds every per-link headroom from `residuals`, whose scenarios
-  /// align with the constructor's span, in O(links + entries). One estimator
-  /// can be rebuilt any number of times over the same scenarios.
-  void rebuild(const SparseResiduals& residuals);
-  /// The same summary, bit for bit, from dense `scenario_residuals`
-  /// ([scenario][link]), scenario-major: the tests' reference.
-  void rebuild(std::span<const std::vector<double>> scenario_residuals);
-
-  /// Re-summarizes only `links` (duplicates allowed) from `residuals`.
-  /// Exact — each link's min is recomputed from scratch — and sufficient
-  /// after a commit, because committed placements only ever DECREASE
-  /// residuals, and only on links of the placed demands' candidate paths.
-  void refresh_links(std::span<const LinkId> links, const SparseResiduals& residuals);
+  /// The min of `residuals`' cells on `link` over the scenarios leaving it
+  /// alive (+inf when none does), folded in ascending scenario order in
+  /// O(groups + entries on the link). `residuals`' scenarios align with the
+  /// constructor's span.
+  [[nodiscard]] double headroom(LinkId link, const SparseResiduals& residuals) const;
 
   /// The conservative availability lower bound for placing `amount_gbps` on
-  /// `paths`: the summed probability of enumerated scenarios under which the
-  /// first fully-alive candidate path provably carries the demand in full
-  /// (see the file comment). `window_consumed` (empty, or indexed by LinkId)
-  /// holds the worst-case Gbps already promised to earlier demands of the
-  /// same joint window. Returns 0 when no scenario's placement can be
-  /// proven — the caller falls back to the exact sweep. Scratch is
-  /// thread-local, so steady-state calls perform no heap allocations.
+  /// `paths` against `residuals`: the summed probability of enumerated
+  /// scenarios under which the first fully-alive candidate path provably
+  /// carries the demand in full (see the file comment). `window_consumed`
+  /// (empty, or indexed by LinkId) holds the worst-case Gbps already
+  /// promised to earlier demands of the same joint window. Returns 0 when no
+  /// scenario's placement can be proven — the caller falls back to the exact
+  /// sweep. Scratch is thread-local, so steady-state calls perform no heap
+  /// allocations.
   [[nodiscard]] double bound(double amount_gbps, topology::PathList paths,
+                             const SparseResiduals& residuals,
                              std::span<const double> window_consumed) const;
 
   /// Charges a fast-admitted demand's worst-case consumption to
@@ -117,25 +111,18 @@ class FastEstimator {
   static void charge(double amount_gbps, topology::PathList paths,
                      std::span<double> window_consumed);
 
-  [[nodiscard]] std::size_t link_count() const { return headroom_.size(); }
-  /// The maintained summary (tests compare it against a fresh rebuild()).
-  [[nodiscard]] std::span<const double> headroom() const { return headroom_; }
-
   /// Minimum rate the fast tier will reason about. Below this the routing
   /// epsilon (water_fill_demand skips remainders <= 1e-6 Gbps) could place
   /// strictly less than the request, so tiny demands always go exact.
   static constexpr double kMinRateGbps = 1e-5;
   /// Safety slack required on top of the demand rate when comparing against
-  /// summarized headroom: the window charge accumulates sums the exact fill
-  /// subtracts sequentially, so insist on clearance by more than any
-  /// accumulated rounding. Biasing toward fallback is always sound.
+  /// headroom: the window charge accumulates sums the exact fill subtracts
+  /// sequentially, so insist on clearance by more than any accumulated
+  /// rounding. Biasing toward fallback is always sound.
   static constexpr double kHeadroomSlackGbps = 1e-6;
 
  private:
   [[nodiscard]] bool link_alive(LinkId link, const FailureScenario& scenario) const;
-  /// min of `residuals`' cells on `link` over the scenarios leaving it alive
-  /// (+inf when none does), folded in ascending scenario order.
-  [[nodiscard]] double link_headroom(LinkId link, const SparseResiduals& residuals) const;
 
   std::span<const FailureScenario> scenarios_;
   std::vector<SrlgId> link_srlg_;  ///< SRLG of each link, by LinkId
@@ -145,12 +132,6 @@ class FastEstimator {
   /// is decided by path 0 wholesale — keeping the fast tier O(path links +
   /// affected scenarios) per demand.
   std::vector<std::vector<std::uint32_t>> srlg_scenarios_;
-  /// The links each scenario downs, ascending, as one CSR list: scenario s
-  /// owns dead_links_[dead_begin_[s] .. dead_begin_[s + 1]). rebuild() folds
-  /// every other link of the scenario's residual vector.
-  std::vector<std::size_t> dead_begin_;
-  std::vector<std::uint32_t> dead_links_;
-  std::vector<double> headroom_;   ///< min alive-scenario residual, by LinkId
   double total_mass_ = 0.0;  ///< total enumerated scenario mass (the bound's ceiling)
 };
 

@@ -61,9 +61,6 @@ struct ServiceMetrics {
                                               std::array{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& latency_seconds = reg.timer_histogram("service.admission.latency_seconds");
   obs::Histogram& window_seconds = reg.timer_histogram("service.admission.window_seconds");
-  /// Stages of a window (the edit replay's is ResidualHistory's).
-  obs::Histogram& fastpath_refresh_seconds =
-      reg.timer_histogram("service.admission.stage.fastpath_refresh_seconds");
 };
 
 ServiceMetrics& metrics() {
@@ -165,7 +162,7 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
   config_.approval.exec.threads = threads_;  // config() reflects the resolution
-  rebuild_fastpath();
+  if (config_.approval.fastpath.enabled) fast_.emplace(router_.topo(), engine_.scenarios());
   if (config_.background) {
     worker_ = std::thread(&AdmissionController::worker_loop, this);
   }
@@ -485,12 +482,11 @@ void AdmissionController::assess(Window& window) {
   window.drawn.resize(realizations);
   if (window.hoses.empty()) return;
 
-  // Tier selection for the window: the fast summaries describe the
-  // COMMITTED residual state, so the analytical tier only applies when the
-  // window evaluates against exactly that state — pure-admit windows, the
-  // streaming hot path. Windows with releases/resizes evaluate against their
+  // Tier selection for the window: the analytical tier serves pure-admit
+  // windows, the streaming hot path, which evaluate against the committed
+  // residual state. Windows with releases/resizes evaluate against their
   // staged edit and always go exact.
-  const bool fast_eligible = !fast_.empty() && !window.edit.has_value();
+  const bool fast_eligible = fast_.has_value() && !window.edit.has_value();
 
   // GEN_DEMAND first, then each realization's assessment in ascending
   // order: the assessments consume no RNG, so the stream is the one
@@ -515,7 +511,7 @@ void AdmissionController::assess(Window& window) {
     std::vector<double> bounds;  // tier 1's, when it cleared every demand
     assessed[k] = engine_.pipe_approval_with(pipes, [&](std::span<const Demand> demands) {
       if (!fast_eligible) return curves_against_residuals(residuals, demands);
-      bounds = fast_bounds(fast_[k], demands);
+      bounds = fast_bounds(residuals, demands);
       if (bounds.empty()) {
         ++window_fast.fallbacks;
         m.fastpath_fallbacks.add();
@@ -637,14 +633,9 @@ void AdmissionController::commit(Window& window) {
       m.rebuilds.add();
     }
     if (committed > 0) residuals_.append(batch);
-    rebuild_fastpath();
   } else {
     window.edit.reset();  // every resize was rejected: the edit is dropped
-    if (committed > 0) {
-      // Pure-admit hot path: append-only.
-      residuals_.append(batch);
-      refresh_fastpath(batch);  // only the batch's links moved
-    }
+    if (committed > 0) residuals_.append(batch);  // pure-admit hot path: append-only
   }
   m.committed_demands.add(committed);
 
@@ -700,7 +691,8 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 
   // --- Apply, then resync every topology-derived cache in dependency
   // order: router (path store + effective capacities), then approval engine
-  // (scenarios + simulator), then the residuals.
+  // (scenarios + simulator), then the fast tier's estimator (which indexes
+  // both links and scenarios), then the residuals.
   residuals_.network_changing();
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
@@ -709,6 +701,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
   router_.resync_topology(nullptr, &changed_pairs);
   const bool scenarios_changed = engine_.resync_topology();
+  if (fast_) fast_.emplace(router_.topo(), engine_.scenarios());
   const std::set<ContractId> affected =
       affected_contracts(from_epoch, changed_pairs, scenarios_changed);
 
@@ -723,10 +716,6 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   // step is bit-identical at any thread count).
   std::vector<ContractVerdict> verdicts;
   for (const ContractId id : affected) verdicts.push_back(reverify(id));
-
-  // --- Fast-path estimators and summaries on the resynced engine state.
-  fast_.clear();
-  rebuild_fastpath();
 
   AdmissionOutcome outcome;
   outcome.status = AdmissionStatus::topology_applied;
@@ -873,15 +862,16 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
       });
 }
 
-std::vector<double> AdmissionController::fast_bounds(const risk::FastEstimator& fast,
+std::vector<double> AdmissionController::fast_bounds(const ResidualHistory::Residuals& residuals,
                                                      std::span<const Demand> demands) {
   router_.warm(demands);  // fast hits still commit and audit via cached paths
-  std::vector<double> consumed(fast.link_count(), 0.0);
+  std::vector<double> consumed(residuals.base.size(), 0.0);
   std::vector<double> bounds;
   bounds.reserve(demands.size());
   for (const Demand& demand : demands) {
     const topology::PathList paths = router_.cached_paths(demand.src, demand.dst);
-    const double bound = paths.valid() ? fast.bound(demand.amount.value(), paths, consumed) : 0.0;
+    const double bound =
+        paths.valid() ? fast_->bound(demand.amount.value(), paths, residuals, consumed) : 0.0;
     if (bound < config_.approval.slo_availability) return {};
     bounds.push_back(bound);
     risk::FastEstimator::charge(demand.amount.value(), paths, consumed);
@@ -924,29 +914,6 @@ AdmissionController::ReplayStats AdmissionController::replay_stats() const {
 std::vector<std::vector<std::size_t>> AdmissionController::snapshot_positions() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
   return residuals_.snapshot_positions();
-}
-
-void AdmissionController::rebuild_fastpath() {
-  if (!config_.approval.fastpath.enabled) return;
-  const obs::ScopedTimer span(metrics().fastpath_refresh_seconds);
-  if (fast_.empty()) {
-    fast_.reserve(config_.approval.realizations);
-    for (std::size_t k = 0; k < config_.approval.realizations; ++k) {
-      fast_.emplace_back(router_.topo(), engine_.scenarios());
-    }
-  }
-  for (std::size_t k = 0; k < fast_.size(); ++k) fast_[k].rebuild(residuals_.residuals(k));
-}
-
-void AdmissionController::refresh_fastpath(const History& batch) {
-  // A commit only subtracts capacity, and only on links of the committed
-  // demands' candidate paths — re-summarize exactly those links per
-  // realization (realizations draw different demand sets).
-  if (fast_.empty()) return;
-  const obs::ScopedTimer span(metrics().fastpath_refresh_seconds);
-  for (std::size_t k = 0; k < fast_.size(); ++k) {
-    fast_[k].refresh_links(candidate_links(router_, batch[k]), residuals_.residuals(k));
-  }
 }
 
 bool AdmissionController::audit_one() {
@@ -1014,16 +981,6 @@ AdmissionController::FastPathStats AdmissionController::fastpath_stats() const {
 
 std::span<const risk::FailureScenario> AdmissionController::scenarios() const {
   return engine_.scenarios();
-}
-
-std::vector<std::vector<double>> AdmissionController::fastpath_headroom_snapshot() const {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  std::vector<std::vector<double>> snapshot;
-  snapshot.reserve(fast_.size());
-  for (const risk::FastEstimator& estimator : fast_) {
-    snapshot.emplace_back(estimator.headroom().begin(), estimator.headroom().end());
-  }
-  return snapshot;
 }
 
 }  // namespace netent::service

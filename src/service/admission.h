@@ -115,7 +115,7 @@ struct AdmissionConfig {
   /// one knob drives the whole service. `approval.fastpath` also selects the
   /// two-tier risk verification: when enabled, each pure-admit window's
   /// realizations are first assessed by the analytical FastEstimator bound
-  /// over per-realization residual-headroom summaries, falling back to the
+  /// over the per-link headroom of their live residuals, falling back to the
   /// exact residual sweep when the bound cannot clear the SLO.
   /// Verdicts and residual state are bit-identical to exact-only; fast
   /// admits are recorded for a deferred exact audit (`audit_fastpath`) when
@@ -172,12 +172,13 @@ class AdmissionController {
   /// Applies a topology mutation batch as its own serialized window (the
   /// mutable-topology constructor is required; otherwise the outcome is
   /// `failed`). The whole batch is validated first — one invalid mutation
-  /// fails the request without applying anything. On success the router /
-  /// approval engine / fast-path summaries are incrementally
-  /// resynced (bit-identical to a from-scratch rebuild on the mutated
-  /// topology) and every in-force contract whose placement the delta can
-  /// affect is re-verified: still-supportable contracts are reaffirmed,
-  /// partially supportable ones shrunk in place, unsupportable ones revoked.
+  /// fails the request without applying anything. On success the router,
+  /// approval engine and residuals are incrementally resynced (bit-identical
+  /// to a from-scratch rebuild on the mutated topology), the fast tier's
+  /// estimator is rebuilt for the new links and scenarios, and every
+  /// in-force contract whose placement the delta can affect is re-verified:
+  /// still-supportable contracts are reaffirmed, partially supportable ones
+  /// shrunk in place, unsupportable ones revoked.
   /// Verdicts land in AdmissionOutcome::reverified. Deterministic at every
   /// thread count: topology windows consume no admission RNG.
   AdmissionOutcome apply_topology_delta(std::vector<topology::Mutation> mutations);
@@ -242,14 +243,9 @@ class AdmissionController {
   /// undrained backlog stays bounded in memory.
   static constexpr std::size_t kAuditBacklog = 512;
 
-  /// The enumerated failure scenarios backing every assessment (shared with
-  /// tests that rebuild summaries / exact sweeps out-of-band).
+  /// The enumerated failure scenarios backing every assessment, indexed as
+  /// residual_snapshot()'s scenarios are.
   [[nodiscard]] std::span<const risk::FailureScenario> scenarios() const;
-
-  /// The maintained per-realization headroom summaries ([realization][link];
-  /// empty when fastpath is disabled). Tests pin these against summaries
-  /// freshly rebuilt from residual_snapshot() after every kind of window.
-  [[nodiscard]] std::vector<std::vector<double>> fastpath_headroom_snapshot() const;
 
  private:
   using History = ResidualHistory::History;
@@ -288,7 +284,7 @@ class AdmissionController {
   void commit(Window& window);
   /// Processes one RequestKind::topology request: validate the whole batch,
   /// apply it to *mutable_topo_, resync every topology-derived cache
-  /// (router, approval engine, residuals, fast-path summaries) and
+  /// (router, approval engine, the fast tier's estimator, residuals) and
   /// re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
   /// The in-force contracts the delta applied since `from_epoch` can affect.
@@ -297,15 +293,6 @@ class AdmissionController {
       bool scenarios_changed) const;
   /// Judges one in-force contract on the mutated network; applies the verdict.
   ContractVerdict reverify(ContractId id);
-  /// Re-summarizes every link of the per-realization headroom summaries
-  /// from the live residuals (no-op when fastpath is disabled): after
-  /// construction, a history edit, or a topology window. The estimators are
-  /// built only when fast_ is empty; topology windows clear it, since they
-  /// may change the scenario set and the links the estimators index.
-  void rebuild_fastpath();
-  /// Re-summarizes only the links on the candidate paths of `batch`'s
-  /// demands — all a pure-admit commit of `batch` can have moved.
-  void refresh_fastpath(const History& batch);
   /// Audits one queued fast-admit record; false when the queue is empty.
   bool audit_one();
   /// The audit replay itself; caller holds state_mutex_. Topology windows
@@ -318,10 +305,11 @@ class AdmissionController {
   /// for the demand pairs, then sweeps the scenarios read-only.
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
       const ResidualHistory::Residuals& residuals, std::span<const topology::Demand> demands);
-  /// Tier 1 for one realization's non-empty placement-ordered demands:
-  /// `fast`'s bound per demand, each charged against the window for the
-  /// demands after it. Empty unless every bound reaches the SLO target.
-  [[nodiscard]] std::vector<double> fast_bounds(const risk::FastEstimator& fast,
+  /// Tier 1 for one realization's non-empty placement-ordered demands: the
+  /// bound per demand against the realization's `residuals`, each demand
+  /// charged against the window for the demands after it. Empty unless every
+  /// bound reaches the SLO target.
+  [[nodiscard]] std::vector<double> fast_bounds(const ResidualHistory::Residuals& residuals,
                                                 std::span<const topology::Demand> demands);
 
   AdmissionConfig config_;
@@ -341,9 +329,10 @@ class AdmissionController {
   Rng rng_;
   ContractId next_contract_id_ = 1;
   std::uint64_t window_seq_ = 0;
-  /// Tier-1 estimators, one per realization, summarizing its live residuals
-  /// (empty when fastpath is disabled). Guarded by state_mutex_.
-  std::vector<risk::FastEstimator> fast_;
+  /// The tier-1 estimator over the current links and scenarios, shared by
+  /// every realization (empty when fastpath is disabled). Guarded by
+  /// state_mutex_.
+  std::optional<risk::FastEstimator> fast_;
   FastPathStats fast_stats_;  ///< guarded by state_mutex_
 
   /// Deferred exact-audit queue, guarded by audit_mutex_. Never hold

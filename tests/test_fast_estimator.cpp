@@ -87,9 +87,9 @@ std::vector<std::vector<double>> pristine_residuals(const topology::SrlgIndex& i
 }
 
 /// The per-scenario residual state after placing `preload` — the state the
-/// estimator summarizes. Built with the same water_fill_demand arithmetic
-/// the exact sweep uses, so residuals match the sweep's post-preload state
-/// bit for bit.
+/// bound reads. Built with the same water_fill_demand arithmetic the exact
+/// sweep uses, so residuals match the sweep's post-preload state bit for
+/// bit.
 std::vector<std::vector<double>> preloaded_residuals(const Router& router, const World& world,
                                                      std::span<const Demand> preload) {
   std::vector<std::vector<double>> residuals =
@@ -102,6 +102,28 @@ std::vector<std::vector<double>> preloaded_residuals(const Router& router, const
     }
   }
   return residuals;
+}
+
+/// The sparse form of `residuals`: scenario 0's, and per group of 64
+/// scenarios and link the others whose residual differs from it bit for bit.
+SparseResiduals sparse_of(std::span<const std::vector<double>> residuals) {
+  constexpr std::size_t kGroup = SparseResiduals::kGroup;
+  SparseResiduals sparse;
+  sparse.base = residuals[0];
+  sparse.groups.resize(SparseResiduals::group_count(residuals.size()));
+  for (SparseResiduals::Group& group : sparse.groups) {
+    group.differs.assign(sparse.base.size(), 0);
+    group.values.resize(sparse.base.size());
+  }
+  for (std::size_t s = 1; s < residuals.size(); ++s) {
+    SparseResiduals::Group& group = sparse.groups[s / kGroup];
+    for (std::size_t l = 0; l < sparse.base.size(); ++l) {
+      if (SparseResiduals::same_bits(residuals[s][l], sparse.base[l])) continue;
+      group.differs[l] |= std::uint64_t{1} << (s % kGroup);
+      group.values[l].push_back(residuals[s][l]);
+    }
+  }
+  return sparse;
 }
 
 struct PropertyTally {
@@ -136,16 +158,14 @@ void check_draw(const World& world, Router& router, std::span<const Demand> prel
   }
 
   // Fast tier over the preloaded residual state.
-  const std::vector<std::vector<double>> residuals =
-      preloaded_residuals(router, world, preload);
-  FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild(residuals);
+  const SparseResiduals residuals = sparse_of(preloaded_residuals(router, world, preload));
+  const FastEstimator fast(world.topo, world.scenarios);
 
-  std::vector<double> consumed(fast.link_count(), 0.0);
+  std::vector<double> consumed(world.caps.size(), 0.0);
   for (std::size_t i = 0; i < window.size(); ++i) {
     const topology::PathList paths = router.cached_paths(window[i].src, window[i].dst);
     ASSERT_TRUE(paths.valid());
-    const double bound = fast.bound(window[i].amount.value(), paths, consumed);
+    const double bound = fast.bound(window[i].amount.value(), paths, residuals, consumed);
     ++tally.bounds_checked;
 
     // Property 1: the bound is NEVER above the exact availability.
@@ -202,105 +222,7 @@ TEST(FastEstimatorProperty, BoundNeverExceedsExactAvailabilityAcross1kDraws) {
   EXPECT_GE(tally.bounds_checked, 1000u);
 }
 
-/// The sparse form of `residuals`: scenario 0's, and per group of 64
-/// scenarios and link the others whose residual differs from it bit for bit.
-SparseResiduals sparse_of(std::span<const std::vector<double>> residuals) {
-  constexpr std::size_t kGroup = SparseResiduals::kGroup;
-  SparseResiduals sparse;
-  sparse.base = residuals[0];
-  sparse.groups.resize(SparseResiduals::group_count(residuals.size()));
-  for (SparseResiduals::Group& group : sparse.groups) {
-    group.differs.assign(sparse.base.size(), 0);
-    group.values.resize(sparse.base.size());
-  }
-  for (std::size_t s = 1; s < residuals.size(); ++s) {
-    SparseResiduals::Group& group = sparse.groups[s / kGroup];
-    for (std::size_t l = 0; l < sparse.base.size(); ++l) {
-      if (SparseResiduals::same_bits(residuals[s][l], sparse.base[l])) continue;
-      group.differs[l] |= std::uint64_t{1} << (s % kGroup);
-      group.values[l].push_back(residuals[s][l]);
-    }
-  }
-  return sparse;
-}
-
-// Maintained summaries must equal freshly built ones: refresh_links on the
-// touched links after residuals decrease reproduces rebuild() exactly.
-TEST(FastEstimator, RefreshLinksMatchesFreshRebuild) {
-  Rng rng(77);
-  const World world = make_world(rng);
-  Router router(world.topo, 3);
-  const std::vector<Demand> demands = draw_demands(world.topo, 6, 100.0, rng);
-  router.warm(demands);
-
-  std::vector<std::vector<double>> residuals =
-      pristine_residuals(world.index, world.caps, world.scenarios);
-
-  FastEstimator maintained(world.topo, world.scenarios);
-  maintained.rebuild(residuals);
-
-  // Consume capacity on the demands' candidate paths, then refresh exactly
-  // the touched links.
-  std::vector<LinkId> touched;
-  for (const Demand& demand : demands) {
-    const topology::PathList paths = router.cached_paths(demand.src, demand.dst);
-    ASSERT_TRUE(paths.valid());
-    for (std::size_t s = 0; s < residuals.size(); ++s) {
-      (void)topology::water_fill_demand(demand.amount.value(), paths, residuals[s], {});
-    }
-    for (const topology::PathView path : paths) {
-      touched.insert(touched.end(), path.links.begin(), path.links.end());
-    }
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  maintained.refresh_links(touched, sparse_of(residuals));
-
-  FastEstimator fresh(world.topo, world.scenarios);
-  fresh.rebuild(residuals);
-  ASSERT_EQ(maintained.headroom().size(), fresh.headroom().size());
-  for (std::size_t l = 0; l < fresh.headroom().size(); ++l) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(maintained.headroom()[l]),
-              std::bit_cast<std::uint64_t>(fresh.headroom()[l]))
-        << "link " << l;
-  }
-}
-
-// refresh_links over EVERY link must equal rebuild() — the all-SRLGs-dirty
-// rebuild path the admission service takes after churn-heavy windows.
-TEST(FastEstimator, AllLinksDirtyRefreshEqualsRebuild) {
-  Rng rng(91);
-  const World world = make_world(rng);
-
-  std::vector<std::vector<double>> residuals;
-  for (const FailureScenario& scenario : world.scenarios) {
-    std::vector<double> residual = scenario_capacities(world.index, world.caps, scenario);
-    for (double& r : residual) r *= rng.uniform(0.2, 1.0);  // arbitrary consumption
-    residuals.push_back(std::move(residual));
-  }
-
-  std::vector<LinkId> all_links;
-  for (std::size_t l = 0; l < world.caps.size(); ++l) {
-    all_links.push_back(LinkId(static_cast<std::uint32_t>(l)));
-  }
-
-  FastEstimator refreshed(world.topo, world.scenarios);
-  refreshed.rebuild(residuals);  // summaries of some OTHER state first
-  for (auto& residual : residuals) {
-    for (double& r : residual) r *= 0.5;
-  }
-  refreshed.refresh_links(all_links, sparse_of(residuals));
-
-  FastEstimator rebuilt(world.topo, world.scenarios);
-  rebuilt.rebuild(residuals);
-  for (std::size_t l = 0; l < world.caps.size(); ++l) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(refreshed.headroom()[l]),
-              std::bit_cast<std::uint64_t>(rebuilt.headroom()[l]))
-        << "link " << l;
-  }
-}
-
-// The summary is the alive-scenario minimum itself, checked against a
+// A link's headroom is the alive-scenario minimum itself, checked against a
 // direct scan of every down-set: on the enumerated scenarios, with one
 // SRLG down in every scenario (its links keep +inf) and a first scenario
 // that lists an SRLG twice.
@@ -327,10 +249,8 @@ TEST(FastEstimator, HeadroomIsTheMinimumOverScenariosLeavingTheLinkAlive) {
   }
 
   std::vector<double> expected(world.caps.size(), std::numeric_limits<double>::infinity());
-  std::vector<LinkId> all_links;
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
     const LinkId link(static_cast<std::uint32_t>(l));
-    all_links.push_back(link);
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       const std::vector<SrlgId>& down = scenarios[s].down;
       if (std::find(down.begin(), down.end(), world.topo.link(link).srlg) == down.end()) {
@@ -339,20 +259,18 @@ TEST(FastEstimator, HeadroomIsTheMinimumOverScenariosLeavingTheLinkAlive) {
     }
   }
 
-  FastEstimator rebuilt(world.topo, scenarios);
-  rebuilt.rebuild(residuals);
-  FastEstimator refreshed(world.topo, scenarios);
-  refreshed.refresh_links(all_links, sparse_of(residuals));
+  const FastEstimator fast(world.topo, scenarios);
+  const SparseResiduals sparse = sparse_of(residuals);
   for (std::size_t l = 0; l < world.caps.size(); ++l) {
-    EXPECT_EQ(rebuilt.headroom()[l], expected[l]) << "link " << l;
-    EXPECT_EQ(refreshed.headroom()[l], expected[l]) << "link " << l;
+    EXPECT_EQ(fast.headroom(LinkId(static_cast<std::uint32_t>(l)), sparse), expected[l])
+        << "link " << l;
   }
-  EXPECT_EQ(rebuilt.headroom()[0], std::numeric_limits<double>::infinity());
+  EXPECT_EQ(fast.headroom(LinkId(0), sparse), std::numeric_limits<double>::infinity());
 }
 
-/// The per-link scan rebuild() ran before it went scenario-major, kept as
-/// its reference: per link, std::min over the scenarios leaving the link
-/// alive, in ascending scenario order, starting from +inf.
+/// The reference fold over dense cells: per link, std::min over the
+/// scenarios leaving the link alive, in ascending scenario order, starting
+/// from +inf.
 std::vector<double> per_link_headroom(const Topology& topo,
                                       std::span<const FailureScenario> scenarios,
                                       std::span<const std::vector<double>> residuals) {
@@ -370,12 +288,12 @@ std::vector<double> per_link_headroom(const Topology& topo,
   return headroom;
 }
 
-// Both rebuild()s, dense scenario-major and sparse, must reproduce the
-// per-link scan bit for bit (signed zeros included, so the fold order is
-// pinned too): over random residual families on multi-SRLG scenario sets,
-// with one SRLG down in every scenario, scenario 0 included (its links keep
-// +inf), and across repeated rebuilds of one estimator.
-TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
+// The sparse fold must reproduce the dense per-link scan bit for bit
+// (signed zeros included, so the fold order is pinned too): over random
+// residual families on multi-SRLG scenario sets, with one SRLG down in
+// every scenario, scenario 0 included (its links keep +inf), and across
+// several residual families read by one estimator.
+TEST(FastEstimator, HeadroomMatchesPerLinkScanBitForBit) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t dead_everywhere = 0;
   std::size_t multi_srlg = 0;
@@ -403,9 +321,9 @@ TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
     const Router router(topo, 1);
     const std::span<const double> caps = router.full_capacities();
 
-    FastEstimator estimator(topo, scenarios);
-    for (int rebuild = 0; rebuild < 3; ++rebuild) {
-      SCOPED_TRACE("topology " + std::to_string(t) + " rebuild " + std::to_string(rebuild));
+    const FastEstimator estimator(topo, scenarios);
+    for (int family = 0; family < 3; ++family) {
+      SCOPED_TRACE("topology " + std::to_string(t) + " family " + std::to_string(family));
       std::vector<std::vector<double>> residuals;
       for (const FailureScenario& scenario : scenarios) {
         std::vector<double> residual = scenario_capacities(index, caps, scenario);
@@ -425,22 +343,15 @@ TEST(FastEstimator, ScenarioMajorRebuildMatchesPerLinkScanBitForBit) {
       }
       const std::vector<double> reference = per_link_headroom(topo, scenarios, residuals);
       const SparseResiduals sparse = sparse_of(residuals);
-      for (const bool from_sparse : {false, true}) {
-        SCOPED_TRACE(from_sparse ? "sparse" : "dense");
-        if (from_sparse) {
-          estimator.rebuild(sparse);
-        } else {
-          estimator.rebuild(residuals);
-        }
-        ASSERT_EQ(estimator.headroom().size(), reference.size());
-        for (std::size_t l = 0; l < reference.size(); ++l) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.headroom()[l]),
-                    std::bit_cast<std::uint64_t>(reference[l]))
-              << "link " << l << ": " << estimator.headroom()[l] << " vs " << reference[l];
-          if (topo.link(LinkId(static_cast<std::uint32_t>(l))).srlg == always) {
-            EXPECT_EQ(estimator.headroom()[l], kInf) << "link " << l;
-            ++dead_everywhere;
-          }
+      for (std::size_t l = 0; l < reference.size(); ++l) {
+        const LinkId link(static_cast<std::uint32_t>(l));
+        const double headroom = estimator.headroom(link, sparse);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(headroom),
+                  std::bit_cast<std::uint64_t>(reference[l]))
+            << "link " << l << ": " << headroom << " vs " << reference[l];
+        if (topo.link(link).srlg == always) {
+          EXPECT_EQ(headroom, kInf) << "link " << l;
+          ++dead_everywhere;
         }
       }
       for (const SparseResiduals::Group& group : sparse.groups) {
@@ -462,15 +373,16 @@ TEST(FastEstimator, RatesBelowMinimumAlwaysDecline) {
   const std::vector<Demand> demands = draw_demands(world.topo, 1, 50.0, rng);
   router.warm(demands);
 
-  FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
+  const FastEstimator fast(world.topo, world.scenarios);
+  const SparseResiduals pristine =
+      sparse_of(pristine_residuals(world.index, world.caps, world.scenarios));
   const topology::PathList paths = router.cached_paths(demands[0].src, demands[0].dst);
   ASSERT_TRUE(paths.valid());
-  const std::vector<double> consumed(fast.link_count(), 0.0);
+  const std::vector<double> consumed(world.caps.size(), 0.0);
 
-  EXPECT_EQ(fast.bound(FastEstimator::kMinRateGbps * 0.5, paths, consumed), 0.0);
-  EXPECT_EQ(fast.bound(0.0, paths, consumed), 0.0);
-  EXPECT_GT(fast.bound(1.0, paths, consumed), 0.0);
+  EXPECT_EQ(fast.bound(FastEstimator::kMinRateGbps * 0.5, paths, pristine, consumed), 0.0);
+  EXPECT_EQ(fast.bound(0.0, paths, pristine, consumed), 0.0);
+  EXPECT_GT(fast.bound(1.0, paths, pristine, consumed), 0.0);
 }
 
 // Window charging is worst-case: a charged demand consumes its full rate on
@@ -493,16 +405,17 @@ TEST(FastEstimator, ChargeReservesEveryCandidatePath) {
     }
   }
 
-  FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
+  const FastEstimator fast(world.topo, world.scenarios);
+  const SparseResiduals pristine =
+      sparse_of(pristine_residuals(world.index, world.caps, world.scenarios));
   double bottleneck = std::numeric_limits<double>::infinity();
   for (const LinkId link : paths[0].links) {
-    bottleneck = std::min(bottleneck, fast.headroom()[link.value()]);
+    bottleneck = std::min(bottleneck, fast.headroom(link, pristine));
   }
   const std::vector<double> untouched(world.caps.size(), 0.0);
   const double rate = bottleneck - 20.0;
-  const double before = fast.bound(rate, paths, untouched);
-  const double after = fast.bound(rate, paths, consumed);
+  const double before = fast.bound(rate, paths, pristine, untouched);
+  const double after = fast.bound(rate, paths, pristine, consumed);
   // Charging 40 Gbps against a demand needing all-but-20 of the first
   // path's bottleneck forces the fast tier to decline.
   EXPECT_GT(before, 0.0);
@@ -539,10 +452,10 @@ TEST(FastEstimator, MultiPathBoundClearsWhereFirstPathOnlyFails) {
   ASSERT_GE(paths.size(), 2u);
   ASSERT_EQ(paths[0].links.size(), 1u);
 
-  FastEstimator fast(topo, scenarios);
-  fast.rebuild(pristine_residuals(index, caps, scenarios));
-  const std::vector<double> consumed(fast.link_count(), 0.0);
-  const double bound = fast.bound(demand.amount.value(), paths, consumed);
+  const FastEstimator fast(topo, scenarios);
+  const SparseResiduals pristine = sparse_of(pristine_residuals(index, caps, scenarios));
+  const std::vector<double> consumed(caps.size(), 0.0);
+  const double bound = fast.bound(demand.amount.value(), paths, pristine, consumed);
 
   // The best a first-path-only analysis can certify: the mass of scenarios
   // under which the direct hop is fully alive.
@@ -581,16 +494,17 @@ TEST(FastEstimator, MultiPathBoundClearsWhereFirstPathOnlyFails) {
 TEST(FastEstimator, EmptyPathsDecline) {
   Rng rng(3);
   const World world = make_world(rng);
-  FastEstimator fast(world.topo, world.scenarios);
-  fast.rebuild(pristine_residuals(world.index, world.caps, world.scenarios));
-  const std::vector<double> consumed(fast.link_count(), 0.0);
+  const FastEstimator fast(world.topo, world.scenarios);
+  const SparseResiduals pristine =
+      sparse_of(pristine_residuals(world.index, world.caps, world.scenarios));
+  const std::vector<double> consumed(world.caps.size(), 0.0);
 
-  EXPECT_EQ(fast.bound(10.0, topology::PathList(), consumed), 0.0);
+  EXPECT_EQ(fast.bound(10.0, topology::PathList(), pristine, consumed), 0.0);
   topology::PathStore store(world.topo.region_count());
   const std::vector<Path> degenerate(1);  // one path, zero links
   const topology::PathList degenerate_list =
       store.insert(RegionId(0), RegionId(1), degenerate);
-  EXPECT_EQ(fast.bound(10.0, degenerate_list, consumed), 0.0);
+  EXPECT_EQ(fast.bound(10.0, degenerate_list, pristine, consumed), 0.0);
 }
 
 }  // namespace
