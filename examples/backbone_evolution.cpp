@@ -4,8 +4,9 @@
 // existing conduits), upgrades others, drains a region for maintenance and
 // weathers an SRLG storm — each batch applied through
 // AdmissionController::apply_topology_delta, which resyncs the placement
-// stack incrementally and re-verifies every in-force contract against the
-// evolved network (reaffirm / shrink / revoke verdicts).
+// stack (recompiling the router's paths when a batch lays or retires a
+// fiber) and re-verifies every in-force contract the batch can affect
+// against the evolved network (reaffirm / shrink / revoke verdicts).
 //
 // Usage: ./backbone_evolution [--metrics-json]
 #include <iomanip>

@@ -190,7 +190,8 @@ class ApprovalEngine {
 
   /// The engine's enumerated failure scenarios, owned by its simulator
   /// (shared with callers that run their own sweeps against the same risk
-  /// model, e.g. the admission service's residual state).
+  /// model, e.g. the admission service's residual state). The span is valid
+  /// until the next resync_topology().
   [[nodiscard]] std::span<const risk::FailureScenario> scenarios() const {
     return simulator_.scenarios();
   }
@@ -201,13 +202,11 @@ class ApprovalEngine {
 
   /// Catches the engine up after a topology mutation (the router must have
   /// resync_topology()'d first): re-enumerates the failure scenarios and
-  /// re-binds the simulator to the new base capacities. When the enumerated
-  /// scenario set is value-identical to the old one (capacity-only deltas
-  /// rarely move MTBF/MTTR) RiskSimulator::resync leaves it physically in
-  /// place, so spans from scenarios() taken by outside estimators stay
-  /// valid. Returns whether the scenario set changed — callers holding
-  /// scenario spans or per-scenario state must reconstruct it when true (and
-  /// when the link count grew, regardless).
+  /// re-binds the simulator to them and the new base capacities. Spans from
+  /// scenarios() taken before the call are invalid after it, so callers
+  /// holding them (or per-scenario state) reconstruct it. Returns whether
+  /// the scenario set changed in value: when it did, every availability
+  /// curve's probability masses move.
   bool resync_topology();
 
  private:

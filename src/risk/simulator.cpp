@@ -342,9 +342,9 @@ bool RiskSimulator::resync(std::vector<FailureScenario> scenarios,
                   [](const FailureScenario& a, const FailureScenario& b) {
                     return a.probability == b.probability && a.down == b.down;
                   });
-  if (changed) scenarios_ = std::move(scenarios);
+  scenarios_ = std::move(scenarios);
   base_capacity_.assign(base_capacity_gbps.begin(), base_capacity_gbps.end());
-  index_.resync(router_.topo());
+  index_ = topology::SrlgIndex(router_.topo());
   return changed;
 }
 

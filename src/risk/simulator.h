@@ -171,11 +171,10 @@ class RiskSimulator {
 
   /// Re-binds the simulator to the router's post-mutation topology state:
   /// takes the freshly enumerated scenario set, copies the new base
-  /// capacities and catches the SRLG index up with any added links.
-  /// Equivalent to constructing RiskSimulator(router, scenarios, base) anew,
-  /// except that a scenario set value-identical to the current one leaves
-  /// the scenarios() vector physically in place, so spans into it (held by
-  /// fast estimators) stay valid. Returns whether the scenario set changed.
+  /// capacities and builds a fresh SRLG index, as constructing
+  /// RiskSimulator(router, scenarios, base) anew would. Invalidates spans
+  /// into scenarios(). Returns whether the scenario set differs in value
+  /// from the one it replaces.
   bool resync(std::vector<FailureScenario> scenarios, std::span<const double> base_capacity_gbps);
 
  private:

@@ -699,7 +699,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   m.mutations_applied.add(request.mutations.size());
 
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
-  router_.resync_topology(nullptr, &changed_pairs);
+  router_.resync_topology(&changed_pairs);
   const bool scenarios_changed = engine_.resync_topology();
   if (fast_) fast_.emplace(router_.topo(), engine_.scenarios());
   const std::set<ContractId> affected =

@@ -173,8 +173,8 @@ class AdmissionController {
   /// mutable-topology constructor is required; otherwise the outcome is
   /// `failed`). The whole batch is validated first — one invalid mutation
   /// fails the request without applying anything. On success the router,
-  /// approval engine and residuals are incrementally resynced (bit-identical
-  /// to a from-scratch rebuild on the mutated topology), the fast tier's
+  /// approval engine and residuals are resynced (bit-identical to a
+  /// from-scratch rebuild on the mutated topology), the fast tier's
   /// estimator is rebuilt for the new links and scenarios, and every
   /// in-force contract whose placement the delta can affect is re-verified:
   /// still-supportable contracts are reaffirmed, partially supportable ones

@@ -10,73 +10,21 @@ PathStore::PathStore(std::size_t region_count)
   link_off_.push_back(0);
 }
 
-std::uint32_t PathStore::append_run(std::span<const Path> paths) {
+PathList PathStore::insert(RegionId src, RegionId dst, std::span<const Path> paths) {
+  NETENT_EXPECTS(src.value() < region_count_ && dst.value() < region_count_);
+  std::uint32_t& slot = pair_slot_[pair_id(src, dst)];
+  NETENT_EXPECTS(slot == kNoSlot && "path set already compiled for this pair");
+  slot = static_cast<std::uint32_t>(path_begin_.size());
   const auto first_path = static_cast<std::uint32_t>(cost_.size());
   for (const Path& path : paths) {
     links_.insert(links_.end(), path.links.begin(), path.links.end());
     link_off_.push_back(static_cast<std::uint32_t>(links_.size()));
     cost_.push_back(path.cost);
   }
-  return first_path;
-}
-
-PathList PathStore::insert(RegionId src, RegionId dst, std::span<const Path> paths) {
-  NETENT_EXPECTS(src.value() < region_count_ && dst.value() < region_count_);
-  std::uint32_t& slot = pair_slot_[pair_id(src, dst)];
-  NETENT_EXPECTS(slot == kNoSlot && "path set already compiled for this pair");
-  slot = static_cast<std::uint32_t>(path_begin_.size());
-  const std::uint32_t first_path = append_run(paths);
   path_begin_.push_back(first_path);
   path_count_.push_back(static_cast<std::uint32_t>(paths.size()));
   pair_of_slot_.push_back(PairKey{src, dst});
   return PathList(this, first_path, static_cast<std::uint32_t>(paths.size()));
-}
-
-PathList PathStore::replace(RegionId src, RegionId dst, std::span<const Path> paths) {
-  NETENT_EXPECTS(src.value() < region_count_ && dst.value() < region_count_);
-  const std::uint32_t slot = pair_slot_[pair_id(src, dst)];
-  if (slot == kNoSlot) return insert(src, dst, paths);
-
-  // The old run becomes garbage: count its link entries, repoint the slot.
-  const std::uint32_t old_first = path_begin_[slot];
-  const std::uint32_t old_count = path_count_[slot];
-  garbage_links_ += link_off_[old_first + old_count] - link_off_[old_first];
-
-  const std::uint32_t first_path = append_run(paths);
-  path_begin_[slot] = first_path;
-  path_count_[slot] = static_cast<std::uint32_t>(paths.size());
-  return PathList(this, first_path, static_cast<std::uint32_t>(paths.size()));
-}
-
-void PathStore::compact() {
-  if (garbage_links_ == 0) return;
-
-  std::vector<std::uint32_t> new_begin;
-  new_begin.reserve(path_begin_.size());
-  std::vector<std::uint32_t> new_off;
-  std::vector<LinkId> new_links;
-  new_links.reserve(links_.size() - garbage_links_);
-  std::vector<double> new_cost;
-  new_off.push_back(0);
-
-  for (std::size_t slot = 0; slot < path_begin_.size(); ++slot) {
-    const std::uint32_t first = path_begin_[slot];
-    new_begin.push_back(static_cast<std::uint32_t>(new_cost.size()));
-    for (std::uint32_t p = 0; p < path_count_[slot]; ++p) {
-      const std::uint32_t path = first + p;
-      const std::uint32_t begin = link_off_[path];
-      const std::uint32_t end = link_off_[path + 1];
-      new_links.insert(new_links.end(), links_.begin() + begin, links_.begin() + end);
-      new_off.push_back(static_cast<std::uint32_t>(new_links.size()));
-      new_cost.push_back(cost_[path]);
-    }
-  }
-
-  path_begin_ = std::move(new_begin);
-  link_off_ = std::move(new_off);
-  links_ = std::move(new_links);
-  cost_ = std::move(new_cost);
-  garbage_links_ = 0;
 }
 
 }  // namespace netent::topology

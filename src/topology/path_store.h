@@ -25,13 +25,10 @@
 // views only while no insertion can happen (e.g. under Router::SweepGuard,
 // or within one placement pass).
 //
-// Topology lifecycle: `replace()` repoints a pair's slot at a freshly
-// appended run, leaving the old run in place as garbage — previously taken
-// PathLists for that pair stay memory-safe but STALE (they keep yielding the
-// old content); re-`find()` after a resync. `compact()` rewrites the flat
-// arrays without the garbage and invalidates every outstanding PathList; it
-// is only called at Router::resync_topology boundaries, where no handles are
-// live by contract.
+// Topology lifecycle: a store is never patched. After an add or a retire,
+// Router::resync_topology compiles every pair into a fresh store and
+// replaces the old one, which invalidates every outstanding PathList and
+// PathView; no handles are live across a resync by contract.
 #pragma once
 
 #include <cstddef>
@@ -97,8 +94,7 @@ class PathList {
 };
 
 /// The CSR store itself. Path sets are compiled in once per (src, dst) pair
-/// and read from then on; topology resync may `replace()` a pair's set and
-/// eventually `compact()` the accumulated garbage.
+/// and read from then on.
 class PathStore {
  public:
   /// One compiled pair, in slot order (see pairs()).
@@ -125,25 +121,11 @@ class PathStore {
   /// already be present.
   PathList insert(RegionId src, RegionId dst, std::span<const Path> paths);
 
-  /// Re-compiles the pair's path set (inserts when absent). The old run — if
-  /// any — becomes garbage: previously taken PathLists for the pair keep
-  /// reading it (stale but memory-safe) until compact().
-  PathList replace(RegionId src, RegionId dst, std::span<const Path> paths);
-
   /// Every compiled pair, indexed by slot.
   [[nodiscard]] std::span<const PairKey> pairs() const { return pair_of_slot_; }
 
-  /// Link entries held by replaced (garbage) runs; live entries are
-  /// link_entry_count() - garbage_link_entries().
-  [[nodiscard]] std::size_t garbage_link_entries() const { return garbage_links_; }
-
-  /// Rewrites the flat arrays without garbage runs. Invalidates every
-  /// outstanding PathList/PathView; pair slots and per-pair content are
-  /// unchanged. No-op when there is no garbage.
-  void compact();
-
   [[nodiscard]] std::size_t pair_count() const { return path_begin_.size(); }
-  /// Paths / flat link entries currently stored, INCLUDING garbage runs.
+  /// Paths / flat link entries currently stored.
   [[nodiscard]] std::size_t path_count() const { return cost_.size(); }
   [[nodiscard]] std::size_t link_entry_count() const { return links_.size(); }
 
@@ -156,9 +138,6 @@ class PathStore {
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// Appends `paths` as a fresh run and returns its first global path index.
-  std::uint32_t append_run(std::span<const Path> paths);
-
   std::size_t region_count_;
   std::vector<std::uint32_t> pair_slot_;   ///< dense pair-id -> slot (kNoSlot = absent)
   std::vector<std::uint32_t> path_begin_;  ///< per slot: first global path index
@@ -167,7 +146,6 @@ class PathStore {
   std::vector<std::uint32_t> link_off_;    ///< per global path: offset into links_ (+1 entry)
   std::vector<LinkId> links_;              ///< one flat link array for every path
   std::vector<double> cost_;               ///< per global path (SoA metadata)
-  std::size_t garbage_links_ = 0;          ///< link entries in replaced runs
 };
 
 inline PathView PathList::operator[](std::size_t p) const {

@@ -1,8 +1,6 @@
 #include "topology/routing.h"
 
-#include <limits>
-#include <queue>
-
+#include <algorithm>
 
 namespace netent::topology {
 
@@ -78,35 +76,6 @@ RouteResult Router::route(std::span<const Demand> demands) {
 
 namespace {
 
-constexpr std::uint32_t kUnreached = 0xffffffffu;
-
-/// Hop-count BFS from `root` over links selected by `usable`. The link set
-/// is a symmetric digraph (every fiber contributes both directions with the
-/// same lifecycle state), so distances-from double as distances-to.
-void bfs_hops(const Topology& topo, RegionId root,
-              const std::function<bool(const Link&)>& usable,
-              std::vector<std::uint32_t>& dist) {
-  dist.assign(topo.region_count(), kUnreached);
-  dist[root.value()] = 0;
-  std::queue<RegionId> frontier;
-  frontier.push(root);
-  while (!frontier.empty()) {
-    const RegionId u = frontier.front();
-    frontier.pop();
-    for (const LinkId lid : topo.out_links(u)) {
-      const Link& link = topo.link(lid);
-      if (!usable(link)) continue;
-      if (dist[link.dst.value()] != kUnreached) continue;
-      dist[link.dst.value()] = dist[u.value()] + 1;
-      frontier.push(link.dst);
-    }
-  }
-}
-
-double hops_or_inf(std::uint32_t d) {
-  return d == kUnreached ? std::numeric_limits<double>::infinity() : static_cast<double>(d);
-}
-
 /// Bit-exact equality of a compiled path list against freshly computed
 /// paths (same count, same costs, same link sequences).
 bool same_paths(const PathList& old_list, std::span<const Path> fresh) {
@@ -124,18 +93,14 @@ bool same_paths(const PathList& old_list, std::span<const Path> fresh) {
 
 }  // namespace
 
-void Router::resync_topology(TopologyResyncStats* stats,
-                             std::vector<std::pair<RegionId, RegionId>>* changed_pairs) {
+void Router::resync_topology(std::vector<std::pair<RegionId, RegionId>>* changed_pairs) {
   NETENT_EXPECTS(active_sweeps_.load(std::memory_order_acquire) == 0 &&
                  "topology resync during an active sweep");
   NETENT_EXPECTS(topo_.region_count() == region_count_ &&
                  "regions are fixed once a Router is attached");
 
-  TopologyResyncStats st;
-  st.from_epoch = synced_epoch_;
-  st.to_epoch = topo_.epoch();
   const std::span<const MutationRecord> delta = topo_.mutation_log().since(synced_epoch_);
-  st.mutations = delta.size();
+  synced_epoch_ = topo_.epoch();
 
   // Effective capacities always refresh (capacity-only mutations move them).
   full_caps_.resize(topo_.link_count());
@@ -143,82 +108,25 @@ void Router::resync_topology(TopologyResyncStats* stats,
     full_caps_[link.id.value()] = topo_.effective_capacity(link.id).value();
   }
 
-  // Structural records are the only ones that can change path sets: KSP
+  // Adds and retires are the only records that can change path sets: KSP
   // costs are hop counts, independent of capacities.
-  std::vector<const MutationRecord*> structural;
-  std::vector<char> span_retired(topo_.link_count(), 0);
-  for (const MutationRecord& rec : delta) {
-    if (!rec.structural()) continue;
-    structural.push_back(&rec);
-    if (rec.kind == MutationKind::retire_fiber) {
-      span_retired[rec.link.value()] = 1;
-      span_retired[topo_.link(rec.link).reverse.value()] = 1;
-    }
-  }
-  st.structural = structural.size();
-
-  if (!structural.empty() && store_.pair_count() > 0) {
-    // Dirty predicate: pair (s, t) can have changed iff some shortest route
-    // s -> fiber -> t is no longer than the pair's k-th best compiled cost.
-    // Distances are computed on the SUPERGRAPH (final usable links plus the
-    // fibers retired within this delta): it contains every intermediate
-    // epoch's link set, so the bound is <= any intermediate epoch's bound
-    // and the marking is a superset of every step-by-step marking — sound
-    // for batched logs. Recompiling a clean-in-truth pair is harmless: the
-    // deterministic KSP reproduces the identical path set and we skip the
-    // replace.
-    const auto usable_super = [this, &span_retired](const Link& link) {
-      return !topo_.link_retired(link.id) || span_retired[link.id.value()] != 0;
-    };
-
-    const std::span<const PathStore::PairKey> pairs = store_.pairs();
-    std::vector<char> dirty(pairs.size(), 0);
-    std::vector<std::uint32_t> dist_a;
-    std::vector<std::uint32_t> dist_b;
-    for (const MutationRecord* rec : structural) {
-      const Link& fiber = topo_.link(rec->link);
-      bfs_hops(topo_, fiber.src, usable_super, dist_a);
-      bfs_hops(topo_, fiber.dst, usable_super, dist_b);
-      for (std::size_t slot = 0; slot < pairs.size(); ++slot) {
-        if (dirty[slot] != 0) continue;
-        const RegionId s = pairs[slot].src;
-        const RegionId t = pairs[slot].dst;
-        const double through = std::min(
-            hops_or_inf(dist_a[s.value()]) + 1.0 + hops_or_inf(dist_b[t.value()]),
-            hops_or_inf(dist_b[s.value()]) + 1.0 + hops_or_inf(dist_a[t.value()]));
-        const PathList compiled = store_.find(s, t);
-        if (compiled.size() < k_paths_) {
-          // Fewer than k simple paths compiled: any finite route through the
-          // fiber could add or remove one.
-          if (through != std::numeric_limits<double>::infinity()) dirty[slot] = 1;
-        } else if (through <= compiled[compiled.size() - 1].cost) {
-          dirty[slot] = 1;
-        }
-      }
-    }
-    st.pairs_checked = pairs.size();
-
-    for (std::size_t slot = 0; slot < pairs.size(); ++slot) {
-      if (dirty[slot] == 0) continue;
-      ++st.pairs_dirty;
-      const RegionId s = pairs[slot].src;
-      const RegionId t = pairs[slot].dst;
-      const std::vector<Path> fresh = k_shortest_paths(topo_, s, t, k_paths_, usable_links(topo_));
-      if (same_paths(store_.find(s, t), fresh)) continue;
-      store_.replace(s, t, fresh);
-      ++st.pairs_changed;
-      if (changed_pairs != nullptr) changed_pairs->emplace_back(s, t);
-    }
-
-    const std::size_t live = store_.link_entry_count() - store_.garbage_link_entries();
-    if (store_.garbage_link_entries() > live) {
-      store_.compact();
-      st.compacted = true;
-    }
+  if (std::none_of(delta.begin(), delta.end(),
+                   [](const MutationRecord& rec) { return rec.structural(); })) {
+    return;
   }
 
-  synced_epoch_ = topo_.epoch();
-  if (stats != nullptr) *stats = st;
+  // Recompile every pair in slot order, so the fresh store's slots match
+  // the old ones and a fresh Router warmed on the same pairs.
+  PathStore fresh(region_count_);
+  const LinkFilter usable = usable_links(topo_);
+  for (const PathStore::PairKey& pair : store_.pairs()) {
+    const std::vector<Path> paths = k_shortest_paths(topo_, pair.src, pair.dst, k_paths_, usable);
+    if (changed_pairs != nullptr && !same_paths(store_.find(pair.src, pair.dst), paths)) {
+      changed_pairs->emplace_back(pair.src, pair.dst);
+    }
+    (void)fresh.insert(pair.src, pair.dst, paths);
+  }
+  store_ = std::move(fresh);
 }
 
 }  // namespace netent::topology

@@ -113,18 +113,6 @@ double water_fill_demand(double amount_gbps, const PathRange& candidate_paths,
   return amount_gbps - remaining;
 }
 
-/// Resync statistics reported by Router::resync_topology.
-struct TopologyResyncStats {
-  std::uint64_t from_epoch = 0;  ///< epoch the Router was synced to before
-  std::uint64_t to_epoch = 0;    ///< topology epoch after the resync
-  std::size_t mutations = 0;     ///< log records replayed
-  std::size_t structural = 0;    ///< add/retire records among them
-  std::size_t pairs_checked = 0;   ///< compiled pairs tested by the dirty predicate
-  std::size_t pairs_dirty = 0;     ///< pairs whose KSP was re-run
-  std::size_t pairs_changed = 0;   ///< pairs whose path set actually changed
-  bool compacted = false;          ///< the store rewrote its arrays garbage-free
-};
-
 /// Caches k-shortest path sets per (src, dst) pair over a topology snapshot,
 /// compiled into a CSR PathStore. The store is populated lazily by `paths()`
 /// / the non-const `route()` overloads (single-threaded use). For concurrent
@@ -135,9 +123,8 @@ struct TopologyResyncStats {
 /// Topology lifecycle: the Router snapshots the topology's epoch at
 /// construction; after the topology mutates, call `resync_topology()` (no
 /// sweeps active, no PathList/PathView/full_capacities() span held across
-/// the call) to catch up incrementally — only (src, dst) pairs whose
-/// compiled path sets can have changed are recompiled, and the resulting
-/// store content is identical to a freshly built Router's.
+/// the call) to catch up — the resulting store content is identical to a
+/// freshly built Router's.
 class Router {
  public:
   Router(const Topology& topo, std::size_t k_paths);
@@ -219,11 +206,10 @@ class Router {
   [[nodiscard]] std::span<const double> full_capacities() const { return full_caps_; }
 
   /// Catches the Router up with the topology's mutation log: refreshes the
-  /// effective-capacity array and recompiles exactly the compiled (src, dst)
-  /// pairs whose k-shortest path sets can differ (BFS bound through each
-  /// added/retired fiber against the pair's k-th best compiled cost —
-  /// capacity-only mutations never re-run KSP, path costs are hop counts).
-  /// Postcondition: per-pair store content equals a fresh
+  /// effective-capacity array and, when the log tail holds an add or a
+  /// retire, recompiles every compiled (src, dst) pair into a fresh store in
+  /// slot order — capacity-only tails never re-run KSP, path costs are hop
+  /// counts. Postcondition: per-pair store content and slots equal a fresh
   /// Router(topo, k_paths) warmed on the same pairs, bit-identical.
   ///
   /// Invalidates outstanding PathList/PathView handles and the
@@ -232,8 +218,7 @@ class Router {
   ///
   /// When `changed_pairs` is non-null it receives the (src, dst) pairs whose
   /// compiled path set actually changed (ascending slot order).
-  void resync_topology(TopologyResyncStats* stats = nullptr,
-                       std::vector<std::pair<RegionId, RegionId>>* changed_pairs = nullptr);
+  void resync_topology(std::vector<std::pair<RegionId, RegionId>>* changed_pairs = nullptr);
 
   /// The topology epoch this Router's caches reflect.
   [[nodiscard]] std::uint64_t synced_epoch() const { return synced_epoch_; }

@@ -16,10 +16,10 @@ namespace netent::topology {
 
 /// Inverted index from SRLG to the directed links riding it. Every link
 /// belongs to exactly one SRLG, so the per-SRLG link lists are disjoint and
-/// their union is the full link set. Links are indexed for life — retired
-/// fibers stay listed (their effective capacity is already 0, so zeroing
-/// them again in a scenario is a no-op); after the topology gains links or
-/// SRLGs, `resync()` appends the new entries.
+/// their union is the full link set. Retired fibers stay listed (their
+/// effective capacity is already 0, so zeroing them again in a scenario is
+/// a no-op). An index covers the links of the topology it was built from;
+/// after the topology gains links or SRLGs, build a new one.
 class SrlgIndex {
  public:
   explicit SrlgIndex(const Topology& topo);
@@ -29,14 +29,8 @@ class SrlgIndex {
 
   [[nodiscard]] std::size_t srlg_count() const { return links_by_srlg_.size(); }
 
-  /// Catches up with topology growth: indexes links added since the last
-  /// build/resync. Equivalent to rebuilding from scratch (new links have the
-  /// highest ids, so appending keeps each list ascending).
-  void resync(const Topology& topo);
-
  private:
   std::vector<std::vector<LinkId>> links_by_srlg_;
-  std::size_t links_indexed_ = 0;
 };
 
 }  // namespace netent::topology

@@ -52,8 +52,9 @@ struct Link {
 /// retired in place, never erased). Regions are fixed once any Router is
 /// attached: path stores size their pair tables by region_count.
 ///
-/// Consumers holding topology-derived caches resync by replaying
-/// `mutation_log().since(their_epoch)` — see Router::resync_topology().
+/// Consumers holding topology-derived caches resync from
+/// `mutation_log().since(their_epoch)` — see Router::resync_topology(),
+/// which recompiles its paths only when that tail holds an add or a retire.
 class Topology {
  public:
   RegionId add_region(std::string name, RegionKind kind);

@@ -206,18 +206,15 @@ TEST(RiskSimulator, CurvesForEveryPipe) {
   EXPECT_EQ(sim.availability_curves(pipes).size(), 3u);
 }
 
-TEST(RiskSimulator, ResyncKeepsAValueIdenticalScenarioSetInPlace) {
+TEST(RiskSimulator, ResyncReportsWhetherTheScenarioSetChanged) {
   TwoFiberFixture fx;
   Router router(fx.topo, 3);
   RiskSimulator sim(router, enumerate_scenarios(fx.topo, ScenarioConfig{}),
                     router.full_capacities());
-  const FailureScenario* before = sim.scenarios().data();
 
-  // A freshly enumerated, value-identical set leaves the vector in place, so
-  // spans into scenarios() taken before the resync stay valid.
+  // A freshly enumerated, value-identical set is no change.
   EXPECT_FALSE(
       sim.resync(enumerate_scenarios(fx.topo, ScenarioConfig{}), router.full_capacities()));
-  EXPECT_EQ(sim.scenarios().data(), before);
 
   // A set of the same size with one probability moved is a change.
   std::vector<FailureScenario> shifted(sim.scenarios().begin(), sim.scenarios().end());
@@ -230,6 +227,23 @@ TEST(RiskSimulator, ResyncKeepsAValueIdenticalScenarioSetInPlace) {
   single.max_simultaneous = 1;
   EXPECT_TRUE(sim.resync(enumerate_scenarios(fx.topo, single), router.full_capacities()));
   EXPECT_EQ(sim.scenarios().size(), shifted.size() - 1);
+}
+
+TEST(RiskSimulator, ResyncIndexesTheLinksOfAnAddedFiber) {
+  TwoFiberFixture fx;
+  Router router(fx.topo, 3);
+  RiskSimulator sim(router, enumerate_scenarios(fx.topo, ScenarioConfig{}),
+                    router.full_capacities());
+  const LinkId added = fx.topo.add_fiber(RegionId(0), RegionId(1), Gbps(50), 970.0, 30.0);
+  router.resync_topology();
+  EXPECT_TRUE(
+      sim.resync(enumerate_scenarios(fx.topo, ScenarioConfig{}), router.full_capacities()));
+
+  ASSERT_EQ(sim.srlg_index().srlg_count(), fx.topo.srlg_count());
+  const std::span<const LinkId> links = sim.srlg_index().links_of(fx.topo.link(added).srlg);
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0], added);
+  EXPECT_EQ(links[1], fx.topo.link(added).reverse);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +55,12 @@ FleetReport run_fleet(const topology::Topology& topo, const FleetConfig& fleet_c
   return report;
 }
 
+/// The 256-tenant fleet's serial transcript fingerprint. Every negotiation
+/// probe routes over the router's PathStore, so a change to path compilation
+/// or placement that moves any decision moves it, even one that moves every
+/// thread count alike.
+constexpr std::uint64_t kFleetTranscriptGolden = 16421428570986477805ULL;
+
 TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadCounts) {
   const topology::Topology topo = fleet_backbone();
   // Grown past small_fleet, with fewer heavies (still coprime to 4), until
@@ -67,6 +74,7 @@ TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadCounts) {
   ASSERT_GT(reference.decisions, 0u);
   ASSERT_GT(reference.rejected, 0u) << "fleet must contend for negotiation to be exercised";
   EXPECT_GE(replay.largest, kFanOutCutoffPlacements);
+  EXPECT_EQ(reference.transcript_fingerprint, kFleetTranscriptGolden);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     const FleetReport report = run_fleet(topo, config, threads);
